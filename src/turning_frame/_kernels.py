@@ -1,18 +1,7 @@
-"""Hot numeric kernels: branchwise phase laws, displacement kernels, stencils.
+"""Hot numeric kernels: branchwise phase laws, displacement kernels, stencils
+and the position transform.
 
-Every kernel exists twice: a pure-NumPy implementation (``_*_np``) and a
-numba ``@njit`` loop compiled lazily on first use.  The active backend is
-chosen at import time:
-
-* numba is used whenever it imports successfully,
-* setting the environment variable ``TURNING_FRAME_NO_NUMBA=1`` forces the
-  NumPy path (useful for debugging and for the benchmark baseline).
-
-Both backends evaluate the same expressions in the same order, so results
-agree to the last few ulps; ``benchmarks/bench_kernels.py`` compares their
-speed.
-
-Numerical conventions shared by both paths:
+Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
 
 * Square-root branch arguments are snapped to zero within ``_SNAP``
   relative to ``p**2`` so that values computed exactly at a branch
@@ -20,38 +9,23 @@ Numerical conventions shared by both paths:
   ``sqrt(eps)`` spray from the infinite one-sided slope.
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
-* All loops accumulate in a fixed order; no parallel reductions.
+* Reductions run in NumPy's fixed order, so results are reproducible.
+* The plane-wave sum onto a position grid is a chirp-z transform
+  (Bluestein's algorithm), O((N_p + N_q) log(N_p + N_q)) instead of the
+  direct O(N_p N_q) sum; both grids must be uniform.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
 _SNAP = 8.0 * _EPS
 
-_DISABLED = os.environ.get("TURNING_FRAME_NO_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by TURNING_FRAME_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# NumPy implementations
-# ---------------------------------------------------------------------------
-
-def _phase_profile_np(p, tau, lam):
+def phase_profile(p, tau, lam):
     """Accumulated evolution phase for every momentum node at scale tau."""
     if tau <= 0.0:
         return p * tau
@@ -65,7 +39,7 @@ def _phase_profile_np(p, tau, lam):
     return np.where(p2 >= 0.5 * lam * tau, mid, late)
 
 
-def _displacement_profile_np(p, tau, lam):
+def displacement_profile(p, tau, lam):
     """Per-momentum displacement kernel at scale tau."""
     if tau <= 0.0:
         return np.full_like(p, tau)
@@ -86,7 +60,7 @@ def _displacement_profile_np(p, tau, lam):
     return np.where(p2 >= 0.5 * lam * tau, approach, late)
 
 
-def _classical_position_profile_np(taus, q0, p, lam):
+def classical_position_profile(taus, q0, p, lam):
     """Closed-form relational trajectory q(tau) for conserved momentum p."""
     p2 = p * p
     u = p2 - lam * taus
@@ -99,12 +73,12 @@ def _classical_position_profile_np(taus, q0, p, lam):
     return np.where(taus <= 0.0, q0 + taus, out)
 
 
-def _apply_phase_np(amps, phase, hbar):
+def apply_phase(amps, phase, hbar):
     """Multiply amplitudes by exp(-i phase / hbar)."""
     return amps * np.exp(-1j * phase / hbar)
 
 
-def _derivative_np(values, h):
+def derivative(values, h):
     """Fourth-order finite-difference derivative on a uniform grid (n >= 5)."""
     d = np.empty_like(values)
     d[2:-2] = (values[:-4] - 8.0 * values[1:-3]
@@ -120,149 +94,40 @@ def _derivative_np(values, h):
     return d
 
 
-def _position_transform_np(p, amps, q, hbar):
-    """Plane-wave quadrature sum_i amps_i exp(i p_i q / hbar) per q node.
+def _chirp(n, c):
+    """exp(i c n) for integer-valued float arrays n >= 0 and large |c n|.
 
-    Evaluated in fixed-size blocks to bound the phase-matrix memory.
+    ``c`` is split into a head with few enough significant bits that
+    ``head * n`` is exact, and a small tail, so the phase carries no
+    rounding error of the size of ``|c n| * eps``.
     """
-    out = np.empty(q.shape[0], dtype=np.complex128)
-    block = 256
-    for start in range(0, q.shape[0], block):
-        qb = q[start:start + block]
-        out[start:start + block] = np.exp(1j * np.outer(qb, p) / hbar) @ amps
-    return out
+    bits = int(n.max()).bit_length()
+    mant, exp = math.frexp(c)
+    head = math.ldexp(round(math.ldexp(mant, 53 - bits)), exp - 53 + bits)
+    return np.exp(1j * (head * n)) * np.exp(1j * ((c - head) * n))
 
 
-# ---------------------------------------------------------------------------
-# numba implementations (same arithmetic, explicit loops)
-# ---------------------------------------------------------------------------
+def position_transform(p, amps, q, hbar):
+    """Plane-wave quadrature sum_j amps_j exp(i p_j q_k / hbar) per q node.
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _phase_profile_nb(p, tau, lam):  # pragma: no cover - numba
-        n = p.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        if tau <= 0.0:
-            for i in range(n):
-                out[i] = p[i] * tau
-            return out
-        for i in range(n):
-            pi = p[i]
-            p2 = pi * pi
-            u = p2 - lam * tau
-            if abs(u) <= _SNAP * p2:
-                u = 0.0
-            if p2 >= 0.5 * lam * tau:
-                s = math.sqrt(abs(u))
-                out[i] = (2.0 / 3.0) * (p2 * pi - u * s) / lam
-            else:
-                out[i] = pi * tau - (2.0 / 3.0) * p2 * pi / lam
-        return out
-
-    @njit(cache=True)
-    def _displacement_profile_nb(p, tau, lam):  # pragma: no cover - numba
-        n = p.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        if tau <= 0.0:
-            for i in range(n):
-                out[i] = tau
-            return out
-        for i in range(n):
-            pi = p[i]
-            p2 = pi * pi
-            u = p2 - lam * tau
-            if abs(u) <= _SNAP * p2:
-                u = 0.0
-            if p2 >= 0.5 * lam * tau:
-                s = math.sqrt(abs(u))
-                if u >= 0.0 and pi > 0.0:
-                    out[i] = 2.0 * pi * tau / (pi + s)
-                else:
-                    out[i] = 2.0 * (p2 - pi * s) / lam
-            else:
-                out[i] = tau - 2.0 * p2 / lam
-        return out
-
-    @njit(cache=True)
-    def _classical_position_profile_nb(taus, q0, p, lam):  # pragma: no cover
-        n = taus.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        p2 = p * p
-        for i in range(n):
-            t = taus[i]
-            if t <= 0.0:
-                out[i] = q0 + t
-                continue
-            u = p2 - lam * t
-            if abs(u) <= _SNAP * p2:
-                u = 0.0
-            s = math.sqrt(abs(u) / p2)
-            if u >= 0.0:
-                out[i] = q0 + 2.0 * t / (1.0 + s)
-            elif lam * t <= 2.0 * p2:
-                out[i] = q0 + 2.0 * p2 * (1.0 + s) / lam
-            else:
-                out[i] = q0 + t + 2.0 * p2 / lam
-        return out
-
-    @njit(cache=True)
-    def _apply_phase_nb(amps, phase, hbar):  # pragma: no cover - numba
-        n = amps.shape[0]
-        out = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            th = -phase[i] / hbar
-            out[i] = amps[i] * complex(math.cos(th), math.sin(th))
-        return out
-
-    @njit(cache=True)
-    def _derivative_nb(values, h):  # pragma: no cover - numba
-        n = values.shape[0]
-        d = np.empty_like(values)
-        inv = 1.0 / (12.0 * h)
-        for i in range(2, n - 2):
-            d[i] = (values[i - 2] - 8.0 * values[i - 1]
-                    + 8.0 * values[i + 1] - values[i + 2]) * inv
-        d[0] = (-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
-                + 16.0 * values[3] - 3.0 * values[4]) * inv
-        d[1] = (-3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
-                - 6.0 * values[3] + values[4]) * inv
-        d[n - 2] = (3.0 * values[n - 1] + 10.0 * values[n - 2]
-                    - 18.0 * values[n - 3] + 6.0 * values[n - 4]
-                    - values[n - 5]) * inv
-        d[n - 1] = (25.0 * values[n - 1] - 48.0 * values[n - 2]
-                    + 36.0 * values[n - 3] - 16.0 * values[n - 4]
-                    + 3.0 * values[n - 5]) * inv
-        return d
-
-    @njit(cache=True)
-    def _position_transform_nb(p, amps, q, hbar):  # pragma: no cover - numba
-        n_q = q.shape[0]
-        n_p = p.shape[0]
-        out = np.empty(n_q, dtype=np.complex128)
-        for j in range(n_q):
-            acc = 0.0 + 0.0j
-            for i in range(n_p):
-                th = q[j] * p[i] / hbar
-                acc += amps[i] * complex(math.cos(th), math.sin(th))
-            out[j] = acc
-        return out
-
-    phase_profile = _phase_profile_nb
-    displacement_profile = _displacement_profile_nb
-    classical_position_profile = _classical_position_profile_nb
-    apply_phase = _apply_phase_nb
-    derivative = _derivative_nb
-    position_transform = _position_transform_nb
-else:
-    phase_profile = _phase_profile_np
-    displacement_profile = _displacement_profile_np
-    classical_position_profile = _classical_position_profile_np
-    apply_phase = _apply_phase_np
-    derivative = _derivative_np
-    position_transform = _position_transform_np
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    Both grids must be uniform with at least 2 nodes; the spacings are read
+    from their ends.
+    With p_j = p_0 + j dp and q_k = q_0 + k dq,
+    p_j q_k = p_0 q_k + q_0 (p_j - p_0) + dp dq jk, and
+    jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into one convolution with the
+    chirp exp(-i dp dq m^2 / 2hbar), evaluated by zero-padded FFTs
+    (Bluestein's chirp-z algorithm).
+    """
+    n_p, n_q = p.shape[0], q.shape[0]
+    dp = (p[-1] - p[0]) / (n_p - 1)
+    dq = (q[-1] - q[0]) / (n_q - 1)
+    c = 0.5 * dp * dq / hbar
+    j = np.arange(n_p, dtype=np.float64)
+    k = np.arange(n_q, dtype=np.float64)
+    size = 1 << (n_p + n_q - 2).bit_length()
+    # circular offsets k - j: 0..n_q-1 at the front, -(n_p-1)..-1 at the back
+    m = np.arange(size, dtype=np.float64)
+    m = np.where(m < n_q, m, size - m)
+    y = amps * np.exp(1j * q[0] * (p - p[0]) / hbar) * _chirp(j * j, c)
+    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(_chirp(m * m, -c)))[:n_q]
+    return conv * _chirp(k * k, c) * np.exp(1j * p[0] * q / hbar)

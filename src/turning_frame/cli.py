@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -73,6 +74,27 @@ def _get(cfg: dict, path: str, default=_MISSING):
     return node
 
 
+def _finite(value, field: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"need a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(field, f"need a finite number, got {value!r}")
+    return number
+
+
+def _number(cfg: dict, path: str, default=_MISSING) -> float:
+    return _finite(_get(cfg, path, default), path)
+
+
+def _count(cfg: dict, path: str) -> int:
+    value = _number(cfg, path)
+    if not value.is_integer():
+        raise ConfigError(path, f"need a whole number, got {value!r}")
+    return int(value)
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -98,7 +120,10 @@ def _override(cfg: dict, path: str, value) -> None:
 def _outdir(cfg: dict) -> Path:
     default = os.environ.get("TURNING_FRAME_OUTDIR", ".")
     path = Path(_get(cfg, "output.dir", default))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output.dir", f"cannot create {path}: {exc.strerror}")
     return path
 
 
@@ -109,17 +134,17 @@ def _model_from(cfg: dict) -> FrameModel:
     except ValueError:
         raise ConfigError("model.convention", f"unknown convention {conv!r}")
     return FrameModel(
-        lam=float(_get(cfg, "model.lambda")),
-        hbar=float(_get(cfg, "model.hbar", 1.0)),
+        lam=_number(cfg, "model.lambda"),
+        hbar=_number(cfg, "model.hbar", 1.0),
         shift_convention=convention,
     )
 
 
 def _grid_from(cfg: dict) -> MomentumGrid:
     return MomentumGrid(
-        p_min=float(_get(cfg, "grid.p_min")),
-        p_max=float(_get(cfg, "grid.p_max")),
-        n=int(_get(cfg, "grid.n")),
+        p_min=_number(cfg, "grid.p_min"),
+        p_max=_number(cfg, "grid.p_max"),
+        n=_count(cfg, "grid.n"),
     )
 
 
@@ -130,17 +155,17 @@ def _gaussian_from(cfg: dict, grid: MomentumGrid, model: FrameModel):
     except ValueError:
         raise ConfigError("state.mode", f"unknown mode {mode_name!r}")
     spec = GaussianSpec(
-        q0=float(_get(cfg, "state.q0")),
-        p0=float(_get(cfg, "state.p0")),
-        sigma=float(_get(cfg, "state.sigma")),
+        q0=_number(cfg, "state.q0"),
+        p0=_number(cfg, "state.p0"),
+        sigma=_number(cfg, "state.sigma"),
     )
     return spec, make_gaussian(spec, grid, model, mode=mode)
 
 
 def _taus_from(cfg: dict) -> np.ndarray:
-    start = float(_get(cfg, "tau.start"))
-    stop = float(_get(cfg, "tau.stop"))
-    num = int(_get(cfg, "tau.num"))
+    start = _number(cfg, "tau.start")
+    stop = _number(cfg, "tau.stop")
+    num = _count(cfg, "tau.num")
     if not stop > start:
         raise ConfigError("tau.stop", f"range [{start}, {stop}] is empty")
     if num < 2:
@@ -148,16 +173,23 @@ def _taus_from(cfg: dict) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
+def _open_output(path: Path):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError("output.dir", f"cannot write {path}: {exc.strerror}")
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = zip(*columns)
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -168,8 +200,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_classical(cfg: dict) -> int:
     model = _model_from(cfg)
-    q0 = float(_get(cfg, "state.q0"))
-    p = float(_get(cfg, "state.p", _get(cfg, "state.p0", _MISSING)))
+    q0 = _number(cfg, "state.q0")
+    p_key = "state.p" if _get(cfg, "state.p", None) is not None else "state.p0"
+    p = _number(cfg, p_key)
     state = ClassicalState(q0=q0, p=p)
     taus = _taus_from(cfg)
     phi = unwind_phi(taus, p, model)
@@ -187,14 +220,14 @@ def cmd_evolve(cfg: dict) -> int:
     snapshots = _get(cfg, "snapshots")
     if not isinstance(snapshots, (list, tuple)) or len(snapshots) == 0:
         raise ConfigError("snapshots", "need a non-empty list of tau values")
-    snapshots = [float(t) for t in snapshots]
+    snapshots = [_finite(t, "snapshots") for t in snapshots]
 
     q_grid = None
     if _get(cfg, "q_grid", None) is not None:
         q_grid = np.linspace(
-            float(_get(cfg, "q_grid.q_min")),
-            float(_get(cfg, "q_grid.q_max")),
-            int(_get(cfg, "q_grid.n")),
+            _number(cfg, "q_grid.q_min"),
+            _number(cfg, "q_grid.q_max"),
+            _count(cfg, "q_grid.n"),
         )
 
     outdir = _outdir(cfg)

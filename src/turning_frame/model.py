@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -23,6 +24,13 @@ import numpy as np
 from .errors import DomainError, InvalidStateError, ResolutionError
 
 NORM_TOLERANCE = 1e-6
+
+
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class ShiftConvention(enum.Enum):
@@ -58,6 +66,7 @@ class FrameModel:
     shift_convention: ShiftConvention = ShiftConvention.MEAN_MOMENTUM
 
     def __post_init__(self):
+        _require_finite(self, "lam", "hbar")
         if not self.lam > 0.0:
             raise DomainError(f"potential slope must be positive, got {self.lam}")
         if not self.hbar > 0.0:
@@ -72,6 +81,7 @@ class ClassicalState:
     p: float
 
     def __post_init__(self):
+        _require_finite(self, "q0", "p")
         if not self.p > 0.0:
             raise DomainError(
                 f"momentum must be positive for a forward turning point, got {self.p}"
@@ -87,6 +97,7 @@ class MomentumGrid:
     n: int
 
     def __post_init__(self):
+        _require_finite(self, "p_min", "p_max")
         if not self.p_min < self.p_max:
             raise DomainError(f"need p_min < p_max, got [{self.p_min}, {self.p_max}]")
         if self.n < 2:
@@ -140,6 +151,7 @@ class GaussianSpec:
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self, "q0", "p0", "sigma")
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
@@ -241,9 +253,10 @@ def make_gaussian(
 
 def moments(state: MomentumState) -> Moments:
     """Momentum mean, raw second moment, and variance by grid quadrature."""
-    if abs(state.norm() - 1.0) > NORM_TOLERANCE:
+    norm = state.norm()
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise InvalidStateError(
-            f"state norm {state.norm():.9f} deviates from 1 beyond {NORM_TOLERANCE}"
+            f"state norm {norm:.9f} deviates from 1 beyond {NORM_TOLERANCE}"
         )
     p = state.grid.nodes
     dens = np.abs(state.amps) ** 2

@@ -115,7 +115,7 @@ def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumSta
 
 def _check_normalized(state: MomentumState) -> None:
     norm = state.norm()
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise InvalidStateError(
             f"state norm {norm:.9f} deviates from 1 beyond {NORM_TOLERANCE}"
         )

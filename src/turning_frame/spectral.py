@@ -41,7 +41,7 @@ class SpectralState:
         if np.any(np.diff(energies) <= 0.0):
             raise DomainError("energies must be strictly increasing")
         norm2 = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise InvalidStateError(
                 f"coefficient norm^2 {norm2:.12f} deviates from 1 beyond {_NORM_TOL}"
             )

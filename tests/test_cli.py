@@ -55,6 +55,17 @@ def test_classical_free_range_is_translation(tmp_path, capsys):
     np.testing.assert_allclose(data[:, 2], 4.0 + data[:, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("key", ["p", "p0"])
+def test_classical_reads_either_momentum_key(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, tau={"start": -1.0, "stop": 3.0, "num": 41})
+    doc = json.loads(cfg.read_text())
+    doc["state"] = {"q0": 4.0, key: 1.25}
+    cfg.write_text(json.dumps(doc))
+    assert main(["classical", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+    _, data = read_csv(capsys.readouterr().out.strip())
+    assert data[-1, 2] == pytest.approx(7.78125)  # q(3) = q0 + 3 + 2 p^2/lam
+
+
 def test_classical_rejects_empty_tau_range(tmp_path):
     cfg = write_config(tmp_path, tau={"start": 1.0, "stop": 1.0, "num": 10})
     assert main(["classical", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
@@ -98,6 +109,24 @@ def test_evolve_writes_snapshots_with_unit_norms(tmp_path, capsys):
     q, rho = data[:, 0], data[:, 3]
     center = np.sum(q * rho) / np.sum(rho)
     assert center == pytest.approx(4.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--q0", "nan"), ("--p0", "inf"), ("--sigma", "nan"),
+    ("--lambda", "-inf"), ("--hbar", "nan"), ("--snapshots", "0.5,nan"),
+])
+def test_evolve_rejects_non_finite_input_without_output(tmp_path, capsys,
+                                                        flag, value):
+    cfg = write_config(tmp_path, state={"mode": "raw"},
+                       grid={"p_min": -2.5, "p_max": 5.5, "n": 1024},
+                       snapshots=[0.5],
+                       q_grid={"q_min": -2.0, "q_max": 12.0, "n": 101})
+    out = tmp_path / "out"
+    code = main(["evolve", "--config", str(cfg), "--outdir", str(out),
+                 f"{flag}={value}"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_evolve_rejects_empty_snapshots(tmp_path):
@@ -189,6 +218,25 @@ def test_missing_config_field_names_the_field(tmp_path, capsys):
     }))
     assert main(["shift", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     assert "state.q0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, overrides, outdir, field", [
+    ("shift", {"grid": {"n": 4096.7}}, "out", "grid.n"),
+    ("classical", {"tau": {"num": 40.5}}, "out", "tau.num"),
+    ("evolve", {"snapshots": [0.5],
+                "q_grid": {"q_min": -2.0, "q_max": 12.0, "n": 100.5}},
+     "out", "q_grid.n"),
+    ("shift", {"state": {"sigma": None}}, "out", "state.sigma"),
+    ("classical", {}, "plain.txt/out", "output.dir"),
+    ("classical", {"output": {"prefix": "missing/run"}}, "out", "output.dir"),
+])
+def test_malformed_counts_and_outputs_exit_2(tmp_path, capsys, command,
+                                              overrides, outdir, field):
+    (tmp_path / "plain.txt").write_text("a regular file\n")
+    cfg = write_config(tmp_path, **overrides)
+    code = main([command, "--config", str(cfg), "--outdir", str(tmp_path / outdir)])
+    assert code == 2
+    assert field in capsys.readouterr().err
 
 
 def test_unknown_config_file_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from turning_frame import (
+    ClassicalState,
     DomainError,
     ExpectationSeries,
     FrameModel,
@@ -46,6 +47,21 @@ def test_grid_validation():
 def test_gaussian_spec_requires_positive_sigma():
     with pytest.raises(DomainError):
         GaussianSpec(q0=0.0, p0=1.0, sigma=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_value_types_reject_non_finite_parameters(bad):
+    for make in (
+        lambda: FrameModel(lam=bad),
+        lambda: FrameModel(lam=4.0, hbar=bad),
+        lambda: GaussianSpec(q0=bad, p0=1.25, sigma=1.0),
+        lambda: GaussianSpec(q0=4.0, p0=bad, sigma=1.0),
+        lambda: GaussianSpec(q0=4.0, p0=1.25, sigma=bad),
+        lambda: ClassicalState(q0=bad, p=1.25),
+        lambda: MomentumGrid(bad, 5.0, 64),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            make()
 
 
 def test_make_gaussian_is_normalized_to_1e12(trunc_state, wide_state):
@@ -126,6 +142,13 @@ def test_moments_trivial_point_masses():
 
 def test_moments_rejects_unnormalized_state(trunc_grid):
     state = MomentumState(grid=trunc_grid, amps=np.ones(trunc_grid.n), tau=0.0)
+    with pytest.raises(InvalidStateError):
+        moments(state)
+
+
+def test_moments_rejects_nan_state(trunc_grid):
+    state = MomentumState(grid=trunc_grid, amps=np.full(trunc_grid.n, np.nan),
+                          tau=0.0)
     with pytest.raises(InvalidStateError):
         moments(state)
 

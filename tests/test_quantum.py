@@ -12,7 +12,9 @@ from turning_frame import (
     DomainError,
     FrameModel,
     GaussianSpec,
+    InvalidStateError,
     MomentumGrid,
+    MomentumState,
     displacement_kernel,
     evolve,
     expectation_series,
@@ -343,6 +345,12 @@ def test_position_profile_flags_poor_coverage(wide_state, model):
 def test_position_profile_rejects_nonuniform_grid(wide_state, model):
     with pytest.raises(DomainError):
         to_position_representation(wide_state, np.array([0.0, 1.0, 3.0]), model)
+
+
+def test_nan_state_is_not_rendered(wide_grid, model):
+    state = MomentumState(grid=wide_grid, amps=np.full(wide_grid.n, np.nan), tau=0.0)
+    with pytest.raises(InvalidStateError):
+        to_position_representation(state, np.linspace(-2.0, 12.0, 11), model)
 
 
 # -- expectation series -----------------------------------------------------

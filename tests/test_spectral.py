@@ -34,6 +34,8 @@ def test_spectral_state_validation():
         SpectralState(energies=np.array([2.0, 1.0]), coeffs=np.array([1.0, 0.0]))
     with pytest.raises(InvalidStateError):
         SpectralState(energies=np.array([1.0, 2.0]), coeffs=np.array([1.0, 1.0]))
+    with pytest.raises(InvalidStateError):
+        SpectralState(energies=np.array([1.0, 2.0]), coeffs=np.array([1.0, np.nan]))
 
 
 def test_observable_must_be_hermitian():
