@@ -1,0 +1,68 @@
+"""The package's one CSV format: a header row, then rows of numbers written
+to 17 significant digits (enough to round-trip every float64), joined by
+``,`` and ended by ``\\n``.  Observable matrices have no header and write each
+entry as one ``re:im`` cell.  Readers also accept ``\\r\\n`` line ends and
+raise InvalidStateError, naming the file and line, on a malformed file.
+"""
+
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+from .errors import InvalidStateError
+
+_NUMBER = "%.17g"
+
+
+def _dump(path, head: str, values: np.ndarray, row: str) -> None:
+    """Write ``head``, then every row of ``values`` through one ``%`` pass."""
+    body = ((row + "\n") * values.shape[0]) % tuple(values.ravel().tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(head + body)
+
+
+def _parse(path, head: int, parts: int) -> tuple[list, np.ndarray]:
+    """The first ``head`` rows, then a float table of the rest: every row has
+    as many cells as the first, each ``parts`` numbers joined by ``:``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or not rows[0]:
+        raise InvalidStateError(f"{path}: file is empty or starts with a blank line")
+    width = len(rows[0])
+    values = []
+    for line, row in enumerate(rows[head:], start=head + 1):
+        cells = [cell.split(":") for cell in row]
+        if len(cells) != width or any(len(cell) != parts for cell in cells):
+            raise InvalidStateError(f"{path}, line {line}: malformed row {row}")
+        try:
+            values.extend(float(x) for cell in cells for x in cell)
+        except ValueError as exc:
+            raise InvalidStateError(f"{path}, line {line}: {exc}") from None
+    return rows[:head], np.array(values, dtype=np.float64).reshape(-1, width * parts)
+
+
+def write(path, header: list[str], columns) -> None:
+    """Write equal-length float columns under a header row."""
+    _dump(path, ",".join(header) + "\n", np.column_stack(columns),
+          ",".join([_NUMBER] * len(header)))
+
+
+def read(path, names: list[str]) -> list[np.ndarray]:
+    """The leading columns ``names`` of a table, as float64 arrays."""
+    [header], table = _parse(path, 1, 1)
+    if [cell.strip() for cell in header[:len(names)]] != names:
+        raise InvalidStateError(f"{path}: header {header} does not start with {names}")
+    return list(table.T[:len(names)])
+
+
+def write_matrix(path, matrix: np.ndarray) -> None:
+    """Write a complex matrix as rows of ``re:im`` cells."""
+    pairs = np.stack([matrix.real, matrix.imag], axis=-1)
+    _dump(path, "", pairs, ",".join([f"{_NUMBER}:{_NUMBER}"] * matrix.shape[1]))
+
+
+def read_matrix(path) -> np.ndarray:
+    """A complex matrix from rows of ``re:im`` cells."""
+    return _parse(path, 0, 2)[1].view(np.complex128)

@@ -28,10 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _csv
 from .errors import (
     ConfigError,
-    DomainError,
-    InvalidStateError,
     NotAsymptoticError,
     ResolutionError,
     TurningFrameError,
@@ -55,12 +54,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
 EXIT_ASYMPTOTICS = 4
+_EXIT_CODES = {ResolutionError: EXIT_RESOLUTION, NotAsymptoticError: EXIT_ASYMPTOTICS}
 
 _MISSING = object()
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _get(cfg: dict, path: str, default=_MISSING):
@@ -78,7 +74,7 @@ def _finite(value, field: str) -> float:
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(field, f"need a number, got {value!r}")
+        number = math.nan
     if not math.isfinite(number):
         raise ConfigError(field, f"need a finite number, got {value!r}")
     return number
@@ -99,10 +95,8 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
 
@@ -120,10 +114,7 @@ def _override(cfg: dict, path: str, value) -> None:
 def _outdir(cfg: dict) -> Path:
     default = os.environ.get("TURNING_FRAME_OUTDIR", ".")
     path = Path(_get(cfg, "output.dir", default))
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("output.dir", f"cannot create {path}: {exc.strerror}")
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -162,34 +153,28 @@ def _gaussian_from(cfg: dict, grid: MomentumGrid, model: FrameModel):
     return spec, make_gaussian(spec, grid, model, mode=mode)
 
 
+def _linspace(cfg: dict, start: str, stop: str, num: str) -> np.ndarray:
+    lo = _number(cfg, start)
+    hi = _number(cfg, stop)
+    n = _count(cfg, num)
+    if not hi > lo:
+        raise ConfigError(stop, f"range [{lo}, {hi}] is empty")
+    if n < 2:
+        raise ConfigError(num, f"need at least 2 samples, got {n}")
+    return np.linspace(lo, hi, n)
+
+
 def _taus_from(cfg: dict) -> np.ndarray:
-    start = _number(cfg, "tau.start")
-    stop = _number(cfg, "tau.stop")
-    num = _count(cfg, "tau.num")
-    if not stop > start:
-        raise ConfigError("tau.stop", f"range [{start}, {stop}] is empty")
-    if num < 2:
-        raise ConfigError("tau.num", f"need at least 2 samples, got {num}")
-    return np.linspace(start, stop, num)
+    return _linspace(cfg, "tau.start", "tau.stop", "tau.num")
 
 
-def _open_output(path: Path):
-    try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise ConfigError("output.dir", f"cannot write {path}: {exc.strerror}")
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with _open_output(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+def _write_amplitudes(path: Path, axis: str, nodes, amps: np.ndarray) -> None:
+    _csv.write(path, [axis, "re", "im", "abs2"],
+               [nodes, amps.real, amps.imag, np.abs(amps) ** 2])
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with _open_output(path) as fh:
+    with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -208,7 +193,7 @@ def cmd_classical(cfg: dict) -> int:
     phi = unwind_phi(taus, p, model)
     q = q_of_tau(taus, state, model)
     out = _outdir(cfg) / f"{_get(cfg, 'output.prefix', 'classical')}_trajectory.csv"
-    _write_csv(out, ["tau", "phi", "q_classical"], [taus, phi, q])
+    _csv.write(out, ["tau", "phi", "q_classical"], [taus, phi, q])
     print(out)
     return EXIT_OK
 
@@ -224,11 +209,7 @@ def cmd_evolve(cfg: dict) -> int:
 
     q_grid = None
     if _get(cfg, "q_grid", None) is not None:
-        q_grid = np.linspace(
-            _number(cfg, "q_grid.q_min"),
-            _number(cfg, "q_grid.q_max"),
-            _count(cfg, "q_grid.n"),
-        )
+        q_grid = _linspace(cfg, "q_grid.q_min", "q_grid.q_max", "q_grid.n")
 
     outdir = _outdir(cfg)
     prefix = _get(cfg, "output.prefix", "evolve")
@@ -237,23 +218,13 @@ def cmd_evolve(cfg: dict) -> int:
     for k, tau in enumerate(snapshots):
         evolved = evolve(state, tau, model)
         p_path = outdir / f"{prefix}_momentum_{k:02d}.csv"
-        abs2 = np.abs(evolved.amps) ** 2
-        _write_csv(
-            p_path,
-            ["p", "re", "im", "abs2"],
-            [grid.nodes, evolved.amps.real, evolved.amps.imag, abs2],
-        )
+        _write_amplitudes(p_path, "p", grid.nodes, evolved.amps)
         entry = {"tau": tau, "norm_p": evolved.norm() ** 2,
                  "momentum_csv": p_path.name}
         if q_grid is not None:
             profile = to_position_representation(evolved, q_grid, model)
             q_path = outdir / f"{prefix}_position_{k:02d}.csv"
-            _write_csv(
-                q_path,
-                ["q", "re", "im", "abs2"],
-                [profile.q, profile.amps.real, profile.amps.imag,
-                 np.abs(profile.amps) ** 2],
-            )
+            _write_amplitudes(q_path, "q", profile.q, profile.amps)
             entry.update(
                 norm_q=profile.norm,
                 coverage_ok=profile.coverage_ok,
@@ -280,7 +251,7 @@ def cmd_shift(cfg: dict) -> int:
     outdir = _outdir(cfg)
     prefix = _get(cfg, "output.prefix", "shift")
     series_path = outdir / f"{prefix}_series.csv"
-    _write_csv(
+    _csv.write(
         series_path,
         ["tau", "q_classical", "q_mean", "q_var", "norm"],
         [series.taus, series.q_classical, series.q_mean, series.q_var,
@@ -359,6 +330,9 @@ def _collect_config(args: argparse.Namespace) -> dict:
     _override(cfg, "model.convention", args.convention)
     _override(cfg, "state.q0", args.q0)
     _override(cfg, "state.p0", args.p0)
+    if args.p0 is not None:
+        # the flag replaces whichever momentum key the config gives
+        cfg["state"].pop("p", None)
     _override(cfg, "state.sigma", args.sigma)
     _override(cfg, "state.mode", args.mode)
     _override(cfg, "grid.p_min", args.p_min)
@@ -370,8 +344,7 @@ def _collect_config(args: argparse.Namespace) -> dict:
     _override(cfg, "output.dir", args.outdir)
     _override(cfg, "output.prefix", args.prefix)
     if getattr(args, "snapshots", None):
-        _override(cfg, "snapshots",
-                  [float(t) for t in args.snapshots.split(",")])
+        _override(cfg, "snapshots", args.snapshots.split(","))
     return cfg
 
 
@@ -415,18 +388,15 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(cfg)
         return cmd_shift(cfg)
-    except NotAsymptoticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASYMPTOTICS
-    except ResolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOLUTION
-    except (ConfigError, DomainError, InvalidStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TurningFrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message, code = str(exc), _EXIT_CODES.get(type(exc), EXIT_CONFIG)
+    except UnicodeDecodeError as exc:
+        message, code = f"config: {args.config}: {exc}", EXIT_CONFIG
+    except OSError as exc:
+        field = "config" if exc.filename == vars(args).get("config") else "output.dir"
+        message, code = f"{field}: {exc.filename}: {exc.strerror}", EXIT_CONFIG
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

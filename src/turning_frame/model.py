@@ -13,7 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -21,9 +20,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _csv
 from .errors import DomainError, InvalidStateError, ResolutionError
 
 NORM_TOLERANCE = 1e-6
+
+
+def _check_normalized(state: MomentumState) -> None:
+    norm = state.norm()
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
+        raise InvalidStateError(
+            f"state norm {norm:.9f} deviates from 1 beyond {NORM_TOLERANCE}"
+        )
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -253,11 +261,7 @@ def make_gaussian(
 
 def moments(state: MomentumState) -> Moments:
     """Momentum mean, raw second moment, and variance by grid quadrature."""
-    norm = state.norm()
-    if not abs(norm - 1.0) <= NORM_TOLERANCE:
-        raise InvalidStateError(
-            f"state norm {norm:.9f} deviates from 1 beyond {NORM_TOLERANCE}"
-        )
+    _check_normalized(state)
     p = state.grid.nodes
     dens = np.abs(state.amps) ** 2
     h = state.grid.h
@@ -268,31 +272,18 @@ def moments(state: MomentumState) -> Moments:
 
 def save_momentum_csv(state: MomentumState, path) -> None:
     """Write a state as ``p,re,im`` rows at full round-trip precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "re", "im"])
-        for p, a in zip(state.grid.nodes, state.amps):
-            writer.writerow([format(p, ".17g"),
-                             format(a.real, ".17g"),
-                             format(a.imag, ".17g")])
+    _csv.write(path, ["p", "re", "im"],
+               [state.grid.nodes, state.amps.real, state.amps.imag])
 
 
 def load_momentum_csv(path, tau: float = 0.0) -> MomentumState:
     """Read a ``p,re,im`` file back into a state on a uniform grid."""
-    p_vals, amps = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:3]] != ["p", "re", "im"]:
-            raise InvalidStateError(f"unexpected state CSV header: {header}")
-        for row in reader:
-            p_vals.append(float(row[0]))
-            amps.append(complex(float(row[1]), float(row[2])))
-    p_arr = np.asarray(p_vals)
+    p_arr, re, im = _csv.read(path, ["p", "re", "im"])
     if p_arr.size < 2:
         raise InvalidStateError("state CSV holds fewer than 2 nodes")
     steps = np.diff(p_arr)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(p_arr[0]), abs(p_arr[-1]), 1.0):
         raise InvalidStateError("state CSV nodes are not uniformly spaced")
     grid = MomentumGrid(float(p_arr[0]), float(p_arr[-1]), int(p_arr.size))
-    return MomentumState(grid=grid, amps=np.asarray(amps), tau=tau)
+    amps = np.column_stack([re, im]).view(np.complex128).ravel()
+    return MomentumState(grid=grid, amps=amps, tau=tau)

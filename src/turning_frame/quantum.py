@@ -29,13 +29,13 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import ConsistencyError, DomainError, InvalidStateError, ResolutionError
+from .errors import ConsistencyError, DomainError, ResolutionError
 from .model import (
-    NORM_TOLERANCE,
     ClassicalState,
     ExpectationSeries,
     FrameModel,
     MomentumState,
+    _check_normalized,
 )
 from .classical import q_of_tau
 
@@ -111,14 +111,6 @@ def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumSta
     )
     amps = _kernels.apply_phase(np.asarray(initial.amps), dphi, model.hbar)
     return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
-
-
-def _check_normalized(state: MomentumState) -> None:
-    norm = state.norm()
-    if not abs(norm - 1.0) <= NORM_TOLERANCE:
-        raise InvalidStateError(
-            f"state norm {norm:.9f} deviates from 1 beyond {NORM_TOLERANCE}"
-        )
 
 
 def _fd_position_mean(amps: np.ndarray, h: float, hbar: float) -> tuple[float, float]:

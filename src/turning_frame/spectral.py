@@ -10,12 +10,11 @@ eigenbasis; no conjugate "time operator" is exposed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
 from .model import FrameModel
 
@@ -36,8 +35,8 @@ class SpectralState:
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if energies.ndim != 1 or energies.shape != coeffs.shape:
             raise InvalidStateError("energies and coeffs must be matching 1-d arrays")
-        if np.any(energies <= 0.0):
-            raise DomainError("all energies must be positive")
+        if not np.all(np.isfinite(energies) & (energies > 0.0)):
+            raise DomainError("all energies must be finite and positive")
         if np.any(np.diff(energies) <= 0.0):
             raise DomainError("energies must be strictly increasing")
         norm2 = float(np.sum(np.abs(coeffs) ** 2))
@@ -59,10 +58,11 @@ class ObservableMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidStateError("observable must be a square matrix")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
-            raise InvalidStateError("observable matrix is not Hermitian")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise InvalidStateError("observable must be a non-empty square matrix")
+        if not (np.all(np.isfinite(m))
+                and np.max(np.abs(m - m.conj().T)) <= _HERMITICITY_TOL):
+            raise InvalidStateError("observable matrix is not finite and Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -98,45 +98,22 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
 
 def save_spectral_csv(state: SpectralState, path) -> None:
     """Write a spectral state as ``E,re,im`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["E", "re", "im"])
-        for e, c in zip(state.energies, state.coeffs):
-            writer.writerow([format(e, ".17g"),
-                             format(c.real, ".17g"),
-                             format(c.imag, ".17g")])
+    _csv.write(path, ["E", "re", "im"],
+               [state.energies, state.coeffs.real, state.coeffs.imag])
 
 
 def load_spectral_csv(path, tau: float = 0.0) -> SpectralState:
     """Read an ``E,re,im`` file back into a spectral state."""
-    energies, coeffs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:3]] != ["E", "re", "im"]:
-            raise InvalidStateError(f"unexpected spectral CSV header: {header}")
-        for row in reader:
-            energies.append(float(row[0]))
-            coeffs.append(complex(float(row[1]), float(row[2])))
-    return SpectralState(
-        energies=np.asarray(energies), coeffs=np.asarray(coeffs), tau=tau
-    )
+    energies, re, im = _csv.read(path, ["E", "re", "im"])
+    coeffs = np.column_stack([re, im]).view(np.complex128).ravel()
+    return SpectralState(energies=energies, coeffs=coeffs, tau=tau)
 
 
 def save_observable_csv(obs: ObservableMatrix, path) -> None:
     """Write an observable as dense rows of ``re:im`` cell pairs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in obs.matrix:
-            writer.writerow(
-                [f"{format(z.real, '.17g')}:{format(z.imag, '.17g')}" for z in row]
-            )
+    _csv.write_matrix(path, obs.matrix)
 
 
 def load_observable_csv(path) -> ObservableMatrix:
     """Read a dense ``re:im`` matrix file back into an observable."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            rows.append([complex(*map(float, cell.split(":"))) for cell in row])
-    return ObservableMatrix(matrix=np.asarray(rows))
+    return ObservableMatrix(matrix=_csv.read_matrix(path))

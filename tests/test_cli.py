@@ -64,6 +64,10 @@ def test_classical_reads_either_momentum_key(tmp_path, capsys, key):
     assert main(["classical", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
     _, data = read_csv(capsys.readouterr().out.strip())
     assert data[-1, 2] == pytest.approx(7.78125)  # q(3) = q0 + 3 + 2 p^2/lam
+    assert main(["classical", "--config", str(cfg), "--outdir", str(tmp_path),
+                 "--p0", "2.0"]) == 0
+    _, data = read_csv(capsys.readouterr().out.strip())
+    assert data[-1, 2] == pytest.approx(9.0)  # the flag wins over either key
 
 
 def test_classical_rejects_empty_tau_range(tmp_path):
@@ -114,6 +118,7 @@ def test_evolve_writes_snapshots_with_unit_norms(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--q0", "nan"), ("--p0", "inf"), ("--sigma", "nan"),
     ("--lambda", "-inf"), ("--hbar", "nan"), ("--snapshots", "0.5,nan"),
+    ("--snapshots", "0.5,abc"),
 ])
 def test_evolve_rejects_non_finite_input_without_output(tmp_path, capsys,
                                                         flag, value):
@@ -229,14 +234,27 @@ def test_missing_config_field_names_the_field(tmp_path, capsys):
     ("shift", {"state": {"sigma": None}}, "out", "state.sigma"),
     ("classical", {}, "plain.txt/out", "output.dir"),
     ("classical", {"output": {"prefix": "missing/run"}}, "out", "output.dir"),
+    ("evolve", {"snapshots": [0.5],
+                "q_grid": {"q_min": -2.0, "q_max": 12.0, "n": 1}},
+     "out", "q_grid.n"),
+    # a string names a prepared config file in place of overrides
+    ("shift", "config_dir", "out", "config_dir"),
+    ("shift", "latin1.json", "out", "latin1.json"),
 ])
 def test_malformed_counts_and_outputs_exit_2(tmp_path, capsys, command,
                                               overrides, outdir, field):
     (tmp_path / "plain.txt").write_text("a regular file\n")
-    cfg = write_config(tmp_path, **overrides)
-    code = main([command, "--config", str(cfg), "--outdir", str(tmp_path / outdir)])
+    (tmp_path / "config_dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"note": "\u00e9"}'.encode("latin-1"))
+    if isinstance(overrides, str):
+        cfg = tmp_path / overrides
+    else:
+        cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / outdir
+    code = main([command, "--config", str(cfg), "--outdir", str(out)])
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_unknown_config_file_exit_code(tmp_path, capsys):

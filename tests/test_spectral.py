@@ -10,9 +10,11 @@ from turning_frame import (
     SpectralState,
     evolve,
     expectation,
+    load_momentum_csv,
     load_observable_csv,
     load_spectral_csv,
     propagate,
+    save_momentum_csv,
     save_observable_csv,
     save_spectral_csv,
     total_phase,
@@ -36,11 +38,20 @@ def test_spectral_state_validation():
         SpectralState(energies=np.array([1.0, 2.0]), coeffs=np.array([1.0, 1.0]))
     with pytest.raises(InvalidStateError):
         SpectralState(energies=np.array([1.0, 2.0]), coeffs=np.array([1.0, np.nan]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            SpectralState(energies=np.array([1.0, bad, 3.0]),
+                          coeffs=np.array([1.0, 0.0, 0.0]))
 
 
 def test_observable_must_be_hermitian():
     with pytest.raises(InvalidStateError):
         ObservableMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidStateError):
+            ObservableMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(InvalidStateError):
+        ObservableMatrix(np.zeros((0, 0)))
     obs = ObservableMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert obs.dim == 2
 
@@ -124,3 +135,50 @@ def test_observable_csv_roundtrip(tmp_path):
     save_observable_csv(obs, path)
     loaded = load_observable_csv(path)
     np.testing.assert_array_equal(loaded.matrix, obs.matrix)
+
+
+# Files as the library wrote them before the writers moved to ``\n`` line
+# ends, with the arrays each loaded object carries.
+CRLF_FILES = {
+    "momentum": (load_momentum_csv, save_momentum_csv,
+                 lambda state: [state.grid.nodes, state.amps],
+                 "p,re,im\r\n0.5,-0,1\r\n1,4.9406564584124654e-324,0.25\r\n"),
+    "spectral": (load_spectral_csv, save_spectral_csv,
+                 lambda state: [state.energies, state.coeffs],
+                 "E,re,im\r\n1,0.59999999999999998,-0\r\n2,0,0.80000000000000004\r\n"),
+    "observable": (load_observable_csv, save_observable_csv,
+                   lambda obs: [obs.matrix],
+                   "1:0,0.5:-0.25\r\n0.5:0.25,-2:-0\r\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CRLF_FILES))
+def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
+    load, save, arrays, text = CRLF_FILES[kind]
+    old = tmp_path / "old.csv"
+    old.write_bytes(text.encode())
+    loaded = load(old)
+    new = tmp_path / "new.csv"
+    save(loaded, new)
+    assert new.read_bytes() == text.replace("\r\n", "\n").encode()
+    for a, b in zip(arrays(loaded), arrays(load(new)), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("load, text", [
+    pytest.param(load_momentum_csv, "", id="momentum-empty"),
+    pytest.param(load_momentum_csv, "p,re,im\n0.5,1\n1,0,0\n", id="momentum-short-row"),
+    pytest.param(load_momentum_csv, "p,re,im\n0.5,1,x\n1,0,0\n", id="momentum-not-a-number"),
+    pytest.param(load_spectral_csv, "", id="spectral-empty"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
+    pytest.param(load_observable_csv, "", id="observable-empty"),
+    pytest.param(load_observable_csv, "1:0,0:0\n0:0\n", id="observable-short-row"),
+    pytest.param(load_observable_csv, "E,re,im\n1:0,0:0,0:0\n", id="observable-not-a-number"),
+    pytest.param(load_observable_csv, "1:0:0\n", id="observable-three-part-cell"),
+])
+def test_malformed_csv_raises_invalid_state(tmp_path, load, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidStateError, match="bad.csv"):
+        load(path)
