@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .model import ClassicalState, FrameModel
+from .model import ClassicalState, FrameModel, _require_finite_tau
 
 
 class Branch(enum.Enum):
@@ -122,6 +122,7 @@ def unwind_phi(tau, H: float, model: FrameModel):
 def q_of_tau(tau, state: ClassicalState, model: FrameModel):
     """Relational trajectory q(tau): free, slowed, re-crossing, free again."""
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
+    _require_finite_tau(tau_arr)
     out = _kernels.classical_position_profile(tau_arr, state.q0, state.p, model.lam)
     return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
 

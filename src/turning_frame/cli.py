@@ -8,10 +8,11 @@ Commands::
     turning-frame estimate  --mass-amu 100 --temp-k 1e-6
 
 One JSON document configures a whole pipeline (sections: model, state,
-grid, tau, snapshots, q_grid, output); command-line flags override single
-fields.  The default output directory comes from ``$TURNING_FRAME_OUTDIR``
-when set.  Outputs are deterministic: identical configs produce
-byte-identical files.
+grid, tau, snapshots, q_grid, output); the flags in ``FLAGS`` override
+single fields and are typed by the same readers as config values
+(``--n 1e3`` reads like ``"n": 1e3``).  The default output directory
+comes from ``$TURNING_FRAME_OUTDIR`` when set.  Outputs are
+deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 grid
 resolution failure, 4 fit window not asymptotic.
@@ -47,8 +48,8 @@ from .model import (
 from .classical import q_of_tau, unwind_phi
 from .quantum import evolve, expectation_series, to_position_representation
 from .shift import extract_shift_numeric
-from .estimates import PhysicalScenario, coherence_time_estimate, \
-    displacement_estimate, lambda_gravitational
+from .estimates import STANDARD_GRAVITY, PhysicalScenario, \
+    coherence_time_estimate, displacement_estimate, lambda_gravitational
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,6 +58,25 @@ EXIT_ASYMPTOTICS = 4
 _EXIT_CODES = {ResolutionError: EXIT_RESOLUTION, NotAsymptoticError: EXIT_ASYMPTOTICS}
 
 _MISSING = object()
+
+# config path -> the flag that overrides it
+FLAGS = {
+    "model.lambda": "--lambda",
+    "model.hbar": "--hbar",
+    "model.convention": "--convention",
+    "state.q0": "--q0",
+    "state.p0": "--p0",
+    "state.sigma": "--sigma",
+    "state.mode": "--mode",
+    "grid.p_min": "--p-min",
+    "grid.p_max": "--p-max",
+    "grid.n": "--n",
+    "tau.start": "--tau-start",
+    "tau.stop": "--tau-stop",
+    "tau.num": "--tau-num",
+    "output.dir": "--outdir",
+    "output.prefix": "--prefix",
+}
 
 
 def _get(cfg: dict, path: str, default=_MISSING):
@@ -72,8 +92,8 @@ def _get(cfg: dict, path: str, default=_MISSING):
 
 def _finite(value, field: str) -> float:
     try:
-        number = float(value)
-    except (TypeError, ValueError):
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(field, f"need a finite number, got {value!r}")
@@ -91,43 +111,58 @@ def _count(cfg: dict, path: str) -> int:
     return int(value)
 
 
+def _choice(cfg: dict, path: str, kind, default):
+    value = _get(cfg, path, default.value)
+    try:
+        return kind(value)
+    except ValueError:
+        valid = ", ".join(member.value for member in kind)
+        raise ConfigError(path, f"need one of {valid}, got {value!r}")
+
+
+def _text(cfg: dict, path: str, default) -> str:
+    value = _get(cfg, path, default)
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(path, f"need a string without NUL, got {value!r}")
+    return value
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config", f"need a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _override(cfg: dict, path: str, value) -> None:
     if value is None:
         return
-    node = cfg
-    keys = path.split(".")
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
+    section, key = path.split(".")
+    node = cfg.setdefault(section, {})
+    if not isinstance(node, dict):
+        raise ConfigError(section, f"need an object, got {node!r}")
+    node[key] = value
 
 
 def _outdir(cfg: dict) -> Path:
     default = os.environ.get("TURNING_FRAME_OUTDIR", ".")
-    path = Path(_get(cfg, "output.dir", default))
+    path = Path(_text(cfg, "output.dir", default))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _model_from(cfg: dict) -> FrameModel:
-    conv = _get(cfg, "model.convention", ShiftConvention.MEAN_MOMENTUM.value)
-    try:
-        convention = ShiftConvention(conv)
-    except ValueError:
-        raise ConfigError("model.convention", f"unknown convention {conv!r}")
     return FrameModel(
         lam=_number(cfg, "model.lambda"),
         hbar=_number(cfg, "model.hbar", 1.0),
-        shift_convention=convention,
+        shift_convention=_choice(cfg, "model.convention", ShiftConvention,
+                                 ShiftConvention.MEAN_MOMENTUM),
     )
 
 
@@ -140,11 +175,7 @@ def _grid_from(cfg: dict) -> MomentumGrid:
 
 
 def _gaussian_from(cfg: dict, grid: MomentumGrid, model: FrameModel):
-    mode_name = _get(cfg, "state.mode", GaussianMode.TRUNCATE_POSITIVE.value)
-    try:
-        mode = GaussianMode(mode_name)
-    except ValueError:
-        raise ConfigError("state.mode", f"unknown mode {mode_name!r}")
+    mode = _choice(cfg, "state.mode", GaussianMode, GaussianMode.TRUNCATE_POSITIVE)
     spec = GaussianSpec(
         q0=_number(cfg, "state.q0"),
         p0=_number(cfg, "state.p0"),
@@ -175,7 +206,7 @@ def _write_amplitudes(path: Path, axis: str, nodes, amps: np.ndarray) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -192,7 +223,7 @@ def cmd_classical(cfg: dict) -> int:
     taus = _taus_from(cfg)
     phi = unwind_phi(taus, p, model)
     q = q_of_tau(taus, state, model)
-    out = _outdir(cfg) / f"{_get(cfg, 'output.prefix', 'classical')}_trajectory.csv"
+    out = _outdir(cfg) / f"{_text(cfg, 'output.prefix', 'classical')}_trajectory.csv"
     _csv.write(out, ["tau", "phi", "q_classical"], [taus, phi, q])
     print(out)
     return EXIT_OK
@@ -212,7 +243,7 @@ def cmd_evolve(cfg: dict) -> int:
         q_grid = _linspace(cfg, "q_grid.q_min", "q_grid.q_max", "q_grid.n")
 
     outdir = _outdir(cfg)
-    prefix = _get(cfg, "output.prefix", "evolve")
+    prefix = _text(cfg, "output.prefix", "evolve")
     summary = {"snapshots": [], "state": {"q0": spec.q0, "p0": spec.p0,
                                           "sigma": spec.sigma}}
     for k, tau in enumerate(snapshots):
@@ -249,7 +280,7 @@ def cmd_shift(cfg: dict) -> int:
     report = extract_shift_numeric(series, state, model)
 
     outdir = _outdir(cfg)
-    prefix = _get(cfg, "output.prefix", "shift")
+    prefix = _text(cfg, "output.prefix", "shift")
     series_path = outdir / f"{prefix}_series.csv"
     _csv.write(
         series_path,
@@ -276,13 +307,13 @@ def cmd_shift(cfg: dict) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.mass_amu is None and args.mass_kg is None:
         raise ConfigError("mass", "supply --mass-amu or --mass-kg")
-    if args.temp_k is None:
-        raise ConfigError("temp_k", "supply --temp-k")
-    gravity = args.gravity
+    temp_k = _finite(args.temp_k, "temp_k")
+    gravity = _finite(args.gravity, "gravity")
     if args.mass_amu is not None:
-        scenario = PhysicalScenario.from_amu(args.mass_amu, args.temp_k, gravity)
+        scenario = PhysicalScenario.from_amu(_finite(args.mass_amu, "mass_amu"),
+                                             temp_k, gravity)
     else:
-        scenario = PhysicalScenario(args.mass_kg, args.temp_k, gravity)
+        scenario = PhysicalScenario(_finite(args.mass_kg, "mass_kg"), temp_k, gravity)
     payload = {
         "lambda_SI": lambda_gravitational(scenario),
         "delta_q_m": displacement_estimate(scenario),
@@ -294,7 +325,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "gravity": scenario.gravity,
         },
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -302,49 +333,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="frame potential slope")
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--convention",
-                        choices=[c.value for c in ShiftConvention])
-    parser.add_argument("--q0", type=float)
-    parser.add_argument("--p0", type=float)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--mode", choices=[m.value for m in GaussianMode])
-    parser.add_argument("--p-min", type=float)
-    parser.add_argument("--p-max", type=float)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--tau-start", type=float)
-    parser.add_argument("--tau-stop", type=float)
-    parser.add_argument("--tau-num", type=int)
-    parser.add_argument("--outdir")
-    parser.add_argument("--prefix")
-
-
 def _collect_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config)
-    _override(cfg, "model.lambda", args.lam)
-    _override(cfg, "model.hbar", args.hbar)
-    _override(cfg, "model.convention", args.convention)
-    _override(cfg, "state.q0", args.q0)
-    _override(cfg, "state.p0", args.p0)
-    if args.p0 is not None:
+    for path in FLAGS:
+        _override(cfg, path, getattr(args, path))
+    if getattr(args, "state.p0") is not None:
         # the flag replaces whichever momentum key the config gives
         cfg["state"].pop("p", None)
-    _override(cfg, "state.sigma", args.sigma)
-    _override(cfg, "state.mode", args.mode)
-    _override(cfg, "grid.p_min", args.p_min)
-    _override(cfg, "grid.p_max", args.p_max)
-    _override(cfg, "grid.n", args.n)
-    _override(cfg, "tau.start", args.tau_start)
-    _override(cfg, "tau.stop", args.tau_stop)
-    _override(cfg, "tau.num", args.tau_num)
-    _override(cfg, "output.dir", args.outdir)
-    _override(cfg, "output.prefix", args.prefix)
     if getattr(args, "snapshots", None):
-        _override(cfg, "snapshots", args.snapshots.split(","))
+        cfg["snapshots"] = args.snapshots.split(",")
     return cfg
 
 
@@ -361,15 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("shift", "emit the expectation series and displacement-shift report"),
     ):
         p = sub.add_parser(name, help=helptext)
-        _add_common_overrides(p)
+        p.add_argument("--config", help="JSON configuration file")
+        for path, flag in FLAGS.items():
+            p.add_argument(flag, dest=path, metavar=path)
         if name == "evolve":
             p.add_argument("--snapshots", help="comma-separated tau values")
 
     p_est = sub.add_parser("estimate", help="laboratory order-of-magnitude numbers")
-    p_est.add_argument("--mass-amu", type=float)
-    p_est.add_argument("--mass-kg", type=float)
-    p_est.add_argument("--temp-k", type=float)
-    p_est.add_argument("--gravity", type=float, default=9.81)
+    p_est.add_argument("--mass-amu")
+    p_est.add_argument("--mass-kg")
+    p_est.add_argument("--temp-k")
+    p_est.add_argument("--gravity", default=STANDARD_GRAVITY)
     return parser
 
 
@@ -388,7 +387,7 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(cfg)
         return cmd_shift(cfg)
-    except TurningFrameError as exc:
+    except (TurningFrameError, ArithmeticError) as exc:  # 1e200 ** 2 overflows
         message, code = str(exc), _EXIT_CODES.get(type(exc), EXIT_CONFIG)
     except UnicodeDecodeError as exc:
         message, code = f"config: {args.config}: {exc}", EXIT_CONFIG

@@ -34,8 +34,10 @@ class PhysicalScenario:
 
     def __post_init__(self):
         for name in ("mass_kg", "temperature_k", "gravity"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
 
     @classmethod
     def from_amu(
@@ -49,23 +51,35 @@ class PhysicalScenario:
         return self.mass_kg / AMU_KG
 
 
+def _finite_estimate(name: str, compute) -> float:
+    try:
+        value = compute()
+    except ArithmeticError:  # float ** overflows and / by an underflowed 0 raise
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows double precision for this scenario")
+    return value
+
+
 def lambda_gravitational(scenario: PhysicalScenario) -> float:
     """Frame potential slope m^2 g in SI units (kg^2 m/s^2)."""
-    return scenario.mass_kg**2 * scenario.gravity
+    return _finite_estimate(
+        "lambda", lambda: scenario.mass_kg**2 * scenario.gravity
+    )
 
 
 def displacement_estimate(scenario: PhysicalScenario) -> float:
     """Expected shift magnitude k_B T / (m g) in meters (unit coefficient)."""
-    return (
+    return _finite_estimate("delta_q", lambda: (
         BOLTZMANN_J_PER_K
         * scenario.temperature_k
         / (scenario.mass_kg * scenario.gravity)
-    )
+    ))
 
 
 def coherence_time_estimate(scenario: PhysicalScenario) -> float:
     """Turning-point crossing time sqrt(k_B T / m) / g in seconds."""
-    return (
+    return _finite_estimate("delta_tau", lambda: (
         math.sqrt(BOLTZMANN_J_PER_K * scenario.temperature_k / scenario.mass_kg)
         / scenario.gravity
-    )
+    ))

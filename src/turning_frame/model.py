@@ -41,6 +41,11 @@ def _require_finite(obj, *names: str) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _require_finite_tau(tau) -> None:
+    if not np.all(np.isfinite(tau)):
+        raise DomainError(f"tau must be finite, got {tau}")
+
+
 class ShiftConvention(enum.Enum):
     """How the classical momentum entering shift formulas is read off a state.
 
@@ -134,6 +139,7 @@ class MomentumState:
     tau: float
 
     def __post_init__(self):
+        _require_finite_tau(self.tau)
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.shape != (self.grid.n,):
             raise InvalidStateError(
@@ -240,6 +246,7 @@ def make_gaussian(
         raise DomainError(
             f"truncate-positive mode needs p_min > 0, got {grid.p_min}"
         )
+    _require_finite_tau(tau0)
     if tau0 > 0.0:
         raise DomainError(f"reference tau0 must be <= 0, got {tau0}")
     sigma_p = model.hbar / (2.0 * spec.sigma)

@@ -36,6 +36,7 @@ from .model import (
     FrameModel,
     MomentumState,
     _check_normalized,
+    _require_finite_tau,
 )
 from .classical import q_of_tau
 
@@ -88,6 +89,7 @@ def phase_theta(phi: float, p: float, model: FrameModel) -> float:
 def total_phase(tau: float, p: float, model: FrameModel) -> float:
     """Accumulated evolution phase Phi(tau, p) along the monotonic scale."""
     _require_positive_momentum(p)
+    _require_finite_tau(tau)
     out = _kernels.phase_profile(np.array([float(p)]), float(tau), model.lam)
     return float(out[0])
 
@@ -98,12 +100,14 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
     Position expectations follow as q0 + integral of |f|^2 D.
     """
     _require_positive_momentum(p)
+    _require_finite_tau(tau)
     out = _kernels.displacement_profile(np.array([float(p)]), float(tau), model.lam)
     return float(out[0])
 
 
 def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumState:
     """Advance a state to scale tau by the exact pointwise phase law."""
+    _require_finite_tau(tau)
     p = initial.grid.nodes
     dphi = (
         _kernels.phase_profile(p, float(tau), model.lam)
@@ -133,7 +137,7 @@ def position_expectation_numeric(state: MomentumState, model: FrameModel) -> flo
     """Position expectation from finite differences of the evolved state."""
     _check_normalized(state)
     value, residual = _fd_position_mean(state.amps, state.grid.h, model.hbar)
-    if residual > IMAG_RESIDUAL_LIMIT:
+    if not residual <= IMAG_RESIDUAL_LIMIT:
         raise ResolutionError(
             f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT}; "
             "grid too coarse for the state's phase"
@@ -160,9 +164,10 @@ def position_expectation_analytic(
 ) -> float:
     """Position expectation from the displacement-kernel quadrature."""
     _check_normalized(initial)
+    _require_finite_tau(tau)
     f = _reference_amplitudes(initial, model)
     anchor, residual = _fd_position_mean(f, initial.grid.h, model.hbar)
-    if residual > IMAG_RESIDUAL_LIMIT:
+    if not residual <= IMAG_RESIDUAL_LIMIT:
         raise ResolutionError(
             f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT} "
             "while extracting the position anchor"
@@ -251,7 +256,7 @@ def expectation_series(
         norms[k] = evolved.norm()
         if cross_check_stride and k % cross_check_stride == 0:
             numeric = position_expectation_numeric(evolved, model)
-            if abs(numeric - q_mean[k]) > CROSS_CHECK_TOLERANCE:
+            if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
                 raise ConsistencyError(
                     f"analytic/numeric expectation mismatch "
                     f"{abs(numeric - q_mean[k]):.3e} at tau={tau}"

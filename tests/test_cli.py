@@ -1,11 +1,16 @@
 """Tests for the command-line front end: schemas, exit codes, determinism."""
 
 import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from turning_frame.cli import main
+from turning_frame.cli import FLAGS, main
 
 BASE_CONFIG = {
     "model": {"lambda": 4.0, "hbar": 1.0, "convention": "mean_momentum"},
@@ -209,6 +214,20 @@ def test_estimate_rejects_zero_gravity():
                  "--gravity", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--mass-amu", "100", "--temp-k", "1e-6", "--gravity", "inf"], "gravity"),
+    (["--mass-amu", "100", "--temp-k", "nan"], "temp_k"),
+    (["--mass-kg", "true", "--temp-k", "1.0"], "mass_kg"),
+    (["--mass-amu", "1e300", "--temp-k", "1.0"], "lambda"),
+    (["--mass-kg", "1e-200", "--temp-k", "1.0", "--gravity", "1e-200"], "delta_q"),
+])
+def test_estimate_rejects_non_finite_input_and_overflow(capsys, argv, field):
+    assert main(["estimate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 # -- config handling -------------------------------------------------------------
 
 def test_missing_config_field_names_the_field(tmp_path, capsys):
@@ -240,18 +259,30 @@ def test_missing_config_field_names_the_field(tmp_path, capsys):
     # a string names a prepared config file in place of overrides
     ("shift", "config_dir", "out", "config_dir"),
     ("shift", "latin1.json", "out", "latin1.json"),
+    ("shift", "list.json", "out", "config"),
+    # flags after the command name; outdir None reads output.dir from the config
+    ("shift --q0 1", {"state": 5}, "out", "state"),
+    ("classical", {"output": {"dir": 5}}, None, "output.dir"),
+    ("classical", {"output": {"prefix": "a\u0000b"}}, "out", "output.prefix"),
+    ("classical", {"output": {"prefix": ["x"]}}, "out", "output.prefix"),
+    ("classical", {"model": {"hbar": True}}, "out", "model.hbar"),
+    ("classical", {"state": {"p0": True}}, "out", "state.p0"),
 ])
 def test_malformed_counts_and_outputs_exit_2(tmp_path, capsys, command,
                                               overrides, outdir, field):
     (tmp_path / "plain.txt").write_text("a regular file\n")
     (tmp_path / "config_dir").mkdir()
     (tmp_path / "latin1.json").write_bytes('{"note": "\u00e9"}'.encode("latin-1"))
+    (tmp_path / "list.json").write_text("[1]")
     if isinstance(overrides, str):
         cfg = tmp_path / overrides
     else:
         cfg = write_config(tmp_path, **overrides)
-    out = tmp_path / outdir
-    code = main([command, "--config", str(cfg), "--outdir", str(out)])
+    argv = [*command.split(), "--config", str(cfg)]
+    out = tmp_path / (outdir or "unused")
+    if outdir is not None:
+        argv += ["--outdir", str(out)]
+    code = main(argv)
     assert code == 2
     assert field in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
@@ -278,3 +309,136 @@ def test_outdir_env_default(tmp_path, monkeypatch, capsys):
     assert main(["classical", "--config", str(cfg)]) == 0
     out_path = capsys.readouterr().out.strip()
     assert str(tmp_path / "envout") in out_path
+
+
+# -- the flag table ----------------------------------------------------------------
+
+# one valid value per overridable field, as flag text; the config gets the
+# same text parsed as JSON when it parses, else the text as a string
+FLAG_VALUES = {
+    "model.lambda": "3.5",
+    "model.hbar": "0.5",
+    "model.convention": "mean_square_momentum",
+    "state.q0": "-2",
+    "state.p0": "1.5",
+    "state.sigma": "1.5",
+    "state.mode": "raw",
+    "grid.p_min": "0.5",
+    "grid.p_max": "4.5",
+    "grid.n": "1e3",
+    "tau.start": "-2",
+    "tau.stop": "2.5",
+    "tau.num": "33",
+    "output.dir": "out",
+    "output.prefix": "run",
+}
+# the cheapest command whose output depends on each field; classical otherwise
+FIELD_COMMANDS = {"model.convention": "shift", "model.hbar": "evolve",
+                  "state.sigma": "evolve", "state.mode": "evolve",
+                  "grid.p_min": "evolve", "grid.p_max": "evolve", "grid.n": "evolve"}
+
+
+@pytest.mark.parametrize("path, flag", sorted(FLAGS.items()))
+def test_flag_writes_the_same_files_as_its_config_value(tmp_path, monkeypatch,
+                                                        path, flag):
+    text = FLAG_VALUES[path]
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = text
+    section, key = path.split(".")
+    monkeypatch.delenv("TURNING_FRAME_OUTDIR", raising=False)
+    command = FIELD_COMMANDS.get(path, "classical")
+    outputs = []
+    for run, extra in (("flag", [flag, text]), ("config", [])):
+        overrides = {"snapshots": [0.5]}
+        if command == "evolve":
+            overrides["grid"] = {"n": 256}
+        if run == "config":
+            overrides.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, f"{run}.json", **overrides)
+        work = tmp_path / run
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([command, "--config", str(cfg), *extra]) == 0
+        outputs.append({f.relative_to(work): f.read_bytes()
+                        for f in work.rglob("*") if f.is_file()})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, field, valid", [
+    (["--mode", "bogus"], "state.mode", "truncate_positive, raw"),
+    (["--convention", "0"], "model.convention",
+     "mean_momentum, mean_square_momentum"),
+])
+def test_enum_errors_list_the_valid_values(tmp_path, capsys, argv, field, valid):
+    cfg = write_config(tmp_path)
+    assert main(["shift", "--config", str(cfg), "--outdir", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert field in err and valid in err
+
+
+# ASCII letters only, so a generated output.dir or prefix stays inside the
+# working directory; the samples add numbers-as-text, NUL and enum names
+_TEXT = st.text(alphabet="abcxyz_", max_size=6) | st.sampled_from(
+    ["", "nan", "inf", "-1", "0.5", "12", "a\x00b", "raw", "mean_momentum"])
+_COUNT_PATHS = {"grid.n", "tau.num"}
+
+
+def _field_values(path):
+    if path in _COUNT_PATHS:  # counts stay <= 512 so no run allocates much
+        numbers = st.integers(max_value=512) | st.floats(max_value=512)
+    else:
+        numbers = st.integers() | st.floats()
+    return st.one_of(
+        st.none(), st.booleans(), _TEXT, numbers,
+        st.lists(st.integers(), max_size=3),
+        st.dictionaries(_TEXT, st.integers(), max_size=2),
+    )
+
+
+_PATHS = sorted(set(FLAGS) | {"state.p"})
+
+
+@st.composite
+def config_documents(draw):
+    """BASE_CONFIG with some fields replaced, removed, or whole sections junk."""
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    for path in draw(st.lists(st.sampled_from(_PATHS), max_size=4, unique=True)):
+        section, key = path.split(".")
+        node = doc.setdefault(section, {})
+        if draw(st.booleans()):
+            node[key] = draw(_field_values(path))
+        else:
+            node.pop(key, None)
+    for section in draw(st.lists(st.sampled_from(["model", "state", "grid", "tau",
+                                                   "output"]), max_size=1)):
+        doc[section] = draw(_field_values(section))
+    return doc
+
+
+def _base_with(section, key, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc[section][key] = value
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=config_documents())
+# finite values whose squares overflow a double
+@example(doc=_base_with("model", "hbar", 1.3407807929942597e154))
+@example(doc=_base_with("state", "p0", 1e200))
+def test_any_config_document_exits_with_a_documented_code(doc):
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.dict(os.environ), mock.patch("sys.stdout"), \
+            mock.patch("sys.stderr"):
+        os.environ.pop("TURNING_FRAME_OUTDIR", None)
+        cfg = Path(work) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            for command in ("classical", "shift"):
+                assert main([command, "--config", str(cfg)]) in (0, 2, 3, 4)
+        finally:
+            os.chdir(cwd)

@@ -22,6 +22,23 @@ def test_scenario_validation():
         PhysicalScenario(mass_kg=1.0, temperature_k=-1.0)
     with pytest.raises(DomainError):
         PhysicalScenario(mass_kg=1.0, temperature_k=1.0, gravity=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            PhysicalScenario(mass_kg=1.0, temperature_k=1.0, gravity=bad)
+        with pytest.raises(DomainError):
+            PhysicalScenario(mass_kg=bad, temperature_k=1.0)
+        with pytest.raises(DomainError):
+            PhysicalScenario(mass_kg=1.0, temperature_k=bad)
+
+
+@pytest.mark.parametrize("estimate, scenario", [
+    (lambda_gravitational, PhysicalScenario.from_amu(1e300, 1.0)),
+    (displacement_estimate, PhysicalScenario(1e-200, 1.0, gravity=1e-200)),
+    (coherence_time_estimate, PhysicalScenario(1e-300, 1e300)),
+])
+def test_overflowing_estimates_raise_domain_error(estimate, scenario):
+    with pytest.raises(DomainError):
+        estimate(scenario)
 
 
 def test_amu_conversion_round_trip():

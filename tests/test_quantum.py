@@ -15,6 +15,7 @@ from turning_frame import (
     InvalidStateError,
     MomentumGrid,
     MomentumState,
+    ResolutionError,
     displacement_kernel,
     evolve,
     expectation_series,
@@ -29,6 +30,7 @@ from turning_frame import (
     to_position_representation,
     total_phase,
 )
+from turning_frame import quantum
 
 from conftest import REF_LAMBDA, REF_P0, REF_Q0, REF_SIGMA, riemann
 
@@ -395,3 +397,38 @@ def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
     )
     with pytest.raises(ConsistencyError):
         expectation_series(state, np.array([0.2, 0.5, 0.9]), model)
+
+
+# -- non-finite input -------------------------------------------------------
+
+_NAN_RESIDUAL = ("_fd_position_mean", lambda amps, h, hbar: (0.0, math.nan))
+_NAN_NUMERIC = ("position_expectation_numeric", lambda state, model: math.nan)
+
+
+@pytest.mark.parametrize("patch, call, error", [
+    (None, lambda s, m: evolve(s, math.nan, m), DomainError),
+    (None, lambda s, m: evolve(s, math.inf, m), DomainError),
+    (None, lambda s, m: position_expectation_analytic(s, math.nan, m), DomainError),
+    (None, lambda s, m: total_phase(math.nan, REF_P0, m), DomainError),
+    (None, lambda s, m: q_of_tau(math.nan, ClassicalState(REF_Q0, REF_P0), m),
+     DomainError),
+    (None, lambda s, m: q_of_tau(np.array([0.0, -np.inf]),
+                                 ClassicalState(REF_Q0, REF_P0), m), DomainError),
+    (None, lambda s, m: position_expectation_analytic(
+        MomentumState(grid=s.grid, amps=s.amps, tau=math.nan), 1.0, m), DomainError),
+    (None, lambda s, m: make_gaussian(GaussianSpec(REF_Q0, REF_P0, REF_SIGMA),
+                                      s.grid, m, tau0=math.nan), DomainError),
+    # a NaN residual or route gap must trip the guards, not pass them
+    (_NAN_RESIDUAL, lambda s, m: position_expectation_numeric(s, m), ResolutionError),
+    (_NAN_RESIDUAL, lambda s, m: position_expectation_analytic(s, 0.5, m),
+     ResolutionError),
+    (_NAN_NUMERIC, lambda s, m: expectation_series(s, [0.5], m), ConsistencyError),
+], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
+        "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
+        "numeric-nan-residual", "analytic-nan-residual", "nan-cross-check"])
+def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
+                                             patch, call, error):
+    if patch is not None:
+        monkeypatch.setattr(quantum, *patch)
+    with pytest.raises(error):
+        call(trunc_state, model)
