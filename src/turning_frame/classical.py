@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .model import ClassicalState, FrameModel, _require_finite_tau
+from .model import ClassicalState, FrameModel, _require_finite_tau, _square
 
 
 class Branch(enum.Enum):
@@ -40,7 +40,7 @@ class GaugeSample:
     def constraint_residual(self, H: float, model: FrameModel) -> float:
         """Value of -p_phi^2 - lam*phi*theta(phi) + H^2 (zero on shell)."""
         potential = model.lam * self.phi if self.phi > 0.0 else 0.0
-        return -self.p_phi**2 - potential + H**2
+        return -_square(self.p_phi, "p_phi") - potential + _square(H, "H")
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -63,7 +63,7 @@ def gauge_solution(H: float, model: FrameModel, epsilon: float) -> GaugeSample:
         phi = epsilon * (2.0 * H - lam * epsilon)
         p_phi = lam * epsilon - H
     else:
-        phi = -2.0 * H * epsilon + 4.0 * H**2 / lam
+        phi = -2.0 * H * epsilon + 4.0 * _square(H, "H") / lam
         p_phi = H
     return GaugeSample(epsilon=epsilon, phi=phi, p_phi=p_phi)
 
@@ -71,7 +71,7 @@ def gauge_solution(H: float, model: FrameModel, epsilon: float) -> GaugeSample:
 def turning_point(H: float, model: FrameModel) -> float:
     """Largest frame value reached by a solution of energy H: H^2/lam."""
     _require_positive(H, "H")
-    return H**2 / model.lam
+    return _square(H, "H") / model.lam
 
 
 def phi_of_q(q, state: ClassicalState, model: FrameModel):
@@ -79,8 +79,9 @@ def phi_of_q(q, state: ClassicalState, model: FrameModel):
     q_arr = np.asarray(q, dtype=np.float64)
     dq = q_arr - state.q0
     lam, p = model.lam, state.p
-    span = 4.0 * p**2 / lam
-    middle = dq * (1.0 - 0.25 * lam * dq / p**2)
+    p2 = _square(p, "p")
+    span = 4.0 * p2 / lam
+    middle = dq * (1.0 - 0.25 * lam * dq / p2)
     out = np.where(dq <= 0.0, dq, np.where(dq <= span, middle, span - dq))
     return float(out) if np.isscalar(q) else out
 
@@ -114,7 +115,7 @@ def unwind_phi(tau, H: float, model: FrameModel):
     """Frame value reconstructed from the monotonic scale tau."""
     _require_positive(H, "H")
     tau_arr = np.asarray(tau, dtype=np.float64)
-    phi_t = H**2 / model.lam
+    phi_t = _square(H, "H") / model.lam
     out = np.where(tau_arr <= phi_t, tau_arr, 2.0 * phi_t - tau_arr)
     return float(out) if np.isscalar(tau) else out
 
@@ -142,4 +143,4 @@ def q_rate(tau: float, state: ClassicalState, model: FrameModel) -> float:
 def classical_shift(p: float, model: FrameModel) -> float:
     """Late-scale displacement 2 p^2 / lam gained from the frame reversal."""
     _require_positive(p, "p")
-    return 2.0 * p**2 / model.lam
+    return 2.0 * _square(p, "p") / model.lam

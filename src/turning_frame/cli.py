@@ -392,8 +392,12 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         message, code = f"config: {args.config}: {exc}", EXIT_CONFIG
     except OSError as exc:
-        field = "config" if exc.filename == vars(args).get("config") else "output.dir"
-        message, code = f"{field}: {exc.filename}: {exc.strerror}", EXIT_CONFIG
+        if exc.filename is None:  # a failed write, e.g. stdout into a closed pipe
+            message = f"output: {exc.strerror}"
+        else:
+            field = "config" if exc.filename == vars(args).get("config") else "output.dir"
+            message = f"{field}: {exc.filename}: {exc.strerror}"
+        code = EXIT_CONFIG
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -26,12 +26,30 @@ from .errors import DomainError, InvalidStateError, ResolutionError
 NORM_TOLERANCE = 1e-6
 
 
-def _check_normalized(state: MomentumState) -> None:
-    norm = state.norm()
+def _norm(amps: np.ndarray, h: float) -> float:
+    return float(np.sqrt(np.sum(np.abs(amps) ** 2) * h))
+
+
+def _check_norm(norm: float) -> None:
     if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise InvalidStateError(
             f"state norm {norm:.9f} deviates from 1 beyond {NORM_TOLERANCE}"
         )
+
+
+def _check_normalized(state: MomentumState) -> None:
+    _check_norm(state.norm())
+
+
+def _square(value: float, name: str) -> float:
+    """``value**2``, or DomainError when the square overflows."""
+    try:
+        square = value**2
+    except OverflowError:  # a Python float; NumPy scalars give inf
+        square = math.inf
+    if math.isinf(square):
+        raise DomainError(f"{name}={value} is too large: its square overflows")
+    return square
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -149,7 +167,7 @@ class MomentumState:
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2) * self.grid.h))
+        return _norm(self.amps, self.grid.h)
 
 
 @dataclass(frozen=True)
@@ -256,7 +274,8 @@ def make_gaussian(
             f"6 sigma_p = {6.0 * sigma_p:.3g}"
         )
     p = grid.nodes
-    envelope = np.exp(-(spec.sigma**2) * (p - spec.p0) ** 2 / model.hbar**2)
+    sigma2 = _square(spec.sigma, "sigma")
+    envelope = np.exp(-sigma2 * (p - spec.p0) ** 2 / _square(model.hbar, "hbar"))
     amps = envelope * np.exp(-1j * p * spec.q0 / model.hbar)
     if tau0 != 0.0:
         amps = amps * np.exp(-1j * p * tau0 / model.hbar)

@@ -18,13 +18,15 @@ For states truncated at the grid edge, the inner product
 ``i hbar [|psi|^2]/2``.  The same difference operator applied to the
 modulus profile reproduces that term discretely, so the imaginary
 residual reported after subtracting it measures genuine phase-resolution
-error and stays at rounding level on healthy grids.
+error and stays at rounding level on healthy grids.  The evolution is a
+unimodular phase, so ``|psi(tau)| = |f|`` and a series takes the term from
+``|f|`` once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,8 +37,11 @@ from .model import (
     ExpectationSeries,
     FrameModel,
     MomentumState,
+    _check_norm,
     _check_normalized,
+    _norm,
     _require_finite_tau,
+    _square,
 )
 from .classical import q_of_tau
 
@@ -109,39 +114,70 @@ def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumSta
     """Advance a state to scale tau by the exact pointwise phase law."""
     _require_finite_tau(tau)
     p = initial.grid.nodes
-    dphi = (
-        _kernels.phase_profile(p, float(tau), model.lam)
-        - _kernels.phase_profile(p, float(initial.tau), model.lam)
-    )
-    amps = _kernels.apply_phase(np.asarray(initial.amps), dphi, model.hbar)
+    start = _kernels.phase_profile(p, float(initial.tau), model.lam)
+    amps = _evolved_amps(initial.amps, p, start, tau, model)
     return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
 
 
-def _fd_position_mean(amps: np.ndarray, h: float, hbar: float) -> tuple[float, float]:
+def _evolved_amps(
+    amps: np.ndarray, p: np.ndarray, start: np.ndarray, tau: float, model: FrameModel
+) -> np.ndarray:
+    """Amplitudes at tau of a state whose phase profile is ``start``."""
+    dphi = _kernels.phase_profile(p, float(tau), model.lam) - start
+    return _kernels.apply_phase(amps, dphi, model.hbar)
+
+
+def _derivative(values: np.ndarray, h: float) -> np.ndarray:
+    if values.shape[0] < MIN_DERIVATIVE_NODES:
+        raise ResolutionError("derivative stencils need at least 5 grid nodes")
+    return _kernels.derivative(values, h)
+
+
+def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
+    """Truncation term hbar sum |psi| d|psi|/dp h of i hbar <psi, dpsi/dp>.
+
+    It depends on the modulus only, so it is the same for every state that
+    differs by a pointwise unimodular phase.
+    """
+    return hbar * float(np.sum(modulus * _derivative(modulus, h))) * h
+
+
+def _fd_position_mean(
+    amps: np.ndarray, d: np.ndarray, h: float, hbar: float, boundary: float
+) -> tuple[float, float]:
     """(mean, imaginary residual) of i hbar <psi, dpsi/dp> on the grid.
 
-    The exact truncation boundary term is removed via the modulus-profile
-    route before the residual is reported.
+    ``d`` is the stencil derivative of ``amps``; the truncation term
+    ``boundary`` is removed before the residual is reported.
     """
-    if amps.shape[0] < MIN_DERIVATIVE_NODES:
-        raise ResolutionError("derivative stencils need at least 5 grid nodes")
-    d = _kernels.derivative(np.asarray(amps), h)
     raw = 1j * hbar * np.sum(np.conj(amps) * d) * h
-    mod = np.abs(amps).astype(np.complex128)
-    dmod = _kernels.derivative(mod, h)
-    boundary = hbar * float(np.real(np.sum(mod * dmod))) * h
     return float(raw.real), float(abs(raw.imag - boundary))
+
+
+def _check_residual(residual: float, where: str) -> None:
+    if not residual <= IMAG_RESIDUAL_LIMIT:
+        raise ResolutionError(
+            f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT}{where}"
+        )
+
+
+def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float) -> float:
+    """<q^2> - <q>^2 with <q^2> = hbar^2 sum |dpsi/dp|^2 h (symmetric form)."""
+    mean_q2 = _square(hbar, "hbar") * float(np.sum(np.abs(d) ** 2) * h)
+    var = mean_q2 - _square(mean_q, "mean position")
+    if not var >= -1e-9:
+        raise ConsistencyError(f"variance {var:.3e} is negative beyond tolerance")
+    return max(var, 0.0)
 
 
 def position_expectation_numeric(state: MomentumState, model: FrameModel) -> float:
     """Position expectation from finite differences of the evolved state."""
     _check_normalized(state)
-    value, residual = _fd_position_mean(state.amps, state.grid.h, model.hbar)
-    if not residual <= IMAG_RESIDUAL_LIMIT:
-        raise ResolutionError(
-            f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT}; "
-            "grid too coarse for the state's phase"
-        )
+    amps, h, hbar = state.amps, state.grid.h, model.hbar
+    value, residual = _fd_position_mean(
+        amps, _derivative(amps, h), h, hbar, _boundary_term(np.abs(amps), h, hbar)
+    )
+    _check_residual(residual, "; grid too coarse for the state's phase")
     return value
 
 
@@ -159,34 +195,48 @@ def _reference_amplitudes(initial: MomentumState, model: FrameModel) -> np.ndarr
     )
 
 
+class _Reference(NamedTuple):
+    """The tau-invariant part of every position statistic of one state."""
+
+    anchor: float  # <q> of f(p), from i hbar <f, df/dp>
+    density: np.ndarray  # |f|^2, the same at every tau
+    boundary: float  # truncation term of |f|, the same at every tau
+
+
+def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
+    f = _reference_amplitudes(initial, model)
+    h, hbar = initial.grid.h, model.hbar
+    modulus = np.abs(f)
+    boundary = _boundary_term(modulus, h, hbar)
+    anchor, residual = _fd_position_mean(f, _derivative(f, h), h, hbar, boundary)
+    _check_residual(residual, " while extracting the position anchor")
+    return _Reference(anchor, modulus**2, boundary)
+
+
+def _analytic_mean(
+    ref: _Reference, p: np.ndarray, h: float, tau: float, model: FrameModel
+) -> float:
+    kernel = _kernels.displacement_profile(p, float(tau), model.lam)
+    return ref.anchor + float(np.sum(ref.density * kernel) * h)
+
+
 def position_expectation_analytic(
     initial: MomentumState, tau: float, model: FrameModel
 ) -> float:
     """Position expectation from the displacement-kernel quadrature."""
     _check_normalized(initial)
     _require_finite_tau(tau)
-    f = _reference_amplitudes(initial, model)
-    anchor, residual = _fd_position_mean(f, initial.grid.h, model.hbar)
-    if not residual <= IMAG_RESIDUAL_LIMIT:
-        raise ResolutionError(
-            f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT} "
-            "while extracting the position anchor"
-        )
-    dens = np.abs(f) ** 2
-    kernel = _kernels.displacement_profile(initial.grid.nodes, float(tau), model.lam)
-    return anchor + float(np.sum(dens * kernel) * initial.grid.h)
+    grid = initial.grid
+    return _analytic_mean(_reference(initial, model), grid.nodes, grid.h, tau, model)
 
 
 def position_variance(state: MomentumState, model: FrameModel) -> float:
     """Position variance via the symmetric form hbar^2 sum |dpsi/dp|^2 h."""
     _check_normalized(state)
-    d = _kernels.derivative(np.asarray(state.amps), state.grid.h)
-    mean_q2 = model.hbar**2 * float(np.sum(np.abs(d) ** 2) * state.grid.h)
-    mean_q, _ = _fd_position_mean(state.amps, state.grid.h, model.hbar)
-    var = mean_q2 - mean_q**2
-    if var < -1e-9:
-        raise ConsistencyError(f"variance {var:.3e} is negative beyond tolerance")
-    return max(var, 0.0)
+    amps, h = state.amps, state.grid.h
+    d = _derivative(amps, h)
+    mean_q, _ = _fd_position_mean(amps, d, h, model.hbar, 0.0)
+    return _variance(d, mean_q, h, model.hbar)
 
 
 @dataclass(frozen=True)
@@ -237,32 +287,47 @@ def expectation_series(
     Each sample is computed by the analytic route and cross-checked
     against the numeric route every ``cross_check_stride`` samples
     (0 disables checking); disagreement beyond 1e-4 raises
-    :class:`ConsistencyError` naming the offending tau.  Samples are
-    independent, evaluated in order, and summed in fixed order.
+    :class:`ConsistencyError` naming the offending tau.  The tau-invariant
+    work is done once: the anchor, the density |f|^2 and the truncation
+    term, which depends on |psi| = |f| only because the evolution is a
+    unimodular phase.  Each sample then runs one derivative stencil, which
+    serves both the numeric route and the variance, so every value equals
+    that of the single-tau functions bit for bit.  Samples are evaluated
+    in order and summed in fixed order.
     """
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 1 or taus.shape[0] == 0:
         raise DomainError("need a non-empty 1-d array of tau samples")
+    _require_finite_tau(taus)
     if np.any(np.diff(taus) <= 0.0):
         raise DomainError("tau samples must be strictly increasing")
     _check_normalized(initial)
+    ref = _reference(initial, model)
+    p, h, hbar = initial.grid.nodes, initial.grid.h, model.hbar
+    start = _kernels.phase_profile(p, float(initial.tau), model.lam)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
     q_var = np.empty_like(taus) if with_variance else None
     for k, tau in enumerate(taus):
-        q_mean[k] = position_expectation_analytic(initial, tau, model)
-        evolved = evolve(initial, tau, model)
-        norms[k] = evolved.norm()
-        if cross_check_stride and k % cross_check_stride == 0:
-            numeric = position_expectation_numeric(evolved, model)
+        q_mean[k] = _analytic_mean(ref, p, h, tau, model)
+        amps = _evolved_amps(initial.amps, p, start, tau, model)
+        norms[k] = _norm(amps, h)
+        _check_norm(norms[k])
+        cross_check = bool(cross_check_stride) and k % cross_check_stride == 0
+        if not (cross_check or with_variance):
+            continue
+        d = _derivative(amps, h)
+        numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary)
+        if cross_check:
+            _check_residual(residual, f" at tau={tau}; grid too coarse for its phase")
             if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
                 raise ConsistencyError(
                     f"analytic/numeric expectation mismatch "
                     f"{abs(numeric - q_mean[k]):.3e} at tau={tau}"
                 )
         if with_variance:
-            q_var[k] = position_variance(evolved, model)
+            q_var[k] = _variance(d, numeric, h, hbar)
 
     q_classical = None
     if classical is not None:

@@ -227,3 +227,21 @@ def test_classical_shift_matches_late_trajectory(unit_state, lam4):
 def test_classical_shift_rejects_nonpositive_momentum(lam4):
     with pytest.raises(DomainError):
         classical_shift(0.0, lam4)
+
+
+# the smallest float whose square overflows: sqrt(max float) rounded up
+_SQUARE_OVERFLOWS = 1.3407807929942597e154
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: unwind_phi(0.5, _SQUARE_OVERFLOWS, m),
+    lambda m: turning_point(_SQUARE_OVERFLOWS, m),
+    lambda m: classical_shift(_SQUARE_OVERFLOWS, m),
+    lambda m: gauge_solution(_SQUARE_OVERFLOWS, m, 1e154),
+    lambda m: phi_of_q(1.0, ClassicalState(q0=0.0, p=_SQUARE_OVERFLOWS), m),
+    lambda m: gauge_solution(1.0, m, 0.0).constraint_residual(_SQUARE_OVERFLOWS, m),
+], ids=["unwind-phi", "turning-point", "classical-shift", "gauge-solution",
+        "phi-of-q", "constraint-residual"])
+def test_overflowing_square_is_a_domain_error(lam4, call):
+    with pytest.raises(DomainError, match="overflows"):
+        call(lam4)

@@ -228,6 +228,23 @@ def test_estimate_rejects_non_finite_input_and_overflow(capsys, argv, field):
     assert field in captured.err
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_broken_stdout_is_not_labelled_as_config(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["estimate", "--mass-amu", "100", "--temp-k", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: output: Broken pipe\n"
+
+
 # -- config handling -------------------------------------------------------------
 
 def test_missing_config_field_names_the_field(tmp_path, capsys):

@@ -84,6 +84,16 @@ def test_make_gaussian_rejects_coarse_grid(ref_spec, model):
         make_gaussian(ref_spec, MomentumGrid(0.01, 5.0, 16), model)
 
 
+@pytest.mark.parametrize("hbar, sigma", [
+    (1.3407807929942597e154, 1.0),
+    (1.3407807929942597e154, 1.3407807929942597e154),
+], ids=["hbar", "sigma"])
+def test_make_gaussian_overflowing_square_is_a_domain_error(trunc_grid, hbar, sigma):
+    spec = GaussianSpec(q0=0.0, p0=REF_P0, sigma=sigma)
+    with pytest.raises(DomainError, match="overflows"):
+        make_gaussian(spec, trunc_grid, FrameModel(lam=4.0, hbar=hbar))
+
+
 def test_make_gaussian_rejects_positive_reference_tau(ref_spec, trunc_grid, model):
     with pytest.raises(DomainError):
         make_gaussian(ref_spec, trunc_grid, model, tau0=0.5)

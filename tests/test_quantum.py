@@ -30,7 +30,7 @@ from turning_frame import (
     to_position_representation,
     total_phase,
 )
-from turning_frame import quantum
+from turning_frame import _kernels, quantum
 
 from conftest import REF_LAMBDA, REF_P0, REF_Q0, REF_SIGMA, riemann
 
@@ -283,6 +283,12 @@ def test_variance_grows_through_turning_region(wide_state, model):
     assert v_star < REF_SIGMA**2 + tau_star**2 + 1e-2
 
 
+def test_variance_with_overflowing_hbar_squared_is_a_domain_error(trunc_state):
+    model = FrameModel(lam=REF_LAMBDA, hbar=1.3407807929942597e154)
+    with pytest.raises(DomainError, match="overflows"):
+        position_variance(trunc_state, model)
+
+
 def test_variance_decomposition(wide_state, model):
     """Variance = (width term) + Var_density(D) at any scale."""
     tau = 0.8
@@ -388,6 +394,50 @@ def test_series_rejects_unordered_taus(trunc_state, model):
         expectation_series(trunc_state, np.array([0.0, 0.0, 1.0]), model)
 
 
+@settings(max_examples=25, deadline=None)
+@given(q0=st.floats(0.0, 6.0), p0=st.floats(1.0, 1.5), sigma=st.floats(0.7, 1.4),
+       lam=st.floats(2.0, 8.0), hbar=st.floats(0.5, 1.0),
+       tau0=st.sampled_from([0.0, -0.5]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True))
+def test_series_equals_single_tau_functions(q0, p0, sigma, lam, hbar, tau0,
+                                            fractions):
+    """Over the benchmark's shift domain (grid [0.01, 5] x 4096, tau from -1
+    to 1.15 times the asymptotic bound) every series value is bit-identical to
+    the single-tau functions, and the two expectation routes agree to 1e-4."""
+    model = FrameModel(lam=lam, hbar=hbar)
+    grid = MomentumGrid(0.01, 5.0, 4096)
+    state = make_gaussian(GaussianSpec(q0, p0, sigma), grid, model, tau0=tau0)
+    stop = 1.15 * 2.0 * grid.p_max**2 / lam
+    taus = np.unique(-1.0 + np.array(fractions) * (stop + 1.0))
+    series = expectation_series(state, taus, model, with_variance=True)
+    for k, tau in enumerate(taus):
+        evolved = evolve(state, tau, model)
+        analytic = position_expectation_analytic(state, tau, model)
+        assert series.q_mean[k] == analytic
+        assert series.norm[k] == evolved.norm()
+        assert series.q_var[k] == position_variance(evolved, model)
+        assert abs(position_expectation_numeric(evolved, model) - analytic) <= 1e-4
+
+
+def test_series_runs_one_stencil_per_tau(trunc_state, model, monkeypatch):
+    """The tau-invariant stencils run once per series, not once per sample."""
+    calls = []
+    genuine = _kernels.derivative
+
+    def counted(values, h):
+        calls.append(values.shape)
+        return genuine(values, h)
+
+    monkeypatch.setattr(_kernels, "derivative", counted)
+    taus = np.linspace(-1.0, 16.0, 41)
+    expectation_series(trunc_state, taus, model, with_variance=True,
+                       cross_check_stride=1)
+    assert len(calls) <= taus.size + 3
+    calls.clear()
+    position_variance(evolve(trunc_state, 0.5, model), model)
+    assert len(calls) == 1
+
+
 def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
     """A coarse grid degrades the numeric route enough to trip the guard."""
     grid = MomentumGrid(0.01, 5.0, 96)
@@ -401,8 +451,10 @@ def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
 
 # -- non-finite input -------------------------------------------------------
 
-_NAN_RESIDUAL = ("_fd_position_mean", lambda amps, h, hbar: (0.0, math.nan))
-_NAN_NUMERIC = ("position_expectation_numeric", lambda state, model: math.nan)
+# every route (single-tau functions, the series' anchor and its samples)
+# reads the mean and the imaginary residual through quantum._fd_position_mean
+_NAN_RESIDUAL = ("_fd_position_mean", lambda *args: (0.0, math.nan))
+_NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
 
 
 @pytest.mark.parametrize("patch, call, error", [
@@ -422,13 +474,36 @@ _NAN_NUMERIC = ("position_expectation_numeric", lambda state, model: math.nan)
     (_NAN_RESIDUAL, lambda s, m: position_expectation_numeric(s, m), ResolutionError),
     (_NAN_RESIDUAL, lambda s, m: position_expectation_analytic(s, 0.5, m),
      ResolutionError),
-    (_NAN_NUMERIC, lambda s, m: expectation_series(s, [0.5], m), ConsistencyError),
+    (_NAN_RESIDUAL, lambda s, m: expectation_series(s, [0.5], m), ResolutionError),
+    (_NAN_MEAN, lambda s, m: expectation_series(s, [0.5], m), ConsistencyError),
+    (None, lambda s, m: expectation_series(s, [0.5, math.nan], m), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
-        "numeric-nan-residual", "analytic-nan-residual", "nan-cross-check"])
+        "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
+        "nan-cross-check", "series-tau-nan"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              patch, call, error):
     if patch is not None:
         monkeypatch.setattr(quantum, *patch)
     with pytest.raises(error):
         call(trunc_state, model)
+
+
+@pytest.mark.parametrize("mean, residual, error", [
+    (0.0, math.nan, ResolutionError),
+    (math.nan, 0.0, ConsistencyError),
+], ids=["nan-residual", "nan-route-gap"])
+def test_series_sample_nan_guards_raise(trunc_state, model, monkeypatch,
+                                        mean, residual, error):
+    """A NaN past the anchor, on a tau sample, trips that sample's guard."""
+    genuine = quantum._fd_position_mean
+    calls = []
+
+    def nan_after_anchor(*args):
+        calls.append(args)
+        return genuine(*args) if len(calls) == 1 else (mean, residual)
+
+    monkeypatch.setattr(quantum, "_fd_position_mean", nan_after_anchor)
+    with pytest.raises(error, match="tau=0.5"):
+        expectation_series(trunc_state, [0.5, 1.0], model)
+    assert len(calls) == 2
