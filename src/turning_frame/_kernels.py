@@ -3,10 +3,11 @@ and the position transform.
 
 Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
 
-* Square-root branch arguments are snapped to zero within ``_SNAP``
-  relative to ``p**2`` so that values computed exactly at a branch
-  boundary land on the closed-form joint value instead of picking up a
-  ``sqrt(eps)`` spray from the infinite one-sided slope.
+* Branch geometry lives in ``branch``: ``u = p**2 - lam*tau`` is snapped
+  to zero within ``8 eps`` relative to ``p**2`` so that values computed
+  exactly at the turning point land on the closed-form joint value
+  instead of picking up a ``sqrt(eps)`` spray from the infinite one-sided
+  slope.  ``before_exit`` places tau against the outer boundary.
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
@@ -21,8 +22,25 @@ import math
 
 import numpy as np
 
-_EPS = float(np.finfo(np.float64).eps)
-_SNAP = 8.0 * _EPS
+_SNAP = 8.0 * float(np.finfo(np.float64).eps)
+
+
+def branch(p2, tau, lam):
+    """(u, s): u = p2 - lam tau snapped to 0 at the turning point, s = sqrt|u|."""
+    u = p2 - lam * tau
+    u = np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
+    return u, np.sqrt(np.abs(u))
+
+
+def before_exit(p2, tau, lam):
+    """True where tau <= 2 p2/lam, before the frame leaves the potential."""
+    return p2 >= 0.5 * lam * tau
+
+
+def _phase(p, p2, tau, lam, u, s, early):
+    # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
+    mid = (2.0 / 3.0) * (p2 * p - u * s) / lam
+    return np.where(early, mid, p * tau - (2.0 / 3.0) * p2 * p / lam)
 
 
 def phase_profile(p, tau, lam):
@@ -30,45 +48,34 @@ def phase_profile(p, tau, lam):
     if tau <= 0.0:
         return p * tau
     p2 = p * p
-    u = p2 - lam * tau
-    u = np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
-    s = np.sqrt(np.abs(u))
-    # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
-    mid = (2.0 / 3.0) * (p2 * p - u * s) / lam
-    late = p * tau - (2.0 / 3.0) * p2 * p / lam
-    return np.where(p2 >= 0.5 * lam * tau, mid, late)
+    return _phase(p, p2, tau, lam, *branch(p2, tau, lam), before_exit(p2, tau, lam))
 
 
-def displacement_profile(p, tau, lam):
-    """Per-momentum displacement kernel at scale tau."""
+def phase_and_displacement(p, tau, lam):
+    """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp."""
     if tau <= 0.0:
-        return np.full_like(p, tau)
+        return p * tau, np.full_like(p, tau)
     p2 = p * p
-    u = p2 - lam * tau
-    u = np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
-    s = np.sqrt(np.abs(u))
+    u, s = branch(p2, tau, lam)
+    early = before_exit(p2, tau, lam)
     # Approaching branch: 2(p^2 - p sqrt(u))/lam rewritten as 2 p tau/(p+sqrt(u))
     # to avoid the p^2 - p*sqrt(p^2 - lam*tau) cancellation near tau -> 0.
     # The rewrite needs p + sqrt(u) > 0, so keep the direct form for p <= 0.
-    denom = np.where((u >= 0.0) & (p > 0.0), p + s, 1.0)
-    approach = np.where(
-        (u >= 0.0) & (p > 0.0),
-        2.0 * p * tau / denom,
-        2.0 * (p2 - p * s) / lam,
-    )
+    approaching = (u >= 0.0) & (p > 0.0)
+    denom = np.where(approaching, p + s, 1.0)
+    mid = np.where(approaching, 2.0 * p * tau / denom, 2.0 * (p2 - p * s) / lam)
     late = tau - 2.0 * p2 / lam
-    return np.where(p2 >= 0.5 * lam * tau, approach, late)
+    return _phase(p, p2, tau, lam, u, s, early), np.where(early, mid, late)
 
 
 def classical_position_profile(taus, q0, p, lam):
     """Closed-form relational trajectory q(tau) for conserved momentum p."""
     p2 = p * p
-    u = p2 - lam * taus
-    u = np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
+    u, _ = branch(p2, taus, lam)
     s = np.sqrt(np.abs(u) / p2)
     rising = q0 + 2.0 * taus / (1.0 + s)          # 0 <= tau <= p^2/lam
     returning = q0 + 2.0 * p2 * (1.0 + s) / lam   # p^2/lam <= tau <= 2 p^2/lam
-    out = np.where(u >= 0.0, rising, np.where(lam * taus <= 2.0 * p2, returning,
+    out = np.where(u >= 0.0, rising, np.where(before_exit(p2, taus, lam), returning,
                                               q0 + taus + 2.0 * p2 / lam))
     return np.where(taus <= 0.0, q0 + taus, out)
 

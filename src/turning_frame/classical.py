@@ -93,12 +93,10 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
     the sheets meet at phi = p^2/lam.
     """
     phi_arr = np.asarray(phi, dtype=np.float64)
-    lam, p, q0 = model.lam, state.p, state.q0
-    p2 = p * p
-    u = p2 - lam * phi_arr
-    if np.any(u < -_kernels._SNAP * p2):
+    lam, q0, p2 = model.lam, state.q0, state.p * state.p
+    u, _ = _kernels.branch(p2, phi_arr, lam)
+    if np.any(u < 0.0):
         raise DomainError("phi lies beyond the turning point p^2/lam")
-    u = np.where(np.abs(u) <= _kernels._SNAP * p2, 0.0, u)
     s = np.sqrt(np.abs(u) / p2)
     if branch is Branch.BEFORE:
         out = np.where(phi_arr <= 0.0, q0 + phi_arr, q0 + 2.0 * phi_arr / (1.0 + s))
@@ -130,14 +128,14 @@ def q_of_tau(tau, state: ClassicalState, model: FrameModel):
 
 def q_rate(tau: float, state: ClassicalState, model: FrameModel) -> float:
     """One-sided rate dq/dtau; infinite exactly at the turning scale."""
-    lam, p = model.lam, state.p
-    phi_t = p * p / lam
-    if tau <= 0.0 or tau >= 2.0 * phi_t:
+    _require_finite_tau(tau)
+    lam, p2 = model.lam, state.p * state.p
+    if tau <= 0.0 or not _kernels.before_exit(p2, tau, lam):
         return 1.0
-    u = 1.0 - tau / phi_t
-    if abs(u) <= _kernels._SNAP:
+    u, _ = _kernels.branch(p2, tau, lam)
+    if u == 0.0:
         return float("inf")
-    return 1.0 / np.sqrt(abs(u))
+    return float(1.0 / np.sqrt(np.abs(u) / p2))
 
 
 def classical_shift(p: float, model: FrameModel) -> float:

@@ -14,8 +14,8 @@ single fields and are typed by the same readers as config values
 comes from ``$TURNING_FRAME_OUTDIR`` when set.  Outputs are
 deterministic: identical configs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration or validation problem, 3 grid
-resolution failure, 4 fit window not asymptotic.
+Exit codes: 0 success, 1 output pipe closed, 2 configuration or validation
+problem, 3 grid resolution failure, 4 fit window not asymptotic.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .estimates import STANDARD_GRAVITY, PhysicalScenario, \
     coherence_time_estimate, displacement_estimate, lambda_gravitational
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
 EXIT_ASYMPTOTICS = 4
@@ -325,7 +326,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "gravity": scenario.gravity,
         },
     }
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    # flush here so that a closed pipe raises inside main, not at shutdown
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False),
+          flush=True)
     return EXIT_OK
 
 
@@ -391,8 +394,17 @@ def main(argv=None) -> int:
         message, code = str(exc), _EXIT_CODES.get(type(exc), EXIT_CONFIG)
     except UnicodeDecodeError as exc:
         message, code = f"config: {args.config}: {exc}", EXIT_CONFIG
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head -1``).  As the SIGPIPE note
+        # in the docs of Python's signal module advises, exit 1 without a
+        # message and point stdout at devnull, so the flush at shutdown
+        # stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except OSError as exc:
-        if exc.filename is None:  # a failed write, e.g. stdout into a closed pipe
+        if exc.filename is None:  # a failed write to stdout, e.g. a full disk
             message = f"output: {exc.strerror}"
         else:
             field = "config" if exc.filename == vars(args).get("config") else "output.dir"

@@ -188,9 +188,12 @@ class GaussianSpec:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpectationSeries:
-    """Scale-ordered samples of position statistics along an evolution."""
+    """Scale-ordered samples of position statistics along an evolution.
+
+    The arrays are copied as float64 and frozen at construction.
+    """
 
     taus: np.ndarray
     q_mean: np.ndarray
@@ -199,15 +202,17 @@ class ExpectationSeries:
     q_classical: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.taus = np.asarray(self.taus, dtype=np.float64)
-        self.q_mean = np.asarray(self.q_mean, dtype=np.float64)
-        self.norm = np.asarray(self.norm, dtype=np.float64)
+        for name in ("taus", "q_mean", "norm", "q_var", "q_classical"):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=np.float64)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         if np.any(np.diff(self.taus) <= 0.0):
             raise DomainError("tau samples must be strictly increasing")
         n = self.taus.shape[0]
         for name in ("q_mean", "norm", "q_var", "q_classical"):
             arr = getattr(self, name)
-            if arr is not None and np.asarray(arr).shape != (n,):
+            if arr is not None and arr.shape != (n,):
                 raise InvalidStateError(f"{name} length does not match taus")
 
 
@@ -275,7 +280,10 @@ def make_gaussian(
         )
     p = grid.nodes
     sigma2 = _square(spec.sigma, "sigma")
-    envelope = np.exp(-sigma2 * (p - spec.p0) ** 2 / _square(model.hbar, "hbar"))
+    # A p0 far off the grid overflows the square; exp(-inf) = 0 and the
+    # no-support check below reports it.
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-sigma2 * (p - spec.p0) ** 2 / _square(model.hbar, "hbar"))
     amps = envelope * np.exp(-1j * p * spec.q0 / model.hbar)
     if tau0 != 0.0:
         amps = amps * np.exp(-1j * p * tau0 / model.hbar)

@@ -53,17 +53,16 @@ MIN_DERIVATIVE_NODES = 5
 def phase_branch(tau: float, p: float, model: FrameModel) -> int:
     """Branch index 1..4 of the scale interval containing tau for momentum p.
 
-    Boundaries belong to the earlier branch.
+    Boundaries belong to the earlier branch.  The kernel's own comparisons
+    decide both boundaries, so the index names the formula it evaluates.
     """
     _require_positive_momentum(p)
-    edge = p * p / model.lam
+    p2 = p * p
     if tau <= 0.0:
         return 1
-    if tau <= edge:
-        return 2
-    if tau <= 2.0 * edge:
-        return 3
-    return 4
+    if not _kernels.before_exit(p2, tau, model.lam):
+        return 4
+    return 2 if _kernels.branch(p2, tau, model.lam)[0] >= 0.0 else 3
 
 
 def _require_positive_momentum(p: float) -> None:
@@ -78,17 +77,12 @@ def phase_theta(phi: float, p: float, model: FrameModel) -> float:
     up to the turning point of the given momentum component.
     """
     _require_positive_momentum(p)
-    lam = model.lam
-    if phi <= 0.0:
-        return p * phi
-    p2 = p * p
-    u = p2 - lam * phi
-    if u < -_kernels._SNAP * p2:
+    lam, p2 = model.lam, p * p
+    if _kernels.branch(p2, phi, lam)[0] < 0.0:
         raise DomainError(
             f"phi={phi} lies beyond the turning point {p2 / lam} (forbidden region)"
         )
-    u = 0.0 if abs(u) <= _kernels._SNAP * p2 else u
-    return (2.0 / 3.0) * (p2 * p - u * np.sqrt(u)) / lam
+    return total_phase(phi, p, model)
 
 
 def total_phase(tau: float, p: float, model: FrameModel) -> float:
@@ -106,7 +100,8 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
     """
     _require_positive_momentum(p)
     _require_finite_tau(tau)
-    out = _kernels.displacement_profile(np.array([float(p)]), float(tau), model.lam)
+    p_arr = np.array([float(p)])
+    _, out = _kernels.phase_and_displacement(p_arr, float(tau), model.lam)
     return float(out[0])
 
 
@@ -115,16 +110,9 @@ def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumSta
     _require_finite_tau(tau)
     p = initial.grid.nodes
     start = _kernels.phase_profile(p, float(initial.tau), model.lam)
-    amps = _evolved_amps(initial.amps, p, start, tau, model)
-    return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
-
-
-def _evolved_amps(
-    amps: np.ndarray, p: np.ndarray, start: np.ndarray, tau: float, model: FrameModel
-) -> np.ndarray:
-    """Amplitudes at tau of a state whose phase profile is ``start``."""
     dphi = _kernels.phase_profile(p, float(tau), model.lam) - start
-    return _kernels.apply_phase(amps, dphi, model.hbar)
+    amps = _kernels.apply_phase(initial.amps, dphi, model.hbar)
+    return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
 
 
 def _derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -213,10 +201,7 @@ def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
     return _Reference(anchor, modulus**2, boundary)
 
 
-def _analytic_mean(
-    ref: _Reference, p: np.ndarray, h: float, tau: float, model: FrameModel
-) -> float:
-    kernel = _kernels.displacement_profile(p, float(tau), model.lam)
+def _analytic_mean(ref: _Reference, kernel: np.ndarray, h: float) -> float:
     return ref.anchor + float(np.sum(ref.density * kernel) * h)
 
 
@@ -227,7 +212,8 @@ def position_expectation_analytic(
     _check_normalized(initial)
     _require_finite_tau(tau)
     grid = initial.grid
-    return _analytic_mean(_reference(initial, model), grid.nodes, grid.h, tau, model)
+    _, kernel = _kernels.phase_and_displacement(grid.nodes, float(tau), model.lam)
+    return _analytic_mean(_reference(initial, model), kernel, grid.h)
 
 
 def position_variance(state: MomentumState, model: FrameModel) -> float:
@@ -310,8 +296,9 @@ def expectation_series(
     norms = np.empty_like(taus)
     q_var = np.empty_like(taus) if with_variance else None
     for k, tau in enumerate(taus):
-        q_mean[k] = _analytic_mean(ref, p, h, tau, model)
-        amps = _evolved_amps(initial.amps, p, start, tau, model)
+        phase, kernel = _kernels.phase_and_displacement(p, float(tau), model.lam)
+        q_mean[k] = _analytic_mean(ref, kernel, h)
+        amps = _kernels.apply_phase(initial.amps, phase - start, hbar)
         norms[k] = _norm(amps, h)
         _check_norm(norms[k])
         cross_check = bool(cross_check_stride) and k % cross_check_stride == 0

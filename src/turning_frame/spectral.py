@@ -18,6 +18,9 @@ from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
 from .model import FrameModel
 
+# Sum |c|^2 over a discrete spectrum is exact up to rounding, so it is held
+# to 1e-9; model.NORM_TOLERANCE (1e-6) bounds a grid quadrature of |f|^2
+# and would loosen this check 1000-fold.
 _NORM_TOL = 1e-9
 _HERMITICITY_TOL = 1e-12
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: schemas, exit codes, determinism."""
 
+import errno
 import json
 import os
 import tempfile
@@ -228,21 +229,28 @@ def test_estimate_rejects_non_finite_input_and_overflow(capsys, argv, field):
     assert field in captured.err
 
 
-class _ClosedPipe:
-    """A stdout whose reader has gone away, as under ``| head -1``."""
+def test_broken_stdout_is_not_labelled_as_config(capsys, monkeypatch):
+    """A closed stdout, as under ``| head -1``, exits 1 without a message."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr("sys.stdout", closed)
+        assert main(["estimate", "--mass-amu", "100", "--temp-k", "1e-6"]) == 1
+        assert capsys.readouterr().err == ""
+        closed.write("later output\n")  # now lands in devnull, as at shutdown
+
+
+class _FullDisk:
+    """A stdout redirected to a file on a full disk."""
 
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
-
-    def flush(self):
-        pass
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def test_broken_stdout_is_not_labelled_as_config(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+def test_failed_stdout_write_is_labelled_output(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _FullDisk())
     assert main(["estimate", "--mass-amu", "100", "--temp-k", "1e-6"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: output: Broken pipe\n"
+    assert capsys.readouterr().err == "error: output: No space left on device\n"
 
 
 # -- config handling -------------------------------------------------------------

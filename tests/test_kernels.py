@@ -12,8 +12,26 @@ def test_snap_produces_exact_boundary_values():
     """Values at fl(p^2/lam) land on the joint closed form exactly."""
     for p, lam in ((0.37, 2.9), (1.25, 4.0), (9.7, 0.13)):
         edge = p * p / lam
-        d = K.displacement_profile(np.array([p]), edge, lam)[0]
-        assert d == pytest.approx(2.0 * p * p / lam, abs=1e-12)
+        _, d = K.phase_and_displacement(np.array([p]), edge, lam)
+        assert d[0] == pytest.approx(2.0 * p * p / lam, abs=1e-12)
+
+
+# Grids reach p <= 0, where the displacement takes its direct form, and tau
+# ranges over both sides of 0 and past the outer boundary 2 p^2 / lam.
+@settings(max_examples=200, deadline=None)
+@given(
+    p_lo=st.floats(-3.0, 3.0),
+    p_span=st.floats(0.0, 6.0),
+    n=st.integers(1, 64),
+    tau=st.floats(-5.0, 20.0),
+    lam=st.floats(1e-3, 1e3),
+)
+@example(p_lo=-1.0, p_span=2.0, n=9, tau=0.25, lam=4.0)
+def test_phase_profile_is_the_fused_phase(p_lo, p_span, n, tau, lam):
+    """Both entry points evaluate one phase formula, bit for bit."""
+    p = np.linspace(p_lo, p_lo + p_span, n)
+    phase, _ = K.phase_and_displacement(p, tau, lam)
+    assert K.phase_profile(p, tau, lam).tobytes() == phase.tobytes()
 
 
 def test_derivative_is_fourth_order():

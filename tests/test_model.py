@@ -1,5 +1,6 @@
 """Tests for domain types, Gaussian construction, and momentum moments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -206,6 +207,19 @@ def test_expectation_series_validation():
             q_mean=np.zeros(3),
             norm=np.ones(2),
         )
+
+
+def test_expectation_series_is_immutable():
+    q_var = np.zeros(2)
+    series = ExpectationSeries(taus=[0.0, 1.0], q_mean=np.zeros(2),
+                               norm=np.ones(2), q_var=q_var)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.q_mean = np.ones(2)
+    for arr in (series.taus, series.q_mean, series.norm, series.q_var):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+    assert series.q_classical is None
+    q_var[0] = 1.0  # the caller's array stays its own
+    assert series.q_var[0] == 0.0
 
 
 def test_momentum_state_csv_roundtrip(tmp_path, trunc_state):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turning_frame import (
     ClassicalState,
@@ -81,6 +81,23 @@ def test_phase_branch_ordering(model):
     assert phase_branch(0.4, 1.0, model) == 3
     assert phase_branch(0.5, 1.0, model) == 3
     assert phase_branch(0.6, 1.0, model) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 1e3))
+@example(p=5.258289681532501, lam=3.1093163368339667)
+def test_phase_branch_names_the_formula_the_kernel_evaluates(p, lam):
+    """At fl(p^2/lam), fl(2p^2/lam) and their neighbours the index follows
+    the kernel: it never decreases, and it is <= 3 exactly where the kernel
+    takes the in-potential formula, p*p >= 0.5*lam*tau."""
+    model = FrameModel(lam=lam)
+    taus = []
+    for edge in (p * p / lam, 2.0 * p * p / lam):
+        taus += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    branches = [phase_branch(float(tau), p, model) for tau in taus]
+    assert branches == sorted(branches)
+    for tau, index in zip(taus, branches):
+        assert (index <= 3) == (p * p >= 0.5 * lam * tau)
 
 
 @settings(max_examples=300, deadline=None)
