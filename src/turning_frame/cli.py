@@ -217,12 +217,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_classical(cfg: dict) -> int:
     model = _model_from(cfg)
-    q0 = _number(cfg, "state.q0")
-    p_key = "state.p" if _get(cfg, "state.p", None) is not None else "state.p0"
-    p = _number(cfg, p_key)
-    state = ClassicalState(q0=q0, p=p)
+    state = ClassicalState(q0=_number(cfg, "state.q0"), p=_number(cfg, "state.p0"))
     taus = _taus_from(cfg)
-    phi = unwind_phi(taus, p, model)
+    phi = unwind_phi(taus, state.p, model)
     q = q_of_tau(taus, state, model)
     out = _outdir(cfg) / f"{_text(cfg, 'output.prefix', 'classical')}_trajectory.csv"
     _csv.write(out, ["tau", "phi", "q_classical"], [taus, phi, q])
@@ -275,9 +272,8 @@ def cmd_shift(cfg: dict) -> int:
     spec, state = _gaussian_from(cfg, grid, model)
     taus = _taus_from(cfg)
     classical = ClassicalState(q0=spec.q0, p=spec.p0)
-    series = expectation_series(
-        state, taus, model, with_variance=True, classical=classical
-    )
+    series = expectation_series(state, taus, model)
+    q_classical = q_of_tau(taus, classical, model)
     report = extract_shift_numeric(series, state, model)
 
     outdir = _outdir(cfg)
@@ -286,7 +282,7 @@ def cmd_shift(cfg: dict) -> int:
     _csv.write(
         series_path,
         ["tau", "q_classical", "q_mean", "q_var", "norm"],
-        [series.taus, series.q_classical, series.q_mean, series.q_var,
+        [series.taus, q_classical, series.q_mean, series.q_var,
          series.norm],
     )
     report_path = outdir / f"{prefix}_report.json"
@@ -340,9 +336,6 @@ def _collect_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config)
     for path in FLAGS:
         _override(cfg, path, getattr(args, path))
-    if getattr(args, "state.p0") is not None:
-        # the flag replaces whichever momentum key the config gives
-        cfg["state"].pop("p", None)
     if getattr(args, "snapshots", None):
         cfg["snapshots"] = args.snapshots.split(",")
     return cfg

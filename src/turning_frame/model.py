@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,16 @@ def _require_finite(obj, *names: str) -> None:
 def _require_finite_tau(tau) -> None:
     if not np.all(np.isfinite(tau)):
         raise DomainError(f"tau must be finite, got {tau}")
+
+
+def _evenly_spaced(nodes: np.ndarray) -> bool:
+    """Whether 2 or more nodes are finite and evenly spaced to 1e-9 relative."""
+    if not np.all(np.isfinite(nodes)):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf step fails it
+        steps = np.diff(nodes)
+        gaps = np.abs(steps - steps[0])
+    return bool(np.all(gaps <= 1e-9 * max(abs(nodes[0]), abs(nodes[-1]), 1.0)))
 
 
 class ShiftConvention(enum.Enum):
@@ -190,29 +200,30 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class ExpectationSeries:
-    """Scale-ordered samples of position statistics along an evolution.
+    """Scale-ordered position statistics along an evolution.
 
-    The arrays are copied as float64 and frozen at construction.
+    ``q_mean`` is the analytic route, cross-checked against the numeric
+    route at every sample; ``q_var`` is the position variance; ``anchor``
+    is <q> of the reference amplitudes f(p), the position the shift fit
+    subtracts.  The arrays are copied as float64 and frozen.
     """
 
     taus: np.ndarray
     q_mean: np.ndarray
     norm: np.ndarray
-    q_var: Optional[np.ndarray] = None
-    q_classical: Optional[np.ndarray] = None
+    q_var: np.ndarray
+    anchor: float
 
     def __post_init__(self):
-        for name in ("taus", "q_mean", "norm", "q_var", "q_classical"):
-            if getattr(self, name) is not None:
-                arr = np.array(getattr(self, name), dtype=np.float64)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name in ("taus", "q_mean", "norm", "q_var"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "anchor", float(self.anchor))
         if np.any(np.diff(self.taus) <= 0.0):
             raise DomainError("tau samples must be strictly increasing")
-        n = self.taus.shape[0]
-        for name in ("q_mean", "norm", "q_var", "q_classical"):
-            arr = getattr(self, name)
-            if arr is not None and arr.shape != (n,):
+        for name in ("q_mean", "norm", "q_var"):
+            if getattr(self, name).shape != self.taus.shape:
                 raise InvalidStateError(f"{name} length does not match taus")
 
 
@@ -314,10 +325,9 @@ def load_momentum_csv(path, tau: float = 0.0) -> MomentumState:
     """Read a ``p,re,im`` file back into a state on a uniform grid."""
     p_arr, re, im = _csv.read(path, ["p", "re", "im"])
     if p_arr.size < 2:
-        raise InvalidStateError("state CSV holds fewer than 2 nodes")
-    steps = np.diff(p_arr)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(p_arr[0]), abs(p_arr[-1]), 1.0):
-        raise InvalidStateError("state CSV nodes are not uniformly spaced")
+        raise InvalidStateError(f"{path}: holds fewer than 2 nodes")
+    if not _evenly_spaced(p_arr):
+        raise InvalidStateError(f"{path}: nodes are not finite and evenly spaced")
     grid = MomentumGrid(float(p_arr[0]), float(p_arr[-1]), int(p_arr.size))
     amps = np.column_stack([re, im]).view(np.complex128).ravel()
     return MomentumState(grid=grid, amps=amps, tau=tau)

@@ -6,12 +6,15 @@ accumulated phase Phi carried by :mod:`turning_frame._kernels`.  Position
 expectations are computed by two deliberately independent routes:
 
 * analytic: quadrature of the per-momentum displacement kernel D(tau, p)
-  against the initial density |f|^2, plus the phase-derived anchor q0;
+  against the initial density |f|^2, plus the anchor <q> of f;
 * numeric: ``i hbar <psi, d psi/dp>`` with fourth-order finite
   differences on the evolved state.
 
 The pair forms a self-validating oracle; they share nothing below the
-state container except the anchor definition.
+state container except the anchor definition.  :func:`expectation_series`
+runs both routes at every tau and checks one against the other, takes the
+variance from the numeric route's stencil, and carries the anchor, which
+the shift fit subtracts from its intercept.
 
 For states truncated at the grid edge, the inner product
 ``i hbar <psi, d psi/dp>`` acquires an exact imaginary boundary term
@@ -26,24 +29,23 @@ unimodular phase, so ``|psi(tau)| = |f|`` and a series takes the term from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResolutionError
 from .model import (
-    ClassicalState,
     ExpectationSeries,
     FrameModel,
     MomentumState,
     _check_norm,
     _check_normalized,
+    _evenly_spaced,
     _norm,
     _require_finite_tau,
     _square,
 )
-from .classical import q_of_tau
 
 IMAG_RESIDUAL_LIMIT = 1e-4
 CROSS_CHECK_TOLERANCE = 1e-4
@@ -247,32 +249,24 @@ def to_position_representation(
     q = np.asarray(q_grid, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError("q_grid must be a 1-d array with at least 2 nodes")
-    dq = np.diff(q)
-    if np.max(np.abs(dq - dq[0])) > 1e-9 * max(abs(q[0]), abs(q[-1]), 1.0):
-        raise DomainError("q_grid must be uniformly spaced")
+    if not _evenly_spaced(q):
+        raise DomainError("q_grid must be finite and evenly spaced")
     raw = _kernels.position_transform(
         state.grid.nodes, np.asarray(state.amps), q, model.hbar
     )
     amps = raw * state.grid.h / np.sqrt(2.0 * np.pi * model.hbar)
-    norm = float(np.sum(np.abs(amps) ** 2) * dq[0])
+    norm = float(np.sum(np.abs(amps) ** 2) * (q[1] - q[0]))
     return PositionProfile(
         q=q, amps=amps, norm=norm, coverage_ok=bool(abs(norm - 1.0) <= 1e-3)
     )
 
 
-def expectation_series(
-    initial: MomentumState,
-    taus,
-    model: FrameModel,
-    with_variance: bool = False,
-    classical: Optional[ClassicalState] = None,
-    cross_check_stride: int = 1,
-) -> ExpectationSeries:
-    """Position statistics over a strictly increasing list of tau samples.
+def expectation_series(initial: MomentumState, taus,
+                       model: FrameModel) -> ExpectationSeries:
+    """Position mean and variance over a strictly increasing list of tau.
 
     Each sample is computed by the analytic route and cross-checked
-    against the numeric route every ``cross_check_stride`` samples
-    (0 disables checking); disagreement beyond 1e-4 raises
+    against the numeric route; disagreement beyond 1e-4 raises
     :class:`ConsistencyError` naming the offending tau.  The tau-invariant
     work is done once: the anchor, the density |f|^2 and the truncation
     term, which depends on |psi| = |f| only because the evolution is a
@@ -294,31 +288,20 @@ def expectation_series(
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
-    q_var = np.empty_like(taus) if with_variance else None
+    q_var = np.empty_like(taus)
     for k, tau in enumerate(taus):
         phase, kernel = _kernels.phase_and_displacement(p, float(tau), model.lam)
         q_mean[k] = _analytic_mean(ref, kernel, h)
         amps = _kernels.apply_phase(initial.amps, phase - start, hbar)
         norms[k] = _norm(amps, h)
         _check_norm(norms[k])
-        cross_check = bool(cross_check_stride) and k % cross_check_stride == 0
-        if not (cross_check or with_variance):
-            continue
         d = _derivative(amps, h)
         numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary)
-        if cross_check:
-            _check_residual(residual, f" at tau={tau}; grid too coarse for its phase")
-            if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
-                raise ConsistencyError(
-                    f"analytic/numeric expectation mismatch "
-                    f"{abs(numeric - q_mean[k]):.3e} at tau={tau}"
-                )
-        if with_variance:
-            q_var[k] = _variance(d, numeric, h, hbar)
-
-    q_classical = None
-    if classical is not None:
-        q_classical = q_of_tau(taus, classical, model)
-    return ExpectationSeries(
-        taus=taus, q_mean=q_mean, norm=norms, q_var=q_var, q_classical=q_classical
-    )
+        _check_residual(residual, f" at tau={tau}; grid too coarse for its phase")
+        if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
+            raise ConsistencyError(
+                f"analytic/numeric expectation mismatch "
+                f"{abs(numeric - q_mean[k]):.3e} at tau={tau}"
+            )
+        q_var[k] = _variance(d, numeric, h, hbar)
+    return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

@@ -22,7 +22,6 @@ from .model import (
     moments,
 )
 from .classical import classical_shift
-from .quantum import position_expectation_analytic
 
 SLOPE_REPORT_TOLERANCE = 1e-3
 SLOPE_ERROR_TOLERANCE = 1e-2
@@ -60,8 +59,9 @@ def extract_shift_numeric(
     """Fit the late-scale line of a series and assemble the shift report.
 
     Uses every sample with tau >= 2 p_max^2 / lam (all components past
-    re-crossing there, so the closed-form line holds on the grid).  The
-    fitted slope doubles as an asymptoticity diagnostic.
+    re-crossing there, so the closed-form line holds on the grid) and
+    subtracts the series' anchor from the intercept.  The fitted slope
+    doubles as an asymptoticity diagnostic.
     """
     bound = asymptotic_tau_bound(initial.grid.p_max, model)
     mask = series.taus >= bound
@@ -78,12 +78,9 @@ def extract_shift_numeric(
             f"{SLOPE_ERROR_TOLERANCE}; window tau >= {bound:.6g} is not asymptotic"
         )
 
-    # anchor the extrapolation at the state's own phase-derived position
-    q0 = position_expectation_analytic(initial, float(initial.tau), model) - float(
-        initial.tau
-    )
     stats = moments(initial)
-    quantum_numeric = float(intercept) - q0
+    # the intercept relative to the state's own starting position
+    quantum_numeric = float(intercept) - series.anchor
     quantum_analytic = quantum_shift_analytic(stats.mean_p2, model)
     if model.shift_convention is ShiftConvention.MEAN_SQUARE_MOMENTUM:
         classical = 2.0 * stats.mean_p2 / model.lam

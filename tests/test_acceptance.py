@@ -60,8 +60,7 @@ def run_shift_pipeline(hbar=1.0, sigma=REF_SIGMA):
         mode=GaussianMode.TRUNCATE_POSITIVE,
     )
     taus = np.linspace(-1.0, 16.0, 341)
-    series = expectation_series(state, taus, model, with_variance=True,
-                                classical=ClassicalState(q0=REF_Q0, p=REF_P0))
+    series = expectation_series(state, taus, model)
     return extract_shift_numeric(series, state, model), series, state
 
 

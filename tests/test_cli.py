@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from turning_frame import ClassicalState, FrameModel, q_of_tau
 from turning_frame.cli import FLAGS, main
 
 BASE_CONFIG = {
@@ -63,17 +64,22 @@ def test_classical_free_range_is_translation(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["p", "p0"])
 def test_classical_reads_either_momentum_key(tmp_path, capsys, key):
+    """``classical`` reads ``state.p0`` like every command; ``p`` alone exits 2."""
     cfg = write_config(tmp_path, tau={"start": -1.0, "stop": 3.0, "num": 41})
     doc = json.loads(cfg.read_text())
     doc["state"] = {"q0": 4.0, key: 1.25}
     cfg.write_text(json.dumps(doc))
-    assert main(["classical", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+    argv = ["classical", "--config", str(cfg), "--outdir", str(tmp_path)]
+    if key == "p":
+        assert main(argv) == 2
+        assert "state.p0" in capsys.readouterr().err
+        return
+    assert main(argv) == 0
     _, data = read_csv(capsys.readouterr().out.strip())
     assert data[-1, 2] == pytest.approx(7.78125)  # q(3) = q0 + 3 + 2 p^2/lam
-    assert main(["classical", "--config", str(cfg), "--outdir", str(tmp_path),
-                 "--p0", "2.0"]) == 0
+    assert main(argv + ["--p0", "2.0"]) == 0
     _, data = read_csv(capsys.readouterr().out.strip())
-    assert data[-1, 2] == pytest.approx(9.0)  # the flag wins over either key
+    assert data[-1, 2] == pytest.approx(9.0)  # the flag wins over the key
 
 
 def test_classical_rejects_empty_tau_range(tmp_path):
@@ -163,6 +169,8 @@ def test_shift_pipeline_reference_value(tmp_path, capsys):
     header, data = read_csv(tmp_path / "shift_series.csv")
     assert header == ["tau", "q_classical", "q_mean", "q_var", "norm"]
     np.testing.assert_allclose(data[:, 4], 1.0, atol=1e-9)
+    classical = q_of_tau(data[:, 0], ClassicalState(q0=4.0, p=1.25), FrameModel(4.0))
+    assert data[:, 1].tobytes() == classical.tobytes()
 
 
 def test_shift_convention_override(tmp_path):
@@ -422,7 +430,7 @@ def _field_values(path):
     )
 
 
-_PATHS = sorted(set(FLAGS) | {"state.p"})
+_PATHS = sorted(FLAGS)
 
 
 @st.composite

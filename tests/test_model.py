@@ -200,24 +200,28 @@ def test_expectation_series_validation():
             taus=np.array([0.0, 0.0]),
             q_mean=np.zeros(2),
             norm=np.ones(2),
+            q_var=np.zeros(2),
+            anchor=0.0,
         )
     with pytest.raises(InvalidStateError):
         ExpectationSeries(
             taus=np.array([0.0, 1.0]),
             q_mean=np.zeros(3),
             norm=np.ones(2),
+            q_var=np.zeros(2),
+            anchor=0.0,
         )
 
 
 def test_expectation_series_is_immutable():
     q_var = np.zeros(2)
     series = ExpectationSeries(taus=[0.0, 1.0], q_mean=np.zeros(2),
-                               norm=np.ones(2), q_var=q_var)
+                               norm=np.ones(2), q_var=q_var, anchor=np.float32(4))
     with pytest.raises(dataclasses.FrozenInstanceError):
         series.q_mean = np.ones(2)
     for arr in (series.taus, series.q_mean, series.norm, series.q_var):
         assert arr.dtype == np.float64 and not arr.flags.writeable
-    assert series.q_classical is None
+    assert type(series.anchor) is float and series.anchor == 4.0
     q_var[0] = 1.0  # the caller's array stays its own
     assert series.q_var[0] == 0.0
 

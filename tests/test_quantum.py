@@ -19,6 +19,7 @@ from turning_frame import (
     displacement_kernel,
     evolve,
     expectation_series,
+    extract_shift_numeric,
     make_gaussian,
     moments,
     phase_branch,
@@ -368,8 +369,10 @@ def test_position_profile_flags_poor_coverage(wide_state, model):
 
 
 def test_position_profile_rejects_nonuniform_grid(wide_state, model):
-    with pytest.raises(DomainError):
-        to_position_representation(wide_state, np.array([0.0, 1.0, 3.0]), model)
+    """Uneven and non-finite nodes alike; a NaN step compares False."""
+    for q_grid in ([0.0, 1.0, 3.0], [0.0, math.nan, 2.0], [0.0, 1.0, math.inf]):
+        with pytest.raises(DomainError, match="evenly spaced"):
+            to_position_representation(wide_state, np.array(q_grid), model)
 
 
 def test_nan_state_is_not_rendered(wide_grid, model):
@@ -394,16 +397,11 @@ def test_series_late_slope_is_unity(trunc_state, model):
     assert slope == pytest.approx(1.0, abs=1e-3)
 
 
-def test_series_carries_classical_overlay_and_variance(trunc_state, model):
-    classical = ClassicalState(q0=REF_Q0, p=REF_P0)
+def test_series_carries_variance_and_anchor(trunc_state, model):
     taus = np.linspace(-0.5, 1.0, 7)
-    series = expectation_series(
-        trunc_state, taus, model, with_variance=True, classical=classical
-    )
-    assert series.q_var is not None and np.all(series.q_var > 0.0)
-    np.testing.assert_allclose(
-        series.q_classical, q_of_tau(taus, classical, model), rtol=0, atol=0
-    )
+    series = expectation_series(trunc_state, taus, model)
+    assert np.all(series.q_var > 0.0)
+    assert series.anchor == pytest.approx(REF_Q0, abs=1e-9)
 
 
 def test_series_rejects_unordered_taus(trunc_state, model):
@@ -426,7 +424,9 @@ def test_series_equals_single_tau_functions(q0, p0, sigma, lam, hbar, tau0,
     state = make_gaussian(GaussianSpec(q0, p0, sigma), grid, model, tau0=tau0)
     stop = 1.15 * 2.0 * grid.p_max**2 / lam
     taus = np.unique(-1.0 + np.array(fractions) * (stop + 1.0))
-    series = expectation_series(state, taus, model, with_variance=True)
+    series = expectation_series(state, taus, model)
+    # D(0, p) = 0, so the analytic route at tau = 0 is the anchor itself
+    assert series.anchor == position_expectation_analytic(state, 0.0, model)
     for k, tau in enumerate(taus):
         evolved = evolve(state, tau, model)
         analytic = position_expectation_analytic(state, tau, model)
@@ -437,7 +437,8 @@ def test_series_equals_single_tau_functions(q0, p0, sigma, lam, hbar, tau0,
 
 
 def test_series_runs_one_stencil_per_tau(trunc_state, model, monkeypatch):
-    """The tau-invariant stencils run once per series, not once per sample."""
+    """The tau-invariant stencils run once per series, not once per sample,
+    and the shift fit reuses the series' anchor instead of running any."""
     calls = []
     genuine = _kernels.derivative
 
@@ -447,10 +448,11 @@ def test_series_runs_one_stencil_per_tau(trunc_state, model, monkeypatch):
 
     monkeypatch.setattr(_kernels, "derivative", counted)
     taus = np.linspace(-1.0, 16.0, 41)
-    expectation_series(trunc_state, taus, model, with_variance=True,
-                       cross_check_stride=1)
+    series = expectation_series(trunc_state, taus, model)
     assert len(calls) <= taus.size + 3
     calls.clear()
+    extract_shift_numeric(series, trunc_state, model)
+    assert len(calls) == 0
     position_variance(evolve(trunc_state, 0.5, model), model)
     assert len(calls) == 1
 

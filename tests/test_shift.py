@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turning_frame import (
     DomainError,
@@ -62,7 +63,8 @@ def test_synthetic_linear_series_recovery(trunc_state, model):
     offset = quantum_shift_analytic(moments(trunc_state).mean_p2, model)
     taus = np.linspace(13.0, 16.0, 8)
     series = ExpectationSeries(
-        taus=taus, q_mean=anchor + taus + offset, norm=np.ones_like(taus)
+        taus=taus, q_mean=anchor + taus + offset, norm=np.ones_like(taus),
+        q_var=np.zeros_like(taus), anchor=anchor,
     )
     report = extract_shift_numeric(series, trunc_state, model)
     assert report.delta_q_quantum_numeric == pytest.approx(offset, abs=1e-9)
@@ -106,7 +108,8 @@ def test_extract_requires_enough_asymptotic_samples(trunc_state, model):
 def test_extract_rejects_nonlinear_window(trunc_state, model):
     taus = np.linspace(13.0, 16.0, 8)
     series = ExpectationSeries(
-        taus=taus, q_mean=taus + 0.02 * taus**2, norm=np.ones_like(taus)
+        taus=taus, q_mean=taus + 0.02 * taus**2, norm=np.ones_like(taus),
+        q_var=np.zeros_like(taus), anchor=0.0,
     )
     with pytest.raises(NotAsymptoticError):
         extract_shift_numeric(series, trunc_state, model)
@@ -134,6 +137,31 @@ def test_sign_reversal_across_random_states():
         assert report.delta_q_quantum_numeric < 0.0
         assert report.delta_q_classical > 0.0
         assert report.slope == pytest.approx(1.0, abs=1e-3)
+
+
+@settings(max_examples=16, deadline=None)
+@given(n=st.sampled_from([4096, 8192]), lam=st.floats(2.0, 8.0),
+       hbar=st.sampled_from([0.5, 1.0]), q0=st.floats(0.0, 6.0),
+       p0=st.floats(1.0, 1.5), sigma=st.floats(0.7, 1.4),
+       convention=st.sampled_from(ShiftConvention),
+       tau0=st.sampled_from([0.0, -0.5]))
+def test_numeric_shift_equals_closed_form_on_grid_moments(n, lam, hbar, q0, p0,
+                                                          sigma, convention,
+                                                          tau0):
+    """Over the benchmark's shift domain the fit and the extrapolation add
+    nothing: the numeric total equals the closed form on the state's own grid
+    moments, for either convention and reference scale."""
+    model = FrameModel(lam=lam, hbar=hbar, shift_convention=convention)
+    grid = MomentumGrid(0.01, 5.0, n)
+    state = make_gaussian(GaussianSpec(q0, p0, sigma), grid, model, tau0=tau0)
+    bound = asymptotic_tau_bound(grid.p_max, model)
+    taus = np.concatenate([np.linspace(-1.0, bound, 8, endpoint=False),
+                           np.linspace(bound, 1.15 * bound, 4)])
+    report = extract_shift_numeric(expectation_series(state, taus, model),
+                                   state, model)
+    stats = moments(state)
+    assert abs(report.delta_q_total
+               - total_shift(stats.mean_p, stats.var_p, model)) <= 1e-10
 
 
 def test_hbar_invariance_of_total_shift(trunc_grid):

@@ -169,6 +169,11 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
     pytest.param(load_momentum_csv, "", id="momentum-empty"),
     pytest.param(load_momentum_csv, "p,re,im\n0.5,1\n1,0,0\n", id="momentum-short-row"),
     pytest.param(load_momentum_csv, "p,re,im\n0.5,1,x\n1,0,0\n", id="momentum-not-a-number"),
+    pytest.param(load_momentum_csv, "p,re,im\n0.5,1,0\n", id="momentum-one-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\n3,0,0\n", id="momentum-uneven-nodes"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\nnan,0,0\n2,0,0\n", id="momentum-nan-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\nnan,0,0\n", id="momentum-nan-last-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\ninf,0,0\n", id="momentum-inf-node"),
     pytest.param(load_spectral_csv, "", id="spectral-empty"),
     pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
     pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
