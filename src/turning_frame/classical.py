@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .model import ClassicalState, FrameModel, _require_finite_tau, _square
+from .model import (ClassicalState, FrameModel, _require_finite_tau,
+                    _require_positive, _square)
 
 
 class Branch(enum.Enum):
@@ -41,11 +42,6 @@ class GaugeSample:
         """Value of -p_phi^2 - lam*phi*theta(phi) + H^2 (zero on shell)."""
         potential = model.lam * self.phi if self.phi > 0.0 else 0.0
         return -_square(self.p_phi, "p_phi") - potential + _square(H, "H")
-
-
-def _require_positive(value: float, name: str) -> None:
-    if not value > 0.0:
-        raise DomainError(f"{name} must be positive, got {value}")
 
 
 def gauge_solution(H: float, model: FrameModel, epsilon: float) -> GaugeSample:

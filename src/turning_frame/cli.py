@@ -10,7 +10,8 @@ Commands::
 One JSON document configures a whole pipeline (sections: model, state,
 grid, tau, snapshots, q_grid, output); the flags in ``FLAGS`` override
 single fields and are typed by the same readers as config values
-(``--n 1e3`` reads like ``"n": 1e3``).  The default output directory
+(``--n 1e3`` reads like ``"n": 1e3``).  A command accepts only the flags
+of the fields it reads.  The default output directory
 comes from ``$TURNING_FRAME_OUTDIR`` when set.  Outputs are
 deterministic: identical configs produce byte-identical files.
 
@@ -335,7 +336,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def _collect_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config)
     for path in FLAGS:
-        _override(cfg, path, getattr(args, path))
+        _override(cfg, path, getattr(args, path, None))
     if getattr(args, "snapshots", None):
         cfg["snapshots"] = args.snapshots.split(",")
     return cfg
@@ -348,15 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("classical", "emit the closed-form relational trajectory"),
-        ("evolve", "emit wavefunction snapshots in momentum/position space"),
-        ("shift", "emit the expectation series and displacement-shift report"),
+    # no flag for a config path the command never reads, so argparse refuses it
+    for name, helptext, unread in (
+        ("classical", "emit the closed-form relational trajectory",
+         ("state.sigma", "state.mode", "grid.")),
+        ("evolve", "emit wavefunction snapshots in momentum/position space", ("tau.",)),
+        ("shift", "emit the expectation series and displacement-shift report", ()),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON configuration file")
         for path, flag in FLAGS.items():
-            p.add_argument(flag, dest=path, metavar=path)
+            if not path.startswith(unread):
+                p.add_argument(flag, dest=path, metavar=path)
         if name == "evolve":
             p.add_argument("--snapshots", help="comma-separated tau values")
 

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   positive frame values, so a system carrying energy H meets a single
   turning point at ``H**2 / lam``.
 * Momentum-space states live on uniform grids; every quadrature is the
-  plain node sum ``sum(values) * h``, and states are normalized so that
-  ``sum(|amps|**2) * h == 1``.
+  plain node sum ``sum(values) * h``, and a state is normalized so that
+  ``sum(|amps|**2) * h == 1`` when it is built; no consumer checks again.
 * ``hbar`` defaults to 1 (model units).
 """
 
@@ -37,10 +37,6 @@ def _check_norm(norm: float) -> None:
         )
 
 
-def _check_normalized(state: MomentumState) -> None:
-    _check_norm(state.norm())
-
-
 def _square(value: float, name: str) -> float:
     """``value**2``, or DomainError when the square overflows."""
     try:
@@ -57,6 +53,17 @@ def _require_finite(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(value: float, name: str) -> None:
+    if not value > 0.0:
+        raise DomainError(f"{name} must be positive, got {value}")
+
+
+def _require_increasing(values: np.ndarray, name: str) -> None:
+    # neighbours are compared, not subtracted: a NaN fails, no step overflows
+    if not (np.all(np.isfinite(values)) and np.all(values[1:] > values[:-1])):
+        raise DomainError(f"{name} must be finite and strictly increasing")
 
 
 def _require_finite_tau(tau) -> None:
@@ -108,10 +115,8 @@ class FrameModel:
 
     def __post_init__(self):
         _require_finite(self, "lam", "hbar")
-        if not self.lam > 0.0:
-            raise DomainError(f"potential slope must be positive, got {self.lam}")
-        if not self.hbar > 0.0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        _require_positive(self.lam, "potential slope")
+        _require_positive(self.hbar, "hbar")
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,7 @@ class ClassicalState:
 
     def __post_init__(self):
         _require_finite(self, "q0", "p")
-        if not self.p > 0.0:
-            raise DomainError(
-                f"momentum must be positive for a forward turning point, got {self.p}"
-            )
+        _require_positive(self.p, "momentum")
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,9 @@ class MomentumGrid:
 class MomentumState:
     """Complex amplitudes over a momentum grid at scale value tau.
 
-    Amplitudes are density-normalized: ``sum(|amps|**2) * grid.h == 1``
-    for every state produced by this package. The array is copied and
-    frozen at construction.
+    Amplitudes are density-normalized, ``sum(|amps|**2) * grid.h == 1``
+    to ``NORM_TOLERANCE``: construction refuses any other array, NaN
+    included, with InvalidStateError, then copies and freezes it.
     """
 
     grid: MomentumGrid
@@ -173,6 +175,7 @@ class MomentumState:
             raise InvalidStateError(
                 f"amplitude shape {amps.shape} does not match grid size {self.grid.n}"
             )
+        _check_norm(_norm(amps, self.grid.h))
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -194,8 +197,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         _require_finite(self, "q0", "p0", "sigma")
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        _require_positive(self.sigma, "sigma")
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,8 @@ class ExpectationSeries:
     ``q_mean`` is the analytic route, cross-checked against the numeric
     route at every sample; ``q_var`` is the position variance; ``anchor``
     is <q> of the reference amplitudes f(p), the position the shift fit
-    subtracts.  The arrays are copied as float64 and frozen.
+    subtracts.  The arrays are copied as float64 and frozen; every value
+    must be finite and the taus strictly increasing.
     """
 
     taus: np.ndarray
@@ -217,11 +220,13 @@ class ExpectationSeries:
     def __post_init__(self):
         for name in ("taus", "q_mean", "norm", "q_var"):
             arr = np.array(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "anchor", float(self.anchor))
-        if np.any(np.diff(self.taus) <= 0.0):
-            raise DomainError("tau samples must be strictly increasing")
+        _require_finite(self, "anchor")
+        _require_increasing(self.taus, "tau samples")
         for name in ("q_mean", "norm", "q_var"):
             if getattr(self, name).shape != self.taus.shape:
                 raise InvalidStateError(f"{name} length does not match taus")
@@ -306,7 +311,6 @@ def make_gaussian(
 
 def moments(state: MomentumState) -> Moments:
     """Momentum mean, raw second moment, and variance by grid quadrature."""
-    _check_normalized(state)
     p = state.grid.nodes
     dens = np.abs(state.amps) ** 2
     h = state.grid.h
@@ -322,7 +326,7 @@ def save_momentum_csv(state: MomentumState, path) -> None:
 
 
 def load_momentum_csv(path, tau: float = 0.0) -> MomentumState:
-    """Read a ``p,re,im`` file back into a state on a uniform grid."""
+    """Read a ``p,re,im`` file back into a normalized state on a uniform grid."""
     p_arr, re, im = _csv.read(path, ["p", "re", "im"])
     if p_arr.size < 2:
         raise InvalidStateError(f"{path}: holds fewer than 2 nodes")
@@ -330,4 +334,7 @@ def load_momentum_csv(path, tau: float = 0.0) -> MomentumState:
         raise InvalidStateError(f"{path}: nodes are not finite and evenly spaced")
     grid = MomentumGrid(float(p_arr[0]), float(p_arr[-1]), int(p_arr.size))
     amps = np.column_stack([re, im]).view(np.complex128).ravel()
-    return MomentumState(grid=grid, amps=amps, tau=tau)
+    try:
+        return MomentumState(grid=grid, amps=amps, tau=tau)
+    except InvalidStateError as exc:
+        raise InvalidStateError(f"{path}: {exc}") from None

@@ -40,10 +40,11 @@ from .model import (
     FrameModel,
     MomentumState,
     _check_norm,
-    _check_normalized,
     _evenly_spaced,
     _norm,
     _require_finite_tau,
+    _require_increasing,
+    _require_positive,
     _square,
 )
 
@@ -58,7 +59,7 @@ def phase_branch(tau: float, p: float, model: FrameModel) -> int:
     Boundaries belong to the earlier branch.  The kernel's own comparisons
     decide both boundaries, so the index names the formula it evaluates.
     """
-    _require_positive_momentum(p)
+    _require_positive(p, "momentum")
     p2 = p * p
     if tau <= 0.0:
         return 1
@@ -67,18 +68,13 @@ def phase_branch(tau: float, p: float, model: FrameModel) -> int:
     return 2 if _kernels.branch(p2, tau, model.lam)[0] >= 0.0 else 3
 
 
-def _require_positive_momentum(p: float) -> None:
-    if not p > 0.0:
-        raise DomainError(f"momentum must be positive, got {p}")
-
-
 def phase_theta(phi: float, p: float, model: FrameModel) -> float:
     """Accumulated phase as a function of the raw frame value phi.
 
     Linear before the potential region, Airy-type inside it; only defined
     up to the turning point of the given momentum component.
     """
-    _require_positive_momentum(p)
+    _require_positive(p, "momentum")
     lam, p2 = model.lam, p * p
     if _kernels.branch(p2, phi, lam)[0] < 0.0:
         raise DomainError(
@@ -89,7 +85,7 @@ def phase_theta(phi: float, p: float, model: FrameModel) -> float:
 
 def total_phase(tau: float, p: float, model: FrameModel) -> float:
     """Accumulated evolution phase Phi(tau, p) along the monotonic scale."""
-    _require_positive_momentum(p)
+    _require_positive(p, "momentum")
     _require_finite_tau(tau)
     out = _kernels.phase_profile(np.array([float(p)]), float(tau), model.lam)
     return float(out[0])
@@ -100,7 +96,7 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
 
     Position expectations follow as q0 + integral of |f|^2 D.
     """
-    _require_positive_momentum(p)
+    _require_positive(p, "momentum")
     _require_finite_tau(tau)
     p_arr = np.array([float(p)])
     _, out = _kernels.phase_and_displacement(p_arr, float(tau), model.lam)
@@ -162,7 +158,6 @@ def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float) -> float:
 
 def position_expectation_numeric(state: MomentumState, model: FrameModel) -> float:
     """Position expectation from finite differences of the evolved state."""
-    _check_normalized(state)
     amps, h, hbar = state.amps, state.grid.h, model.hbar
     value, residual = _fd_position_mean(
         amps, _derivative(amps, h), h, hbar, _boundary_term(np.abs(amps), h, hbar)
@@ -211,7 +206,6 @@ def position_expectation_analytic(
     initial: MomentumState, tau: float, model: FrameModel
 ) -> float:
     """Position expectation from the displacement-kernel quadrature."""
-    _check_normalized(initial)
     _require_finite_tau(tau)
     grid = initial.grid
     _, kernel = _kernels.phase_and_displacement(grid.nodes, float(tau), model.lam)
@@ -220,7 +214,6 @@ def position_expectation_analytic(
 
 def position_variance(state: MomentumState, model: FrameModel) -> float:
     """Position variance via the symmetric form hbar^2 sum |dpsi/dp|^2 h."""
-    _check_normalized(state)
     amps, h = state.amps, state.grid.h
     d = _derivative(amps, h)
     mean_q, _ = _fd_position_mean(amps, d, h, model.hbar, 0.0)
@@ -245,7 +238,6 @@ def to_position_representation(
     ``coverage_ok`` is cleared when the squared norm over the window
     deviates from 1 by more than 1e-3 (insufficient coverage).
     """
-    _check_normalized(state)
     q = np.asarray(q_grid, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError("q_grid must be a 1-d array with at least 2 nodes")
@@ -278,10 +270,7 @@ def expectation_series(initial: MomentumState, taus,
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 1 or taus.shape[0] == 0:
         raise DomainError("need a non-empty 1-d array of tau samples")
-    _require_finite_tau(taus)
-    if np.any(np.diff(taus) <= 0.0):
-        raise DomainError("tau samples must be strictly increasing")
-    _check_normalized(initial)
+    _require_increasing(taus, "tau samples")
     ref = _reference(initial, model)
     p, h, hbar = initial.grid.nodes, initial.grid.h, model.hbar
     start = _kernels.phase_profile(p, float(initial.tau), model.lam)

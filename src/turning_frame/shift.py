@@ -19,6 +19,7 @@ from .model import (
     MomentumState,
     ShiftConvention,
     ShiftReport,
+    _require_positive,
     moments,
 )
 from .classical import classical_shift
@@ -30,8 +31,7 @@ MIN_FIT_SAMPLES = 3
 
 def quantum_shift_analytic(mean_p2: float, model: FrameModel) -> float:
     """Quantum displacement -2 <p^2> / lam (note the sign reversal)."""
-    if not mean_p2 > 0.0:
-        raise DomainError(f"mean square momentum must be positive, got {mean_p2}")
+    _require_positive(mean_p2, "mean square momentum")
     return -2.0 * mean_p2 / model.lam
 
 

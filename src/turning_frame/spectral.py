@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
-from .model import FrameModel
+from .model import FrameModel, _require_increasing
 
 # Sum |c|^2 over a discrete spectrum is exact up to rounding, so it is held
 # to 1e-9; model.NORM_TOLERANCE (1e-6) bounds a grid quadrature of |f|^2
@@ -38,10 +38,9 @@ class SpectralState:
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if energies.ndim != 1 or energies.shape != coeffs.shape:
             raise InvalidStateError("energies and coeffs must be matching 1-d arrays")
-        if not np.all(np.isfinite(energies) & (energies > 0.0)):
-            raise DomainError("all energies must be finite and positive")
-        if np.any(np.diff(energies) <= 0.0):
-            raise DomainError("energies must be strictly increasing")
+        _require_increasing(energies, "energies")
+        if not np.all(energies > 0.0):
+            raise DomainError("all energies must be positive")
         norm2 = float(np.sum(np.abs(coeffs) ** 2))
         if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise InvalidStateError(

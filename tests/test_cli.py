@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from turning_frame import ClassicalState, FrameModel, q_of_tau
 from turning_frame.cli import FLAGS, main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BASE_CONFIG = {
     "model": {"lambda": 4.0, "hbar": 1.0, "convention": "mean_momentum"},
     "state": {"q0": 4.0, "p0": 1.25, "sigma": 1.0, "mode": "truncate_positive"},
@@ -171,6 +172,14 @@ def test_shift_pipeline_reference_value(tmp_path, capsys):
     np.testing.assert_allclose(data[:, 4], 1.0, atol=1e-9)
     classical = q_of_tau(data[:, 0], ClassicalState(q0=4.0, p=1.25), FrameModel(4.0))
     assert data[:, 1].tobytes() == classical.tobytes()
+
+
+def test_reference_config_holds_the_digest(tmp_path):
+    """The checked-in reference run: a refactor may not move delta_q_total."""
+    cfg = CONFIGS / "shift_reference.json"
+    assert main(["shift", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "shift_reference_report.json").read_text())
+    assert report["delta_q_total"] == pytest.approx(-1.7049193085925887, abs=1e-12)
 
 
 def test_shift_convention_override(tmp_path):
@@ -334,6 +343,22 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert code == 0
     _, data = read_csv(capsys.readouterr().out.strip())
     assert data[-1, 2] == pytest.approx(2.5)  # q(2) for q0=0, p=1, lam=4
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classical", "--sigma"), ("classical", "--mode"), ("classical", "--p-min"),
+    ("classical", "--p-max"), ("classical", "--n"), ("evolve", "--tau-start"),
+    ("evolve", "--tau-stop"), ("evolve", "--tau-num"),
+])
+def test_command_refuses_flags_of_fields_it_never_reads(tmp_path, capsys,
+                                                         command, flag):
+    cfg = write_config(tmp_path, snapshots=[0.5])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--outdir", str(out), flag, "1"]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--help"]) == 0
+    assert flag not in capsys.readouterr().out
 
 
 def test_outdir_env_default(tmp_path, monkeypatch, capsys):

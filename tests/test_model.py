@@ -151,17 +151,14 @@ def test_moments_trivial_point_masses():
     assert got == pytest.approx((2.0, 5.0, 1.0))
 
 
-def test_moments_rejects_unnormalized_state(trunc_grid):
-    state = MomentumState(grid=trunc_grid, amps=np.ones(trunc_grid.n), tau=0.0)
+def test_unnormalized_state_is_refused_when_built(trunc_grid):
     with pytest.raises(InvalidStateError):
-        moments(state)
+        MomentumState(grid=trunc_grid, amps=np.ones(trunc_grid.n), tau=0.0)
 
 
-def test_moments_rejects_nan_state(trunc_grid):
-    state = MomentumState(grid=trunc_grid, amps=np.full(trunc_grid.n, np.nan),
-                          tau=0.0)
+def test_nan_state_is_refused_when_built(trunc_grid):
     with pytest.raises(InvalidStateError):
-        moments(state)
+        MomentumState(grid=trunc_grid, amps=np.full(trunc_grid.n, np.nan), tau=0.0)
 
 
 def test_moment_convergence_on_doubling(ref_spec, model):
@@ -211,6 +208,12 @@ def test_expectation_series_validation():
             q_var=np.zeros(2),
             anchor=0.0,
         )
+    valid = dict(taus=[0.0, 1.0, 2.0], q_mean=np.zeros(3), norm=np.ones(3),
+                 q_var=np.zeros(3), anchor=0.0)
+    for field, nan_value in (("taus", [0.0, math.nan, 2.0]), ("anchor", math.nan),
+                             ("q_mean", [0.0, math.nan, 0.0])):
+        with pytest.raises(DomainError):
+            ExpectationSeries(**{**valid, field: nan_value})
 
 
 def test_expectation_series_is_immutable():

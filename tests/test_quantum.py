@@ -375,10 +375,9 @@ def test_position_profile_rejects_nonuniform_grid(wide_state, model):
             to_position_representation(wide_state, np.array(q_grid), model)
 
 
-def test_nan_state_is_not_rendered(wide_grid, model):
-    state = MomentumState(grid=wide_grid, amps=np.full(wide_grid.n, np.nan), tau=0.0)
+def test_nan_state_is_refused_before_rendering(wide_grid):
     with pytest.raises(InvalidStateError):
-        to_position_representation(state, np.linspace(-2.0, 12.0, 11), model)
+        MomentumState(grid=wide_grid, amps=np.full(wide_grid.n, np.nan), tau=0.0)
 
 
 # -- expectation series -----------------------------------------------------

@@ -142,7 +142,7 @@ def test_observable_csv_roundtrip(tmp_path):
 CRLF_FILES = {
     "momentum": (load_momentum_csv, save_momentum_csv,
                  lambda state: [state.grid.nodes, state.amps],
-                 "p,re,im\r\n0.5,-0,1\r\n1,4.9406564584124654e-324,0.25\r\n"),
+                 "p,re,im\r\n0.5,-0,1\r\n1,4.9406564584124654e-324,1\r\n"),
     "spectral": (load_spectral_csv, save_spectral_csv,
                  lambda state: [state.energies, state.coeffs],
                  "E,re,im\r\n1,0.59999999999999998,-0\r\n2,0,0.80000000000000004\r\n"),
@@ -174,6 +174,7 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\nnan,0,0\n2,0,0\n", id="momentum-nan-node"),
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\nnan,0,0\n", id="momentum-nan-last-node"),
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\ninf,0,0\n", id="momentum-inf-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,1,0\n", id="momentum-unnormalized"),
     pytest.param(load_spectral_csv, "", id="spectral-empty"),
     pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
     pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
