@@ -11,6 +11,11 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
+* A series over tau computes the grid invariants once (``invariants``)
+  and passes one set of ``buffers`` to every tau; the per-tau kernels
+  write into them with the same expressions, in the same order, as a
+  single call, which allocates its arrays instead.  Results are
+  bit-identical either way.
 * The plane-wave sum onto a position grid is a chirp-z transform
   (Bluestein's algorithm), O((N_p + N_q) log(N_p + N_q)) instead of the
   direct O(N_p N_q) sum; both grids must be uniform.
@@ -19,53 +24,141 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 _SNAP = 8.0 * float(np.finfo(np.float64).eps)
 
 
-def branch(p2, tau, lam):
-    """(u, s): u = p2 - lam tau snapped to 0 at the turning point, s = sqrt|u|."""
-    u = p2 - lam * tau
-    u = np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
-    return u, np.sqrt(np.abs(u))
+class Invariants(NamedTuple):
+    """The tau-invariant arrays of ``phase_and_displacement`` on nodes p.
+
+    Each is the subexpression the per-tau formulas evaluate, so a series
+    computes them once with ``invariants`` and every tau gets the same bits.
+    """
+
+    p2: np.ndarray        # p^2
+    snap: np.ndarray      # _SNAP p^2, the snap width of ``branch``
+    p3: np.ndarray        # p^2 p of the turning-region phase
+    cubic: np.ndarray     # (2/3) p^2 p / lam of the late phase
+    two_p: np.ndarray     # 2 p of the approaching displacement
+    exit: np.ndarray      # 2 p^2 / lam of the late displacement
+    positive: np.ndarray  # p > 0, where the approaching rewrite holds
 
 
-def before_exit(p2, tau, lam):
+def _phase_terms(p, lam):
+    p2 = p * p
+    return p2, _SNAP * p2, p2 * p, (2.0 / 3.0) * p2 * p / lam
+
+
+def invariants(p, lam) -> Invariants:
+    """Compute the tau-invariant arrays of ``phase_and_displacement``."""
+    p2, snap, p3, cubic = _phase_terms(p, lam)
+    return Invariants(p2, snap, p3, cubic, 2.0 * p, 2.0 * p2 / lam, p > 0.0)
+
+
+class Buffers(NamedTuple):
+    """Arrays the per-tau kernels write into in place of new ones.
+
+    A series allocates one set with ``buffers`` and passes it at every tau,
+    so Phi and D come back in ``phi`` and ``d`` and are overwritten by the
+    next call.  A field left None is allocated by the kernel, as a single
+    call does.
+    """
+
+    phi: np.ndarray | None = None
+    d: np.ndarray | None = None
+    u: np.ndarray | None = None
+    s: np.ndarray | None = None
+    t: np.ndarray | None = None
+    mask: np.ndarray | None = None
+    early: np.ndarray | None = None
+
+
+def buffers(n: int) -> Buffers:
+    """One set of ``Buffers`` for a grid of n nodes."""
+    return Buffers(*np.empty((5, n)), *np.empty((2, n), dtype=bool))
+
+
+_FRESH = Buffers()
+
+
+def branch(p2, tau, lam, snap=None, out=_FRESH):
+    """(u, s): u = p2 - lam tau snapped to 0 at the turning point, s = sqrt|u|.
+
+    ``snap`` is ``_SNAP * p2``, computed here unless the caller holds it;
+    ``out`` receives u, |u| and the snap mask in its ``u``, ``s`` and
+    ``mask`` arrays.
+    """
+    u = np.subtract(p2, lam * tau, out=out.u)
+    turning = np.less_equal(np.abs(u, out=out.s),
+                            _SNAP * p2 if snap is None else snap, out=out.mask)
+    if out.u is None:  # u may be a scalar, which has no in-place select
+        u = np.where(turning, 0.0, u)
+    else:
+        np.copyto(u, 0.0, where=turning)
+    return u, np.sqrt(np.abs(u, out=out.s), out=out.s)
+
+
+def before_exit(p2, tau, lam, out=None):
     """True where tau <= 2 p2/lam, before the frame leaves the potential."""
-    return p2 >= 0.5 * lam * tau
+    return np.greater_equal(p2, 0.5 * lam * tau, out=out)
 
 
-def _phase(p, p2, tau, lam, u, s, early):
+def _phase(p, tau, lam, p3, cubic, u, s, early, out=None, work=None):
     # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
-    mid = (2.0 / 3.0) * (p2 * p - u * s) / lam
-    return np.where(early, mid, p * tau - (2.0 / 3.0) * p2 * p / lam)
+    mid = np.multiply(u, s, out=work)
+    np.subtract(p3, mid, out=mid)
+    np.multiply(2.0 / 3.0, mid, out=mid)
+    mid /= lam
+    phase = np.multiply(p, tau, out=out)
+    phase -= cubic
+    np.copyto(phase, mid, where=early)
+    return phase
 
 
 def phase_profile(p, tau, lam):
     """Accumulated evolution phase for every momentum node at scale tau."""
     if tau <= 0.0:
         return p * tau
-    p2 = p * p
-    return _phase(p, p2, tau, lam, *branch(p2, tau, lam), before_exit(p2, tau, lam))
+    p2, snap, p3, cubic = _phase_terms(p, lam)
+    u, s = branch(p2, tau, lam, snap)
+    return _phase(p, tau, lam, p3, cubic, u, s, before_exit(p2, tau, lam))
 
 
-def phase_and_displacement(p, tau, lam):
-    """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp."""
+def phase_and_displacement(p, tau, lam, inv=None, out=_FRESH):
+    """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
+
+    ``inv`` is ``invariants(p, lam)``, computed here unless the caller
+    holds it; ``out`` receives Phi, D and every intermediate array.
+    """
     if tau <= 0.0:
-        return p * tau, np.full_like(p, tau)
-    p2 = p * p
-    u, s = branch(p2, tau, lam)
-    early = before_exit(p2, tau, lam)
+        if out.d is None:
+            return p * tau, np.full_like(p, tau)
+        out.d.fill(tau)
+        return np.multiply(p, tau, out=out.phi), out.d
+    if inv is None:
+        inv = invariants(p, lam)
+    u, s = branch(inv.p2, tau, lam, inv.snap, out)
+    early = before_exit(inv.p2, tau, lam, out.early)
+    phase = _phase(p, tau, lam, inv.p3, inv.cubic, u, s, early, out.phi, out.t)
     # Approaching branch: 2(p^2 - p sqrt(u))/lam rewritten as 2 p tau/(p+sqrt(u))
     # to avoid the p^2 - p*sqrt(p^2 - lam*tau) cancellation near tau -> 0.
-    # The rewrite needs p + sqrt(u) > 0, so keep the direct form for p <= 0.
-    approaching = (u >= 0.0) & (p > 0.0)
-    denom = np.where(approaching, p + s, 1.0)
-    mid = np.where(approaching, 2.0 * p * tau / denom, 2.0 * (p2 - p * s) / lam)
-    late = tau - 2.0 * p2 / lam
-    return _phase(p, p2, tau, lam, u, s, early), np.where(early, mid, late)
+    # The rewrite needs p + sqrt(u) > 0, so it replaces the direct form only
+    # where u >= 0 and p > 0.  Each array is dead once read, so s then u
+    # take the next intermediates.
+    approaching = np.greater_equal(u, 0.0, out=out.mask)
+    approaching &= inv.positive
+    denom = np.add(p, s, out=out.t)
+    mid = np.multiply(p, s, out=s)
+    np.subtract(inv.p2, mid, out=mid)
+    np.multiply(2.0, mid, out=mid)
+    mid /= lam
+    np.divide(np.multiply(inv.two_p, tau, out=u), denom, out=mid, where=approaching)
+    d = np.subtract(tau, inv.exit, out=out.d)
+    np.copyto(d, mid, where=early)
+    return phase, d
 
 
 def classical_position_profile(taus, q0, p, lam):
@@ -80,16 +173,26 @@ def classical_position_profile(taus, q0, p, lam):
     return np.where(taus <= 0.0, q0 + taus, out)
 
 
-def apply_phase(amps, phase, hbar):
-    """Multiply amplitudes by exp(-i phase / hbar)."""
-    return amps * np.exp(-1j * phase / hbar)
+def apply_phase(amps, phase, hbar, out=None):
+    """Multiply amplitudes by exp(-i phase / hbar); ``out`` receives the product."""
+    z = np.multiply(-1j, phase, out=out)
+    z /= hbar
+    np.exp(z, out=z)
+    return np.multiply(amps, z, out=z)
 
 
-def derivative(values, h):
-    """Fourth-order finite-difference derivative on a uniform grid (n >= 5)."""
-    d = np.empty_like(values)
-    d[2:-2] = (values[:-4] - 8.0 * values[1:-3]
-               + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
+def derivative(values, h, out=None, work=None):
+    """Fourth-order finite-difference derivative on a uniform grid (n >= 5).
+
+    ``out`` receives the derivative and ``work``, shaped like ``values``,
+    the scratch 8 values of the interior stencil.
+    """
+    d = np.empty_like(values) if out is None else out
+    eight = np.multiply(8.0, values[1:-1], out=None if work is None else work[1:-1])
+    inner = np.subtract(values[:-4], eight[:-2], out=d[2:-2])
+    inner += eight[2:]
+    inner -= values[4:]
+    inner /= 12.0 * h
     d[0] = (-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
             + 16.0 * values[3] - 3.0 * values[4]) / (12.0 * h)
     d[1] = (-3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]

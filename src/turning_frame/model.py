@@ -26,8 +26,15 @@ from .errors import DomainError, InvalidStateError, ResolutionError
 NORM_TOLERANCE = 1e-6
 
 
-def _norm(amps: np.ndarray, h: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(amps) ** 2) * h))
+def _norm(amps: np.ndarray, h: float, out=None) -> float:
+    """sqrt(sum |amps|^2 h); ``out`` receives |amps|^2.
+
+    A huge amplitude overflows to an infinite norm, which ``_check_norm``
+    refuses, so the overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        square = np.square(np.abs(amps, out=out), out=out)
+        return float(np.sqrt(np.add.reduce(square) * h))
 
 
 def _check_norm(norm: float) -> None:
@@ -226,6 +233,8 @@ class ExpectationSeries:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "anchor", float(self.anchor))
         _require_finite(self, "anchor")
+        if self.taus.ndim != 1:
+            raise DomainError("tau samples must be a 1-d array")
         _require_increasing(self.taus, "tau samples")
         for name in ("q_mean", "norm", "q_var"):
             if getattr(self, name).shape != self.taus.shape:

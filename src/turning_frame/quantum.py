@@ -14,7 +14,9 @@ The pair forms a self-validating oracle; they share nothing below the
 state container except the anchor definition.  :func:`expectation_series`
 runs both routes at every tau and checks one against the other, takes the
 variance from the numeric route's stencil, and carries the anchor, which
-the shift fit subtracts from its intercept.
+the shift fit subtracts from its intercept.  It computes the grid
+invariants of the kernels once and reuses one set of buffers at every
+tau, with the same expressions as the single-tau functions.
 
 For states truncated at the grid edge, the inner product
 ``i hbar <psi, d psi/dp>`` acquires an exact imaginary boundary term
@@ -113,10 +115,10 @@ def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumSta
     return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
 
 
-def _derivative(values: np.ndarray, h: float) -> np.ndarray:
+def _derivative(values: np.ndarray, h: float, out=None, work=None) -> np.ndarray:
     if values.shape[0] < MIN_DERIVATIVE_NODES:
         raise ResolutionError("derivative stencils need at least 5 grid nodes")
-    return _kernels.derivative(values, h)
+    return _kernels.derivative(values, h, out=out, work=work)
 
 
 def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
@@ -129,14 +131,17 @@ def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
 
 
 def _fd_position_mean(
-    amps: np.ndarray, d: np.ndarray, h: float, hbar: float, boundary: float
+    amps: np.ndarray, d: np.ndarray, h: float, hbar: float, boundary: float,
+    out=None,
 ) -> tuple[float, float]:
     """(mean, imaginary residual) of i hbar <psi, dpsi/dp> on the grid.
 
     ``d`` is the stencil derivative of ``amps``; the truncation term
-    ``boundary`` is removed before the residual is reported.
+    ``boundary`` is removed before the residual is reported.  ``out``
+    receives the integrand.
     """
-    raw = 1j * hbar * np.sum(np.conj(amps) * d) * h
+    integrand = np.multiply(np.conj(amps, out=out), d, out=out)
+    raw = 1j * hbar * np.add.reduce(integrand) * h
     return float(raw.real), float(abs(raw.imag - boundary))
 
 
@@ -147,9 +152,14 @@ def _check_residual(residual: float, where: str) -> None:
         )
 
 
-def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float) -> float:
-    """<q^2> - <q>^2 with <q^2> = hbar^2 sum |dpsi/dp|^2 h (symmetric form)."""
-    mean_q2 = _square(hbar, "hbar") * float(np.sum(np.abs(d) ** 2) * h)
+def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float,
+              out=None) -> float:
+    """<q^2> - <q>^2 with <q^2> = hbar^2 sum |dpsi/dp|^2 h (symmetric form).
+
+    ``out`` receives |dpsi/dp|^2.
+    """
+    square = np.square(np.abs(d, out=out), out=out)
+    mean_q2 = _square(hbar, "hbar") * float(np.add.reduce(square) * h)
     var = mean_q2 - _square(mean_q, "mean position")
     if not var >= -1e-9:
         raise ConsistencyError(f"variance {var:.3e} is negative beyond tolerance")
@@ -198,8 +208,11 @@ def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
     return _Reference(anchor, modulus**2, boundary)
 
 
-def _analytic_mean(ref: _Reference, kernel: np.ndarray, h: float) -> float:
-    return ref.anchor + float(np.sum(ref.density * kernel) * h)
+def _analytic_mean(ref: _Reference, kernel: np.ndarray, h: float,
+                   out=None) -> float:
+    """anchor + sum |f|^2 D h; ``out`` receives the integrand."""
+    integrand = np.multiply(ref.density, kernel, out=out)
+    return ref.anchor + float(np.add.reduce(integrand) * h)
 
 
 def position_expectation_analytic(
@@ -262,35 +275,43 @@ def expectation_series(initial: MomentumState, taus,
     :class:`ConsistencyError` naming the offending tau.  The tau-invariant
     work is done once: the anchor, the density |f|^2 and the truncation
     term, which depends on |psi| = |f| only because the evolution is a
-    unimodular phase.  Each sample then runs one derivative stencil, which
-    serves both the numeric route and the variance, so every value equals
-    that of the single-tau functions bit for bit.  Samples are evaluated
-    in order and summed in fixed order.
+    unimodular phase, and so are the tau-invariant arrays of the kernel
+    (:func:`_kernels.invariants`).  Each sample then runs one derivative
+    stencil, which serves both the numeric route and the variance.  Every
+    sample writes into one set of buffers allocated per series, through
+    the same expressions as the single-tau functions, so every value
+    equals theirs bit for bit.  Samples are evaluated in order and summed
+    in fixed order.
     """
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 1 or taus.shape[0] == 0:
         raise DomainError("need a non-empty 1-d array of tau samples")
     _require_increasing(taus, "tau samples")
     ref = _reference(initial, model)
-    p, h, hbar = initial.grid.nodes, initial.grid.h, model.hbar
-    start = _kernels.phase_profile(p, float(initial.tau), model.lam)
+    p, h, hbar, lam = initial.grid.nodes, initial.grid.h, model.hbar, model.lam
+    start = _kernels.phase_profile(p, float(initial.tau), lam)
+    inv = _kernels.invariants(p, lam)
+    buf = _kernels.buffers(p.shape[0])
+    psi, stencil, work = np.empty((3, p.shape[0]), dtype=np.complex128)
+    real = np.empty_like(p)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
     q_var = np.empty_like(taus)
     for k, tau in enumerate(taus):
-        phase, kernel = _kernels.phase_and_displacement(p, float(tau), model.lam)
-        q_mean[k] = _analytic_mean(ref, kernel, h)
-        amps = _kernels.apply_phase(initial.amps, phase - start, hbar)
-        norms[k] = _norm(amps, h)
+        phase, kernel = _kernels.phase_and_displacement(p, float(tau), lam, inv, buf)
+        q_mean[k] = _analytic_mean(ref, kernel, h, real)
+        phase -= start
+        amps = _kernels.apply_phase(initial.amps, phase, hbar, out=psi)
+        norms[k] = _norm(amps, h, real)
         _check_norm(norms[k])
-        d = _derivative(amps, h)
-        numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary)
+        d = _derivative(amps, h, out=stencil, work=work)
+        numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, work)
         _check_residual(residual, f" at tau={tau}; grid too coarse for its phase")
         if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
             raise ConsistencyError(
                 f"analytic/numeric expectation mismatch "
                 f"{abs(numeric - q_mean[k]):.3e} at tau={tau}"
             )
-        q_var[k] = _variance(d, numeric, h, hbar)
+        q_var[k] = _variance(d, numeric, h, hbar, real)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

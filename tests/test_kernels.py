@@ -34,6 +34,110 @@ def test_phase_profile_is_the_fused_phase(p_lo, p_span, n, tau, lam):
     assert K.phase_profile(p, tau, lam).tobytes() == phase.tobytes()
 
 
+# -- reference: the allocating kernels the buffered ones must reproduce ----
+
+_REF_SNAP = 8.0 * float(np.finfo(np.float64).eps)
+
+
+def _ref_branch(p2, tau, lam):
+    u = p2 - lam * tau
+    u = np.where(np.abs(u) <= _REF_SNAP * p2, 0.0, u)
+    return u, np.sqrt(np.abs(u))
+
+
+def _ref_phase(p, p2, tau, lam, u, s, early):
+    mid = (2.0 / 3.0) * (p2 * p - u * s) / lam
+    return np.where(early, mid, p * tau - (2.0 / 3.0) * p2 * p / lam)
+
+
+def ref_phase_and_displacement(p, tau, lam):
+    if tau <= 0.0:
+        return p * tau, np.full_like(p, tau)
+    p2 = p * p
+    u, s = _ref_branch(p2, tau, lam)
+    early = p2 >= 0.5 * lam * tau
+    approaching = (u >= 0.0) & (p > 0.0)
+    denom = np.where(approaching, p + s, 1.0)
+    mid = np.where(approaching, 2.0 * p * tau / denom, 2.0 * (p2 - p * s) / lam)
+    late = tau - 2.0 * p2 / lam
+    return _ref_phase(p, p2, tau, lam, u, s, early), np.where(early, mid, late)
+
+
+def ref_apply_phase(amps, phase, hbar):
+    return amps * np.exp(-1j * phase / hbar)
+
+
+def ref_derivative(values, h):
+    d = np.empty_like(values)
+    d[2:-2] = (values[:-4] - 8.0 * values[1:-3]
+               + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
+    d[0] = (-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
+            + 16.0 * values[3] - 3.0 * values[4]) / (12.0 * h)
+    d[1] = (-3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
+            - 6.0 * values[3] + values[4]) / (12.0 * h)
+    d[-2] = (3.0 * values[-1] + 10.0 * values[-2] - 18.0 * values[-3]
+             + 6.0 * values[-4] - values[-5]) / (12.0 * h)
+    d[-1] = (25.0 * values[-1] - 48.0 * values[-2] + 36.0 * values[-3]
+             - 16.0 * values[-4] + 3.0 * values[-5]) / (12.0 * h)
+    return d
+
+
+def _marked_tau(p, lam, pick):
+    """tau at 0, a node's turning point p^2/lam or its exit 2 p^2/lam,
+    moved by -1, 0 or +1 units in the last place."""
+    node, multiple, ulps = pick
+    tau = multiple * (p[node % p.size] ** 2 / lam)
+    for _ in range(abs(ulps)):
+        tau = np.nextafter(tau, ulps * np.inf)
+    return float(tau)
+
+
+_WIDE_PICKS = [(node, multiple, ulps) for node in range(0, 8192, 397)
+               for multiple in (0.0, 1.0, 2.0) for ulps in (-1, 0, 1)]
+
+
+# Grids reach p <= 0; tau sits on and one ulp beside 0, the turning points
+# and the exits of the nodes, plus free values up past every exit.  One set
+# of buffers serves every tau, in shuffled order, so a snap mask or branch
+# select left by one tau that leaked into the next would show.
+@settings(max_examples=60, deadline=None)
+@given(
+    p_lo=st.floats(-3.0, 3.0),
+    p_span=st.floats(0.1, 6.0),
+    n=st.integers(5, 64),
+    lam=st.floats(1e-3, 1e3),
+    hbar=st.floats(0.05, 2.0),
+    picks=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from([0.0, 1.0, 2.0]),
+                             st.integers(-1, 1)), max_size=12),
+    free=st.lists(st.floats(-5.0, 20.0), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p_lo=-2.5, p_span=8.0, n=8192, lam=4.0, hbar=1.0, picks=_WIDE_PICKS,
+         free=list(np.linspace(-1.0, 16.0, 35)), seed=0)
+def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, hbar,
+                                                         picks, free, seed):
+    rng = np.random.default_rng(seed)
+    p = np.linspace(p_lo, p_lo + p_span, n)
+    h = p[1] - p[0]
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    taus = [_marked_tau(p, lam, pick) for pick in picks] + free
+    rng.shuffle(taus)
+    inv, buf = K.invariants(p, lam), K.buffers(n)
+    psi, stencil, work = np.empty((3, n), dtype=np.complex128)
+    for tau in taus:
+        phase, kernel = ref_phase_and_displacement(p, tau, lam)
+        for got in (K.phase_and_displacement(p, tau, lam, inv, buf),
+                    K.phase_and_displacement(p, tau, lam)):
+            assert got[0].tobytes() == phase.tobytes(), tau
+            assert got[1].tobytes() == kernel.tobytes(), tau
+        evolved = ref_apply_phase(amps, phase, hbar)
+        assert K.apply_phase(amps, phase, hbar, out=psi).tobytes() == evolved.tobytes()
+        assert K.apply_phase(amps, phase, hbar).tobytes() == evolved.tobytes()
+        d = ref_derivative(evolved, h)
+        assert K.derivative(evolved, h, out=stencil, work=work).tobytes() == d.tobytes()
+        assert K.derivative(evolved, h).tobytes() == d.tobytes()
+
+
 def test_derivative_is_fourth_order():
     """Exact for quartics, converging at h^4 on a transcendental."""
     x = np.linspace(0.0, 1.0, 21)

@@ -154,6 +154,8 @@ def test_moments_trivial_point_masses():
 def test_unnormalized_state_is_refused_when_built(trunc_grid):
     with pytest.raises(InvalidStateError):
         MomentumState(grid=trunc_grid, amps=np.ones(trunc_grid.n), tau=0.0)
+    with pytest.raises(InvalidStateError):  # |amps|^2 overflows to inf
+        MomentumState(MomentumGrid(0.5, 1.0, 3), np.full(3, 1e200), 0.0)
 
 
 def test_nan_state_is_refused_when_built(trunc_grid):
@@ -214,6 +216,8 @@ def test_expectation_series_validation():
                              ("q_mean", [0.0, math.nan, 0.0])):
         with pytest.raises(DomainError):
             ExpectationSeries(**{**valid, field: nan_value})
+    with pytest.raises(DomainError):
+        ExpectationSeries(np.float64(1.0), 0.0, 1.0, 0.0, 0.0)
 
 
 def test_expectation_series_is_immutable():

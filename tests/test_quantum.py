@@ -423,6 +423,18 @@ def test_series_equals_single_tau_functions(q0, p0, sigma, lam, hbar, tau0,
     state = make_gaussian(GaussianSpec(q0, p0, sigma), grid, model, tau0=tau0)
     stop = 1.15 * 2.0 * grid.p_max**2 / lam
     taus = np.unique(-1.0 + np.array(fractions) * (stop + 1.0))
+    _assert_series_equals_single_tau_functions(state, taus, model)
+
+
+def test_wide_series_equals_single_tau_functions(wide_state, model):
+    """The same on the 8192-node raw grid [-2.5, 5.5], whose nodes p <= 0
+    take the direct form of the displacement kernel."""
+    taus = np.linspace(-1.0, 16.0, 35)
+    series = _assert_series_equals_single_tau_functions(wide_state, taus, model)
+    np.testing.assert_allclose(series.q_mean[:3], [3.0, 3.5, 4.0], atol=1e-9)
+
+
+def _assert_series_equals_single_tau_functions(state, taus, model):
     series = expectation_series(state, taus, model)
     # D(0, p) = 0, so the analytic route at tau = 0 is the anchor itself
     assert series.anchor == position_expectation_analytic(state, 0.0, model)
@@ -433,6 +445,7 @@ def test_series_equals_single_tau_functions(q0, p0, sigma, lam, hbar, tau0,
         assert series.norm[k] == evolved.norm()
         assert series.q_var[k] == position_variance(evolved, model)
         assert abs(position_expectation_numeric(evolved, model) - analytic) <= 1e-4
+    return series
 
 
 def test_series_runs_one_stencil_per_tau(trunc_state, model, monkeypatch):
@@ -441,9 +454,9 @@ def test_series_runs_one_stencil_per_tau(trunc_state, model, monkeypatch):
     calls = []
     genuine = _kernels.derivative
 
-    def counted(values, h):
+    def counted(values, h, **buffers):
         calls.append(values.shape)
-        return genuine(values, h)
+        return genuine(values, h, **buffers)
 
     monkeypatch.setattr(_kernels, "derivative", counted)
     taus = np.linspace(-1.0, 16.0, 41)

@@ -175,6 +175,7 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\nnan,0,0\n", id="momentum-nan-last-node"),
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\ninf,0,0\n", id="momentum-inf-node"),
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,1,0\n", id="momentum-unnormalized"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1e200,0\n1,0,0\n", id="momentum-overflowing"),
     pytest.param(load_spectral_csv, "", id="spectral-empty"),
     pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
     pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
