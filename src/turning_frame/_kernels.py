@@ -11,9 +11,9 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
-* A series over tau computes the grid invariants once (``invariants``)
-  and passes one set of ``buffers`` to every tau; the per-tau kernels
-  write into them with the same expressions, in the same order, as a
+* A series over tau builds one ``workspace``: the grid invariants and
+  every array a tau overwrites.  Each per-tau kernel takes it as ``ws``
+  and writes into it with the same expressions, in the same order, as a
   single call, which allocates its arrays instead.  Results are
   bit-identical either way.
 * The plane-wave sum onto a position grid is a chirp-z transform
@@ -31,88 +31,81 @@ import numpy as np
 _SNAP = 8.0 * float(np.finfo(np.float64).eps)
 
 
-class Invariants(NamedTuple):
-    """The tau-invariant arrays of ``phase_and_displacement`` on nodes p.
+class Workspace(NamedTuple):
+    """Every array the tau loop of a series reads or overwrites, on nodes p.
 
-    Each is the subexpression the per-tau formulas evaluate, so a series
-    computes them once with ``invariants`` and every tau gets the same bits.
+    The first seven are the tau-invariant subexpressions of
+    ``phase_and_displacement``, so every tau gets the same bits; the rest are
+    written at each tau and hold Phi, D, psi and the stencil until the next
+    one.  ``workspace`` fills all of them.  A kernel given the all-None
+    ``_FRESH`` allocates its arrays, as a single call does.
     """
 
-    p2: np.ndarray        # p^2
-    snap: np.ndarray      # _SNAP p^2, the snap width of ``branch``
-    p3: np.ndarray        # p^2 p of the turning-region phase
-    cubic: np.ndarray     # (2/3) p^2 p / lam of the late phase
-    two_p: np.ndarray     # 2 p of the approaching displacement
-    exit: np.ndarray      # 2 p^2 / lam of the late displacement
-    positive: np.ndarray  # p > 0, where the approaching rewrite holds
+    p2: np.ndarray | None = None        # p^2
+    snap: np.ndarray | None = None      # _SNAP p^2, the snap width of ``branch``
+    p3: np.ndarray | None = None        # p^2 p of the turning-region phase
+    cubic: np.ndarray | None = None     # (2/3) p^2 p / lam of the late phase
+    two_p: np.ndarray | None = None     # 2 p of the approaching displacement
+    exit: np.ndarray | None = None      # 2 p^2 / lam of the late displacement
+    positive: np.ndarray | None = None  # p > 0, where the approaching rewrite holds
+    phi: np.ndarray | None = None       # Phi
+    d: np.ndarray | None = None         # D
+    u: np.ndarray | None = None         # u, then 2 p tau
+    s: np.ndarray | None = None         # |u|, sqrt|u|, then the direct D form
+    t: np.ndarray | None = None         # the phase scratch, then p + sqrt(u)
+    mask: np.ndarray | None = None      # the snap mask, then the approaching one
+    early: np.ndarray | None = None     # before_exit
+    psi: np.ndarray | None = None       # the evolved amplitudes
+    stencil: np.ndarray | None = None   # their derivative
+    work: np.ndarray | None = None      # the stencil's 8 v, then an integrand
+    real: np.ndarray | None = None      # the integrand of a real reduction
+
+
+_FRESH = Workspace()
 
 
 def _phase_terms(p, lam):
     p2 = p * p
-    return p2, _SNAP * p2, p2 * p, (2.0 / 3.0) * p2 * p / lam
+    return p2, p2 * p, (2.0 / 3.0) * p2 * p / lam
 
 
-def invariants(p, lam) -> Invariants:
-    """Compute the tau-invariant arrays of ``phase_and_displacement``."""
-    p2, snap, p3, cubic = _phase_terms(p, lam)
-    return Invariants(p2, snap, p3, cubic, 2.0 * p, 2.0 * p2 / lam, p > 0.0)
+def workspace(p, lam) -> Workspace:
+    """The invariants on nodes p and one array of every per-tau kind."""
+    p2, p3, cubic = _phase_terms(p, lam)
+    n = p.shape[0]
+    return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p, 2.0 * p2 / lam, p > 0.0,
+                     *np.empty((5, n)), *np.empty((2, n), dtype=bool),
+                     *np.empty((3, n), dtype=np.complex128), np.empty(n))
 
 
-class Buffers(NamedTuple):
-    """Arrays the per-tau kernels write into in place of new ones.
-
-    A series allocates one set with ``buffers`` and passes it at every tau,
-    so Phi and D come back in ``phi`` and ``d`` and are overwritten by the
-    next call.  A field left None is allocated by the kernel, as a single
-    call does.
-    """
-
-    phi: np.ndarray | None = None
-    d: np.ndarray | None = None
-    u: np.ndarray | None = None
-    s: np.ndarray | None = None
-    t: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    early: np.ndarray | None = None
-
-
-def buffers(n: int) -> Buffers:
-    """One set of ``Buffers`` for a grid of n nodes."""
-    return Buffers(*np.empty((5, n)), *np.empty((2, n), dtype=bool))
-
-
-_FRESH = Buffers()
-
-
-def branch(p2, tau, lam, snap=None, out=_FRESH):
+def branch(p2, tau, lam, ws=_FRESH):
     """(u, s): u = p2 - lam tau snapped to 0 at the turning point, s = sqrt|u|.
 
-    ``snap`` is ``_SNAP * p2``, computed here unless the caller holds it;
-    ``out`` receives u, |u| and the snap mask in its ``u``, ``s`` and
-    ``mask`` arrays.
+    The snap width is ``ws.snap``, or ``_SNAP * p2`` computed here; u, |u|
+    and the snap mask go to ``ws.u``, ``ws.s`` and ``ws.mask``.
     """
-    u = np.subtract(p2, lam * tau, out=out.u)
-    turning = np.less_equal(np.abs(u, out=out.s),
-                            _SNAP * p2 if snap is None else snap, out=out.mask)
-    if out.u is None:  # u may be a scalar, which has no in-place select
+    u = np.subtract(p2, lam * tau, out=ws.u)
+    turning = np.less_equal(np.abs(u, out=ws.s),
+                            _SNAP * p2 if ws.snap is None else ws.snap, out=ws.mask)
+    if ws.u is None:  # u may be a scalar, which has no in-place select
         u = np.where(turning, 0.0, u)
     else:
         np.copyto(u, 0.0, where=turning)
-    return u, np.sqrt(np.abs(u, out=out.s), out=out.s)
+    return u, np.sqrt(np.abs(u, out=ws.s), out=ws.s)
 
 
-def before_exit(p2, tau, lam, out=None):
+def before_exit(p2, tau, lam, ws=_FRESH):
     """True where tau <= 2 p2/lam, before the frame leaves the potential."""
-    return np.greater_equal(p2, 0.5 * lam * tau, out=out)
+    return np.greater_equal(p2, 0.5 * lam * tau, out=ws.early)
 
 
-def _phase(p, tau, lam, p3, cubic, u, s, early, out=None, work=None):
+def _phase(p, tau, lam, p3, cubic, u, s, early, ws=_FRESH):
     # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
-    mid = np.multiply(u, s, out=work)
+    mid = np.multiply(u, s, out=ws.t)
     np.subtract(p3, mid, out=mid)
     np.multiply(2.0 / 3.0, mid, out=mid)
     mid /= lam
-    phase = np.multiply(p, tau, out=out)
+    phase = np.multiply(p, tau, out=ws.phi)
     phase -= cubic
     np.copyto(phase, mid, where=early)
     return phase
@@ -122,41 +115,39 @@ def phase_profile(p, tau, lam):
     """Accumulated evolution phase for every momentum node at scale tau."""
     if tau <= 0.0:
         return p * tau
-    p2, snap, p3, cubic = _phase_terms(p, lam)
-    u, s = branch(p2, tau, lam, snap)
+    p2, p3, cubic = _phase_terms(p, lam)
+    u, s = branch(p2, tau, lam)
     return _phase(p, tau, lam, p3, cubic, u, s, before_exit(p2, tau, lam))
 
 
-def phase_and_displacement(p, tau, lam, inv=None, out=_FRESH):
+def phase_and_displacement(p, tau, lam, ws=None):
     """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
 
-    ``inv`` is ``invariants(p, lam)``, computed here unless the caller
-    holds it; ``out`` receives Phi, D and every intermediate array.
+    ``ws`` is ``workspace(p, lam)``, built here for a single call; Phi and D
+    come back in ``ws.phi`` and ``ws.d``.
     """
+    if ws is None:
+        ws = workspace(p, lam)
     if tau <= 0.0:
-        if out.d is None:
-            return p * tau, np.full_like(p, tau)
-        out.d.fill(tau)
-        return np.multiply(p, tau, out=out.phi), out.d
-    if inv is None:
-        inv = invariants(p, lam)
-    u, s = branch(inv.p2, tau, lam, inv.snap, out)
-    early = before_exit(inv.p2, tau, lam, out.early)
-    phase = _phase(p, tau, lam, inv.p3, inv.cubic, u, s, early, out.phi, out.t)
+        ws.d.fill(tau)
+        return np.multiply(p, tau, out=ws.phi), ws.d
+    u, s = branch(ws.p2, tau, lam, ws)
+    early = before_exit(ws.p2, tau, lam, ws)
+    phase = _phase(p, tau, lam, ws.p3, ws.cubic, u, s, early, ws)
     # Approaching branch: 2(p^2 - p sqrt(u))/lam rewritten as 2 p tau/(p+sqrt(u))
     # to avoid the p^2 - p*sqrt(p^2 - lam*tau) cancellation near tau -> 0.
     # The rewrite needs p + sqrt(u) > 0, so it replaces the direct form only
     # where u >= 0 and p > 0.  Each array is dead once read, so s then u
     # take the next intermediates.
-    approaching = np.greater_equal(u, 0.0, out=out.mask)
-    approaching &= inv.positive
-    denom = np.add(p, s, out=out.t)
+    approaching = np.greater_equal(u, 0.0, out=ws.mask)
+    approaching &= ws.positive
+    denom = np.add(p, s, out=ws.t)
     mid = np.multiply(p, s, out=s)
-    np.subtract(inv.p2, mid, out=mid)
+    np.subtract(ws.p2, mid, out=mid)
     np.multiply(2.0, mid, out=mid)
     mid /= lam
-    np.divide(np.multiply(inv.two_p, tau, out=u), denom, out=mid, where=approaching)
-    d = np.subtract(tau, inv.exit, out=out.d)
+    np.divide(np.multiply(ws.two_p, tau, out=u), denom, out=mid, where=approaching)
+    d = np.subtract(tau, ws.exit, out=ws.d)
     np.copyto(d, mid, where=early)
     return phase, d
 
@@ -173,22 +164,22 @@ def classical_position_profile(taus, q0, p, lam):
     return np.where(taus <= 0.0, q0 + taus, out)
 
 
-def apply_phase(amps, phase, hbar, out=None):
-    """Multiply amplitudes by exp(-i phase / hbar); ``out`` receives the product."""
-    z = np.multiply(-1j, phase, out=out)
+def apply_phase(amps, phase, hbar, ws=_FRESH):
+    """Multiply amplitudes by exp(-i phase / hbar) into ``ws.psi``."""
+    z = np.multiply(-1j, phase, out=ws.psi)
     z /= hbar
     np.exp(z, out=z)
     return np.multiply(amps, z, out=z)
 
 
-def derivative(values, h, out=None, work=None):
+def derivative(values, h, ws=_FRESH):
     """Fourth-order finite-difference derivative on a uniform grid (n >= 5).
 
-    ``out`` receives the derivative and ``work``, shaped like ``values``,
-    the scratch 8 values of the interior stencil.
+    The derivative goes to ``ws.stencil`` and the scratch 8 values of the
+    interior stencil to ``ws.work``, both shaped like ``values``.
     """
-    d = np.empty_like(values) if out is None else out
-    eight = np.multiply(8.0, values[1:-1], out=None if work is None else work[1:-1])
+    d = np.empty_like(values) if ws.stencil is None else ws.stencil
+    eight = np.multiply(8.0, values[1:-1], out=None if ws.work is None else ws.work[1:-1])
     inner = np.subtract(values[:-4], eight[:-2], out=d[2:-2])
     inner += eight[2:]
     inner -= values[4:]

@@ -51,6 +51,7 @@ def gauge_solution(H: float, model: FrameModel, epsilon: float) -> GaugeSample:
     the turning point sits at epsilon = H/lam.
     """
     _require_positive(H, "H")
+    _require_finite_tau(epsilon, "epsilon")
     lam = model.lam
     if epsilon <= 0.0:
         phi = 2.0 * H * epsilon
@@ -73,6 +74,7 @@ def turning_point(H: float, model: FrameModel) -> float:
 def phi_of_q(q, state: ClassicalState, model: FrameModel):
     """Frame value as a function of the system position (single-valued)."""
     q_arr = np.asarray(q, dtype=np.float64)
+    _require_finite_tau(q_arr, "q")
     dq = q_arr - state.q0
     lam, p = model.lam, state.p
     p2 = _square(p, "p")
@@ -89,6 +91,7 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
     the sheets meet at phi = p^2/lam.
     """
     phi_arr = np.asarray(phi, dtype=np.float64)
+    _require_finite_tau(phi_arr, "phi")
     lam, q0, p2 = model.lam, state.q0, state.p * state.p
     u, _ = _kernels.branch(p2, phi_arr, lam)
     if np.any(u < 0.0):
@@ -109,6 +112,7 @@ def unwind_phi(tau, H: float, model: FrameModel):
     """Frame value reconstructed from the monotonic scale tau."""
     _require_positive(H, "H")
     tau_arr = np.asarray(tau, dtype=np.float64)
+    _require_finite_tau(tau_arr)
     phi_t = _square(H, "H") / model.lam
     out = np.where(tau_arr <= phi_t, tau_arr, 2.0 * phi_t - tau_arr)
     return float(out) if np.isscalar(tau) else out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -73,9 +73,10 @@ def _require_increasing(values: np.ndarray, name: str) -> None:
         raise DomainError(f"{name} must be finite and strictly increasing")
 
 
-def _require_finite_tau(tau) -> None:
+def _require_finite_tau(tau, name: str = "tau") -> None:
+    """Refuse a scalar or array argument holding NaN or inf, by its name."""
     if not np.all(np.isfinite(tau)):
-        raise DomainError(f"tau must be finite, got {tau}")
+        raise DomainError(f"{name} must be finite, got {tau}")
 
 
 def _evenly_spaced(nodes: np.ndarray) -> bool:
@@ -255,20 +256,12 @@ class ShiftReport:
     convention: ShiftConvention = ShiftConvention.MEAN_MOMENTUM
 
     def __post_init__(self):
+        _require_finite(self, *(f.name for f in fields(self) if f.name != "convention"))
         if self.residual < 0.0:
             raise InvalidStateError("residual must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "delta_q_classical": self.delta_q_classical,
-            "delta_q_quantum_analytic": self.delta_q_quantum_analytic,
-            "delta_q_quantum_numeric": self.delta_q_quantum_numeric,
-            "delta_q_total": self.delta_q_total,
-            "extrapolation_tau": self.extrapolation_tau,
-            "residual": self.residual,
-            "slope": self.slope,
-            "convention": self.convention.value,
-        }
+        return {**asdict(self), "convention": self.convention.value}
 
 
 class Moments(NamedTuple):

@@ -14,9 +14,9 @@ The pair forms a self-validating oracle; they share nothing below the
 state container except the anchor definition.  :func:`expectation_series`
 runs both routes at every tau and checks one against the other, takes the
 variance from the numeric route's stencil, and carries the anchor, which
-the shift fit subtracts from its intercept.  It computes the grid
-invariants of the kernels once and reuses one set of buffers at every
-tau, with the same expressions as the single-tau functions.
+the shift fit subtracts from its intercept.  It builds one kernel
+workspace and reuses it at every tau, with the same expressions as the
+single-tau functions.
 
 For states truncated at the grid edge, the inner product
 ``i hbar <psi, d psi/dp>`` acquires an exact imaginary boundary term
@@ -115,10 +115,10 @@ def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumSta
     return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
 
 
-def _derivative(values: np.ndarray, h: float, out=None, work=None) -> np.ndarray:
+def _derivative(values: np.ndarray, h: float, ws=_kernels._FRESH) -> np.ndarray:
     if values.shape[0] < MIN_DERIVATIVE_NODES:
         raise ResolutionError("derivative stencils need at least 5 grid nodes")
-    return _kernels.derivative(values, h, out=out, work=work)
+    return _kernels.derivative(values, h, ws=ws)
 
 
 def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
@@ -275,13 +275,13 @@ def expectation_series(initial: MomentumState, taus,
     :class:`ConsistencyError` naming the offending tau.  The tau-invariant
     work is done once: the anchor, the density |f|^2 and the truncation
     term, which depends on |psi| = |f| only because the evolution is a
-    unimodular phase, and so are the tau-invariant arrays of the kernel
-    (:func:`_kernels.invariants`).  Each sample then runs one derivative
-    stencil, which serves both the numeric route and the variance.  Every
-    sample writes into one set of buffers allocated per series, through
-    the same expressions as the single-tau functions, so every value
-    equals theirs bit for bit.  Samples are evaluated in order and summed
-    in fixed order.
+    unimodular phase.  One :func:`_kernels.workspace` holds the kernel's
+    tau-invariant arrays and every array a sample overwrites.  Each sample
+    then runs one derivative stencil, which serves both the numeric route
+    and the variance, and writes into the workspace through the same
+    expressions as the single-tau functions, which allocate instead, so
+    every value equals theirs bit for bit.  Samples are evaluated in order
+    and summed in fixed order.
     """
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 1 or taus.shape[0] == 0:
@@ -290,28 +290,25 @@ def expectation_series(initial: MomentumState, taus,
     ref = _reference(initial, model)
     p, h, hbar, lam = initial.grid.nodes, initial.grid.h, model.hbar, model.lam
     start = _kernels.phase_profile(p, float(initial.tau), lam)
-    inv = _kernels.invariants(p, lam)
-    buf = _kernels.buffers(p.shape[0])
-    psi, stencil, work = np.empty((3, p.shape[0]), dtype=np.complex128)
-    real = np.empty_like(p)
+    ws = _kernels.workspace(p, lam)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
     q_var = np.empty_like(taus)
     for k, tau in enumerate(taus):
-        phase, kernel = _kernels.phase_and_displacement(p, float(tau), lam, inv, buf)
-        q_mean[k] = _analytic_mean(ref, kernel, h, real)
+        phase, kernel = _kernels.phase_and_displacement(p, float(tau), lam, ws)
+        q_mean[k] = _analytic_mean(ref, kernel, h, ws.real)
         phase -= start
-        amps = _kernels.apply_phase(initial.amps, phase, hbar, out=psi)
-        norms[k] = _norm(amps, h, real)
+        amps = _kernels.apply_phase(initial.amps, phase, hbar, ws)
+        norms[k] = _norm(amps, h, ws.real)
         _check_norm(norms[k])
-        d = _derivative(amps, h, out=stencil, work=work)
-        numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, work)
+        d = _derivative(amps, h, ws)
+        numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, ws.work)
         _check_residual(residual, f" at tau={tau}; grid too coarse for its phase")
         if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
             raise ConsistencyError(
                 f"analytic/numeric expectation mismatch "
                 f"{abs(numeric - q_mean[k]):.3e} at tau={tau}"
             )
-        q_var[k] = _variance(d, numeric, h, hbar, real)
+        q_var[k] = _variance(d, numeric, h, hbar, ws.real)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

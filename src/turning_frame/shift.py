@@ -24,7 +24,6 @@ from .model import (
 )
 from .classical import classical_shift
 
-SLOPE_REPORT_TOLERANCE = 1e-3
 SLOPE_ERROR_TOLERANCE = 1e-2
 MIN_FIT_SAMPLES = 3
 

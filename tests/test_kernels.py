@@ -97,8 +97,8 @@ _WIDE_PICKS = [(node, multiple, ulps) for node in range(0, 8192, 397)
 
 
 # Grids reach p <= 0; tau sits on and one ulp beside 0, the turning points
-# and the exits of the nodes, plus free values up past every exit.  One set
-# of buffers serves every tau, in shuffled order, so a snap mask or branch
+# and the exits of the nodes, plus free values up past every exit.  One
+# workspace serves every tau, in shuffled order, so a snap mask or branch
 # select left by one tau that leaked into the next would show.
 @settings(max_examples=60, deadline=None)
 @given(
@@ -122,19 +122,18 @@ def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, h
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     taus = [_marked_tau(p, lam, pick) for pick in picks] + free
     rng.shuffle(taus)
-    inv, buf = K.invariants(p, lam), K.buffers(n)
-    psi, stencil, work = np.empty((3, n), dtype=np.complex128)
+    ws = K.workspace(p, lam)
     for tau in taus:
         phase, kernel = ref_phase_and_displacement(p, tau, lam)
-        for got in (K.phase_and_displacement(p, tau, lam, inv, buf),
+        for got in (K.phase_and_displacement(p, tau, lam, ws),
                     K.phase_and_displacement(p, tau, lam)):
             assert got[0].tobytes() == phase.tobytes(), tau
             assert got[1].tobytes() == kernel.tobytes(), tau
         evolved = ref_apply_phase(amps, phase, hbar)
-        assert K.apply_phase(amps, phase, hbar, out=psi).tobytes() == evolved.tobytes()
+        assert K.apply_phase(amps, phase, hbar, ws).tobytes() == evolved.tobytes()
         assert K.apply_phase(amps, phase, hbar).tobytes() == evolved.tobytes()
         d = ref_derivative(evolved, h)
-        assert K.derivative(evolved, h, out=stencil, work=work).tobytes() == d.tobytes()
+        assert K.derivative(evolved, h, ws).tobytes() == d.tobytes()
         assert K.derivative(evolved, h).tobytes() == d.tobytes()
 
 

@@ -17,9 +17,11 @@ from turning_frame import (
     MomentumGrid,
     MomentumState,
     ResolutionError,
+    ShiftReport,
     load_momentum_csv,
     make_gaussian,
     moments,
+    position_variance,
     save_momentum_csv,
 )
 
@@ -60,6 +62,7 @@ def test_value_types_reject_non_finite_parameters(bad):
         lambda: GaussianSpec(q0=4.0, p0=1.25, sigma=bad),
         lambda: ClassicalState(q0=bad, p=1.25),
         lambda: MomentumGrid(bad, 5.0, 64),
+        lambda: ShiftReport(0.0, 0.0, 0.0, bad, 0.0, 0.0, 1.0),
     ):
         with pytest.raises(DomainError, match="finite"):
             make()
@@ -143,6 +146,8 @@ def test_moments_trivial_point_masses():
     delta = MomentumState(grid=grid, amps=np.array([0.0, 1.0, 0.0]), tau=0.0)
     got = moments(delta)
     assert got == pytest.approx((2.0, 4.0, 0.0))
+    with pytest.raises(ResolutionError, match="5 grid nodes"):  # too few for a stencil
+        position_variance(delta, FrameModel(lam=4.0))
 
     two_point = MomentumState(
         grid=grid, amps=np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), tau=0.0
@@ -156,6 +161,8 @@ def test_unnormalized_state_is_refused_when_built(trunc_grid):
         MomentumState(grid=trunc_grid, amps=np.ones(trunc_grid.n), tau=0.0)
     with pytest.raises(InvalidStateError):  # |amps|^2 overflows to inf
         MomentumState(MomentumGrid(0.5, 1.0, 3), np.full(3, 1e200), 0.0)
+    with pytest.raises(InvalidStateError, match="shape"):
+        MomentumState(grid=trunc_grid, amps=np.ones(3), tau=0.0)
 
 
 def test_nan_state_is_refused_when_built(trunc_grid):

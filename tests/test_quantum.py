@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from turning_frame import (
+    Branch,
     ClassicalState,
     ConsistencyError,
     DomainError,
@@ -16,20 +17,26 @@ from turning_frame import (
     MomentumGrid,
     MomentumState,
     ResolutionError,
+    SpectralState,
     displacement_kernel,
     evolve,
     expectation_series,
     extract_shift_numeric,
+    gauge_solution,
     make_gaussian,
     moments,
     phase_branch,
     phase_theta,
+    phi_of_q,
     position_expectation_analytic,
     position_expectation_numeric,
     position_variance,
+    propagate,
+    q_of_phi,
     q_of_tau,
     to_position_representation,
     total_phase,
+    unwind_phi,
 )
 from turning_frame import _kernels, quantum
 
@@ -373,6 +380,9 @@ def test_position_profile_rejects_nonuniform_grid(wide_state, model):
     for q_grid in ([0.0, 1.0, 3.0], [0.0, math.nan, 2.0], [0.0, 1.0, math.inf]):
         with pytest.raises(DomainError, match="evenly spaced"):
             to_position_representation(wide_state, np.array(q_grid), model)
+    for q_grid in (np.zeros((2, 2)), np.array([1.0])):
+        with pytest.raises(DomainError, match="1-d array with at least 2 nodes"):
+            to_position_representation(wide_state, q_grid, model)
 
 
 def test_nan_state_is_refused_before_rendering(wide_grid):
@@ -406,6 +416,8 @@ def test_series_carries_variance_and_anchor(trunc_state, model):
 def test_series_rejects_unordered_taus(trunc_state, model):
     with pytest.raises(DomainError):
         expectation_series(trunc_state, np.array([0.0, 0.0, 1.0]), model)
+    with pytest.raises(DomainError, match="non-empty"):
+        expectation_series(trunc_state, [], model)
 
 
 @settings(max_examples=25, deadline=None)
@@ -508,10 +520,26 @@ _NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
     (_NAN_RESIDUAL, lambda s, m: expectation_series(s, [0.5], m), ResolutionError),
     (_NAN_MEAN, lambda s, m: expectation_series(s, [0.5], m), ConsistencyError),
     (None, lambda s, m: expectation_series(s, [0.5, math.nan], m), DomainError),
+    (None, lambda s, m: SpectralState([1.0], [1.0], tau=math.nan), DomainError),
+    (None, lambda s, m: SpectralState([1.0], [1.0], tau=math.inf), DomainError),
+    (None, lambda s, m: propagate(SpectralState([1.0], [1.0]), math.nan, m),
+     DomainError),
+    (None, lambda s, m: propagate(SpectralState([1.0], [1.0]), math.inf, m),
+     DomainError),
+    (None, lambda s, m: unwind_phi(math.nan, REF_P0, m), DomainError),
+    (None, lambda s, m: unwind_phi(np.array([0.0, math.inf]), REF_P0, m), DomainError),
+    (None, lambda s, m: phi_of_q(math.nan, ClassicalState(REF_Q0, REF_P0), m),
+     DomainError),
+    (None, lambda s, m: q_of_phi(math.nan, Branch.BEFORE,
+                                 ClassicalState(REF_Q0, REF_P0), m), DomainError),
+    (None, lambda s, m: gauge_solution(REF_P0, m, math.nan), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
-        "nan-cross-check", "series-tau-nan"])
+        "nan-cross-check", "series-tau-nan", "spectral-state-tau-nan",
+        "spectral-state-tau-inf", "propagate-nan", "propagate-inf",
+        "unwind-phi-nan", "unwind-phi-array-inf", "phi-of-q-nan", "q-of-phi-nan",
+        "gauge-epsilon-nan"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              patch, call, error):
     if patch is not None:

@@ -1,5 +1,7 @@
 """Tests for shift formulas and the asymptotic extraction pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from turning_frame import (
     FrameModel,
     GaussianMode,
     GaussianSpec,
+    InvalidStateError,
     MomentumGrid,
     NotAsymptoticError,
     ShiftConvention,
@@ -190,6 +193,8 @@ def test_report_serialization_round_trip(trunc_state, model):
     )
     payload = report.to_dict()
     assert payload["convention"] == "mean_momentum"
+    with pytest.raises(InvalidStateError, match="residual"):
+        dataclasses.replace(report, residual=-1.0)
     assert payload["delta_q_total"] == pytest.approx(
         payload["delta_q_quantum_numeric"] - payload["delta_q_classical"]
     )

@@ -42,6 +42,8 @@ def test_spectral_state_validation():
         with pytest.raises(DomainError):
             SpectralState(energies=np.array([1.0, bad, 3.0]),
                           coeffs=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(InvalidStateError, match="matching"):
+        SpectralState(energies=np.array([1.0, 2.0]), coeffs=np.array([1.0]))
 
 
 def test_observable_must_be_hermitian():
@@ -176,6 +178,7 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\ninf,0,0\n", id="momentum-inf-node"),
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,1,0\n", id="momentum-unnormalized"),
     pytest.param(load_momentum_csv, "p,re,im\n0,1e200,0\n1,0,0\n", id="momentum-overflowing"),
+    pytest.param(load_momentum_csv, "q,re,im\n0,1,0\n1,0,0\n", id="momentum-wrong-header"),
     pytest.param(load_spectral_csv, "", id="spectral-empty"),
     pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
     pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
