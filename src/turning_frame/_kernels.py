@@ -16,6 +16,15 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
   and writes into it with the same expressions, in the same order, as a
   single call, which allocates its arrays instead.  Results are
   bit-identical either way.
+* Complex-by-real-scalar arithmetic (the exponent of ``apply_phase``, the
+  interior of ``derivative``) runs on the float64 view of the complex
+  array, as real ufuncs.  NumPy would cast the scalar x to ``x + 0j`` and
+  run a complex loop, in which every product with the zero imaginary part
+  is +-0 and its complex division (Smith's algorithm) is a multiply by
+  ``1 / x``; so the bits are the same.  Only the sign of a zero can
+  differ, where a component is exactly +-0 and NumPy's extra ``+-0`` term
+  flips it: never in the exponent, whose real slot NumPy makes +0 for
+  every finite phase, and only in such zeros of the stencil.
 * The plane-wave sum onto a position grid is a chirp-z transform
   (Bluestein's algorithm), O((N_p + N_q) log(N_p + N_q)) instead of the
   direct O(N_p N_q) sum; both grids must be uniform.
@@ -37,8 +46,9 @@ class Workspace(NamedTuple):
     The first seven are the tau-invariant subexpressions of
     ``phase_and_displacement``, so every tau gets the same bits; the rest are
     written at each tau and hold Phi, D, psi and the stencil until the next
-    one.  ``workspace`` fills all of them.  A kernel given the all-None
-    ``_FRESH`` allocates its arrays, as a single call does.
+    one (``exponent`` only in its imaginary slot).  ``workspace`` fills all
+    of them.  A kernel given the all-None ``_FRESH`` allocates its arrays,
+    as a single call does.
     """
 
     p2: np.ndarray | None = None        # p^2
@@ -55,6 +65,7 @@ class Workspace(NamedTuple):
     t: np.ndarray | None = None         # the phase scratch, then p + sqrt(u)
     mask: np.ndarray | None = None      # the snap mask, then the approaching one
     early: np.ndarray | None = None     # before_exit
+    exponent: np.ndarray | None = None  # -i phase / hbar of apply_phase, real slot +0
     psi: np.ndarray | None = None       # the evolved amplitudes
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, then an integrand
@@ -75,6 +86,7 @@ def workspace(p, lam) -> Workspace:
     n = p.shape[0]
     return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p, 2.0 * p2 / lam, p > 0.0,
                      *np.empty((5, n)), *np.empty((2, n), dtype=bool),
+                     np.zeros(n, dtype=np.complex128),
                      *np.empty((3, n), dtype=np.complex128), np.empty(n))
 
 
@@ -165,10 +177,17 @@ def classical_position_profile(taus, q0, p, lam):
 
 
 def apply_phase(amps, phase, hbar, ws=_FRESH):
-    """Multiply amplitudes by exp(-i phase / hbar) into ``ws.psi``."""
-    z = np.multiply(-1j, phase, out=ws.psi)
-    z /= hbar
-    np.exp(z, out=z)
+    """Multiply amplitudes by exp(-i phase / hbar) into ``ws.psi``.
+
+    The exponent goes to ``ws.exponent`` as NumPy's bits of
+    ``-1j * phase / hbar``: +0 and ``-phase * (1 / hbar)``.
+    """
+    if ws.exponent is None:
+        exponent = psi = np.zeros(phase.shape, dtype=np.complex128)
+    else:
+        exponent, psi = ws.exponent, ws.psi
+    np.multiply(phase, -1.0 / hbar, out=exponent.imag)
+    z = np.exp(exponent, out=psi)
     return np.multiply(amps, z, out=z)
 
 
@@ -176,14 +195,24 @@ def derivative(values, h, ws=_FRESH):
     """Fourth-order finite-difference derivative on a uniform grid (n >= 5).
 
     The derivative goes to ``ws.stencil`` and the scratch 8 values of the
-    interior stencil to ``ws.work``, both shaped like ``values``.
+    interior stencil to ``ws.work``, both shaped like ``values``.  The
+    interior runs on the float64 views, two slots per complex value, and
+    equals NumPy's complex arithmetic bit for bit, except that a zero can
+    take the other sign where a component of ``values`` is exactly +-0.
+    A real ``values`` keeps the true division by 12 h.
     """
     d = np.empty_like(values) if ws.stencil is None else ws.stencil
-    eight = np.multiply(8.0, values[1:-1], out=None if ws.work is None else ws.work[1:-1])
-    inner = np.subtract(values[:-4], eight[:-2], out=d[2:-2])
-    inner += eight[2:]
-    inner -= values[4:]
-    inner /= 12.0 * h
+    k = 2 if values.dtype.kind == "c" else 1
+    v, dv = values.view(np.float64), d.view(np.float64)
+    eight = np.multiply(8.0, v[k:-k],
+                        out=None if ws.work is None else ws.work.view(np.float64)[k:-k])
+    inner = np.subtract(v[:-4 * k], eight[:-2 * k], out=dv[2 * k:-2 * k])
+    inner += eight[2 * k:]
+    inner -= v[4 * k:]
+    if k == 2:  # NumPy divides a complex number by 12 h + 0j as * (1 / (12 h))
+        inner *= 1.0 / (12.0 * h)
+    else:
+        inner /= 12.0 * h
     d[0] = (-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
             + 16.0 * values[3] - 3.0 * values[4]) / (12.0 * h)
     d[1] = (-3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]

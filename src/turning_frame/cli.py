@@ -16,7 +16,8 @@ comes from ``$TURNING_FRAME_OUTDIR`` when set.  Outputs are
 deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 output pipe closed, 2 configuration or validation
-problem, 3 grid resolution failure, 4 fit window not asymptotic.
+problem, 3 grid resolution failure (a ResolutionError or a ConsistencyError),
+4 fit window not asymptotic.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from . import _csv
 from .errors import (
     ConfigError,
+    ConsistencyError,
     NotAsymptoticError,
     ResolutionError,
     TurningFrameError,
@@ -57,7 +59,11 @@ EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
 EXIT_ASYMPTOTICS = 4
-_EXIT_CODES = {ResolutionError: EXIT_RESOLUTION, NotAsymptoticError: EXIT_ASYMPTOTICS}
+# for a state supported on p > 0, a ConsistencyError (the two expectation
+# routes disagree, or the variance turns negative) means a grid too coarse
+# for the state's phase
+_EXIT_CODES = {ResolutionError: EXIT_RESOLUTION, ConsistencyError: EXIT_RESOLUTION,
+               NotAsymptoticError: EXIT_ASYMPTOTICS}
 
 _MISSING = object()
 

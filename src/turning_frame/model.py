@@ -63,8 +63,8 @@ def _require_finite(obj, *names: str) -> None:
 
 
 def _require_positive(value: float, name: str) -> None:
-    if not value > 0.0:
-        raise DomainError(f"{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def _require_increasing(values: np.ndarray, name: str) -> None:
@@ -74,8 +74,12 @@ def _require_increasing(values: np.ndarray, name: str) -> None:
 
 
 def _require_finite_tau(tau, name: str = "tau") -> None:
-    """Refuse a scalar or array argument holding NaN or inf, by its name."""
-    if not np.all(np.isfinite(tau)):
+    """Refuse a scalar or array argument holding NaN or inf, by its name.
+
+    A float, ``np.float64`` included, is checked by ``math.isfinite`` with
+    no NumPy call, so a scalar check is cheap enough for hot paths.
+    """
+    if not (math.isfinite(tau) if isinstance(tau, float) else np.all(np.isfinite(tau))):
         raise DomainError(f"{name} must be finite, got {tau}")
 
 

@@ -62,6 +62,7 @@ def phase_branch(tau: float, p: float, model: FrameModel) -> int:
     decide both boundaries, so the index names the formula it evaluates.
     """
     _require_positive(p, "momentum")
+    _require_finite_tau(tau)
     p2 = p * p
     if tau <= 0.0:
         return 1
@@ -272,16 +273,16 @@ def expectation_series(initial: MomentumState, taus,
 
     Each sample is computed by the analytic route and cross-checked
     against the numeric route; disagreement beyond 1e-4 raises
-    :class:`ConsistencyError` naming the offending tau.  The tau-invariant
-    work is done once: the anchor, the density |f|^2 and the truncation
-    term, which depends on |psi| = |f| only because the evolution is a
-    unimodular phase.  One :func:`_kernels.workspace` holds the kernel's
-    tau-invariant arrays and every array a sample overwrites.  Each sample
-    then runs one derivative stencil, which serves both the numeric route
-    and the variance, and writes into the workspace through the same
-    expressions as the single-tau functions, which allocate instead, so
-    every value equals theirs bit for bit.  Samples are evaluated in order
-    and summed in fixed order.
+    :class:`ConsistencyError` naming the offending tau and the grid's n.
+    The tau-invariant work is done once: the anchor, the density |f|^2 and
+    the truncation term, which depends on |psi| = |f| only because the
+    evolution is a unimodular phase.  One :func:`_kernels.workspace` holds
+    the kernel's tau-invariant arrays and every array a sample overwrites.
+    Each sample then runs one derivative stencil, which serves both the
+    numeric route and the variance, and writes into the workspace through
+    the same expressions as the single-tau functions, which allocate
+    instead, so every value equals theirs bit for bit.  Samples are
+    evaluated in order and summed in fixed order.
     """
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 1 or taus.shape[0] == 0:
@@ -308,7 +309,7 @@ def expectation_series(initial: MomentumState, taus,
         if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
             raise ConsistencyError(
                 f"analytic/numeric expectation mismatch "
-                f"{abs(numeric - q_mean[k]):.3e} at tau={tau}"
+                f"{abs(numeric - q_mean[k]):.3e} at tau={tau} on the n={p.shape[0]} grid"
             )
         q_var[k] = _variance(d, numeric, h, hbar, ws.real)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

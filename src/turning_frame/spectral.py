@@ -10,14 +10,13 @@ eigenbasis; no conjugate "time operator" is exposed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
-from .model import FrameModel, _require_finite, _require_increasing
+from .model import FrameModel, _require_finite, _require_finite_tau, _require_increasing
 
 # Sum |c|^2 over a discrete spectrum is exact up to rounding, so it is held
 # to 1e-9; model.NORM_TOLERANCE (1e-6) bounds a grid quadrature of |f|^2
@@ -77,8 +76,7 @@ class ObservableMatrix:
 
 def propagate(state: SpectralState, tau: float, model: FrameModel) -> SpectralState:
     """Advance spectral coefficients by the turning-point phase law."""
-    if not math.isfinite(tau):
-        raise DomainError(f"tau must be finite, got {tau}")
+    _require_finite_tau(tau)
     dphi = (
         _kernels.phase_profile(state.energies, float(tau), model.lam)
         - _kernels.phase_profile(state.energies, float(state.tau), model.lam)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schemas, exit codes, determinism."""
 
 import errno
+import hashlib
 import json
 import os
 import tempfile
@@ -180,6 +181,62 @@ def test_reference_config_holds_the_digest(tmp_path):
     assert main(["shift", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "shift_reference_report.json").read_text())
     assert report["delta_q_total"] == pytest.approx(-1.7049193085925887, abs=1e-12)
+
+
+# sha256 of every file the checked-in configs produce; a change that alters
+# one byte of them changes the package's published numbers
+GOLDEN = {
+    ("classical", "classical_trajectory.json"): {
+        "classical_trajectory.csv":
+            "ae0613196ef8057a93a33c0684077e8ab7e826efbb3f6f1446fefc48eed759af",
+    },
+    ("shift", "shift_reference.json"): {
+        "shift_reference_report.json":
+            "8d99fb03f986543d37499c82764c35fef6f3f46877c09e7f680b46778d085f24",
+        "shift_reference_series.csv":
+            "496e0d52225bc2838dc77f4cef1c60181ba73d3cdf9f4bd955fe02b651017a8c",
+    },
+    ("evolve", "wavefunction_snapshots.json"): {
+        "snapshots_momentum_00.csv":
+            "bfa5f9df2359c5436daeeb83ac40d6401dca5c69fb23fa058186ec9e142fa8b8",
+        "snapshots_momentum_01.csv":
+            "4392e9b57fade6048ae4c5a809ec8320dc2411c98cd3c16c504460517784e812",
+        "snapshots_momentum_02.csv":
+            "da9ce1d9a9604b214cbb5329533c2379b7722b62ae0bb8c24b9421fa9dbb6ae3",
+        "snapshots_momentum_03.csv":
+            "d40e25ab91d53dbf2c02a58d4526fcfe1c058715ae7dfca2d9d3a93f5f3bd4d1",
+        "snapshots_position_00.csv":
+            "19fa99612bb04e238d97106a5626b1e71924fe5157c2c07419c0298b43be0537",
+        "snapshots_position_01.csv":
+            "3c1ecbc802ba252d6278a49b98936ae6cf999b414ba13acf18374323a25dbdec",
+        "snapshots_position_02.csv":
+            "67ca4add24b48495fea0bde45fc7f257c75b6f4a682c23b626f7974c0b24a33b",
+        "snapshots_position_03.csv":
+            "64c25dd6fbd7e8be3580b8f7f66b7c1799168105be04deb59fe2b1f5ce8e302d",
+        "snapshots_summary.json":
+            "6b90597aad5bf38276a330b19cb90b735aa0af6e6e958154bb62b7a486180e3c",
+    },
+}
+
+
+@pytest.mark.parametrize("command, config", GOLDEN)
+def test_checked_in_configs_give_the_recorded_bytes(tmp_path, command, config):
+    assert main([command, "--config", str(CONFIGS / config),
+                 "--outdir", str(tmp_path)]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == GOLDEN[command, config]
+
+
+def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):
+    """The two expectation routes part on a grid too coarse for the phase."""
+    argv = ["shift", "--config", str(CONFIGS / "shift_reference.json"),
+            "--n", "1024", "--outdir", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "expectation mismatch" in err
+    assert "tau=0.45" in err and "n=1024" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_shift_convention_override(tmp_path):

@@ -1,5 +1,7 @@
 """Kernel checks: boundary snapping, stencil order, chirp-z vs direct sum."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -135,6 +137,62 @@ def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, h
         d = ref_derivative(evolved, h)
         assert K.derivative(evolved, h, ws).tobytes() == d.tobytes()
         assert K.derivative(evolved, h).tobytes() == d.tobytes()
+
+
+def _not_power_of_two(x):
+    return math.frexp(x)[0] != 0.5
+
+
+# The kernels run complex-by-real-scalar arithmetic on float64 views; the
+# references above are the complex expressions they replaced.  Values span
+# twelve decades, and a share of their components (and of the phases) are
+# exactly +-0, where NumPy's complex route adds a +-0 term of its own.
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(5, 512),
+    h=st.floats(1e-4, 1.0).filter(_not_power_of_two),
+    hbar=st.floats(1e-3, 20.0).filter(_not_power_of_two),
+    zero_share=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=512, h=(5.0 - 0.01) / 511, hbar=1.0 / 3.0, zero_share=0.0, seed=1)
+def test_real_view_kernels_equal_the_complex_expressions(n, h, hbar, zero_share, seed):
+    rng = np.random.default_rng(seed)
+
+    def floats(size):
+        x = rng.normal(size=size) * 10.0 ** rng.uniform(-6.0, 6.0, size=size)
+        zeros = rng.random(size) < zero_share
+        x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        return x
+
+    amps = floats(2 * n).view(np.complex128)
+    phase = floats(n)
+    ws = K.workspace(np.linspace(0.01, 5.0, n), 4.0)
+    evolved = ref_apply_phase(amps, phase, hbar)
+    for got in (K.apply_phase(amps, phase, hbar, ws), K.apply_phase(amps, phase, hbar)):
+        assert np.array_equal(got.view(np.uint64), evolved.view(np.uint64))
+
+    values = floats(2 * n).view(np.complex128)
+    want = ref_derivative(values, h).view(np.float64)
+    got = K.derivative(values, h, ws).view(np.float64)
+    assert np.array_equal(K.derivative(values, h).view(np.uint64), got.view(np.uint64))
+    # only the sign of a zero may differ, and only beside a component that is +-0
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert np.all(got[differ] == 0.0) and np.all(want[differ] == 0.0)
+    assert not differ.any() or np.any(values.view(np.float64) == 0.0)
+
+    modulus = np.abs(values)  # a real input keeps the true division by 12 h
+    assert np.array_equal(K.derivative(modulus, h).view(np.uint64),
+                          ref_derivative(modulus, h).view(np.uint64))
+
+
+def test_derivative_zero_sign_beside_an_exact_zero():
+    """The pinned case: NumPy's complex 8 * (1 - 0j) is 8 + 0j, the view's 8 - 0j."""
+    values = np.array([complex(0.0, -0.0), 0j, 0j, complex(1.0, -0.0), 0j])
+    got, want = K.derivative(values, 0.3)[2], ref_derivative(values, 0.3)[2]
+    assert got == want
+    assert math.copysign(1.0, got.imag) == -1.0
+    assert math.copysign(1.0, want.imag) == 1.0
 
 
 def test_derivative_is_fourth_order():

@@ -18,6 +18,7 @@ from turning_frame import (
     MomentumState,
     ResolutionError,
     SpectralState,
+    asymptotic_tau_bound,
     displacement_kernel,
     evolve,
     expectation_series,
@@ -34,8 +35,10 @@ from turning_frame import (
     propagate,
     q_of_phi,
     q_of_tau,
+    quantum_shift_analytic,
     to_position_representation,
     total_phase,
+    total_shift,
     unwind_phi,
 )
 from turning_frame import _kernels, quantum
@@ -533,13 +536,22 @@ _NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
     (None, lambda s, m: q_of_phi(math.nan, Branch.BEFORE,
                                  ClassicalState(REF_Q0, REF_P0), m), DomainError),
     (None, lambda s, m: gauge_solution(REF_P0, m, math.nan), DomainError),
+    (None, lambda s, m: phase_branch(math.nan, REF_P0, m), DomainError),
+    (None, lambda s, m: total_shift(math.nan, 0.0, m), DomainError),
+    (None, lambda s, m: total_shift(1.0, math.nan, m), DomainError),
+    (None, lambda s, m: asymptotic_tau_bound(math.nan, m), DomainError),
+    (None, lambda s, m: quantum_shift_analytic(math.inf, m), DomainError),
+    (None, lambda s, m: gauge_solution(math.inf, m, 1.0), DomainError),
+    (None, lambda s, m: displacement_kernel(1.0, math.inf, m), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
         "nan-cross-check", "series-tau-nan", "spectral-state-tau-nan",
         "spectral-state-tau-inf", "propagate-nan", "propagate-inf",
         "unwind-phi-nan", "unwind-phi-array-inf", "phi-of-q-nan", "q-of-phi-nan",
-        "gauge-epsilon-nan"])
+        "gauge-epsilon-nan", "phase-branch-nan", "total-shift-mean-nan",
+        "total-shift-var-nan", "tau-bound-nan", "shift-analytic-inf", "gauge-energy-inf",
+        "displacement-p-inf"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              patch, call, error):
     if patch is not None:
