@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .model import (ClassicalState, FrameModel, _require_finite_tau,
+from .model import (ClassicalState, FrameModel, _require_finite,
                     _require_positive, _square)
 
 
@@ -51,7 +51,7 @@ def gauge_solution(H: float, model: FrameModel, epsilon: float) -> GaugeSample:
     the turning point sits at epsilon = H/lam.
     """
     _require_positive(H, "H")
-    _require_finite_tau(epsilon, "epsilon")
+    _require_finite(epsilon, "epsilon")
     lam = model.lam
     if epsilon <= 0.0:
         phi = 2.0 * H * epsilon
@@ -74,7 +74,7 @@ def turning_point(H: float, model: FrameModel) -> float:
 def phi_of_q(q, state: ClassicalState, model: FrameModel):
     """Frame value as a function of the system position (single-valued)."""
     q_arr = np.asarray(q, dtype=np.float64)
-    _require_finite_tau(q_arr, "q")
+    _require_finite(q_arr, "q")
     dq = q_arr - state.q0
     lam, p = model.lam, state.p
     p2 = _square(p, "p")
@@ -91,7 +91,7 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
     the sheets meet at phi = p^2/lam.
     """
     phi_arr = np.asarray(phi, dtype=np.float64)
-    _require_finite_tau(phi_arr, "phi")
+    _require_finite(phi_arr, "phi")
     lam, q0, p2 = model.lam, state.q0, state.p * state.p
     u, _ = _kernels.branch(p2, phi_arr, lam)
     if np.any(u < 0.0):
@@ -112,7 +112,7 @@ def unwind_phi(tau, H: float, model: FrameModel):
     """Frame value reconstructed from the monotonic scale tau."""
     _require_positive(H, "H")
     tau_arr = np.asarray(tau, dtype=np.float64)
-    _require_finite_tau(tau_arr)
+    _require_finite(tau_arr, "tau")
     phi_t = _square(H, "H") / model.lam
     out = np.where(tau_arr <= phi_t, tau_arr, 2.0 * phi_t - tau_arr)
     return float(out) if np.isscalar(tau) else out
@@ -121,14 +121,14 @@ def unwind_phi(tau, H: float, model: FrameModel):
 def q_of_tau(tau, state: ClassicalState, model: FrameModel):
     """Relational trajectory q(tau): free, slowed, re-crossing, free again."""
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-    _require_finite_tau(tau_arr)
+    _require_finite(tau_arr, "tau")
     out = _kernels.classical_position_profile(tau_arr, state.q0, state.p, model.lam)
     return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
 
 
 def q_rate(tau: float, state: ClassicalState, model: FrameModel) -> float:
     """One-sided rate dq/dtau; infinite exactly at the turning scale."""
-    _require_finite_tau(tau)
+    _require_finite(tau, "tau")
     lam, p2 = model.lam, state.p * state.p
     if tau <= 0.0 or not _kernels.before_exit(p2, tau, lam):
         return 1.0

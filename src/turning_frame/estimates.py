@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .model import _require_positive
 
 BOLTZMANN_J_PER_K = 1.380649e-23   # exact SI
 AMU_KG = 1.66053906660e-27
@@ -34,10 +35,7 @@ class PhysicalScenario:
 
     def __post_init__(self):
         for name in ("mass_kg", "temperature_k", "gravity"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}"
-                )
+            _require_positive(getattr(self, name), name)
 
     @classmethod
     def from_amu(

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   positive frame values, so a system carrying energy H meets a single
   turning point at ``H**2 / lam``.
 * Momentum-space states live on uniform grids; every quadrature is the
-  plain node sum ``sum(values) * h``, and a state is normalized so that
-  ``sum(|amps|**2) * h == 1`` when it is built; no consumer checks again.
+  node sum :func:`_integral`, ``sum(values) * h``, and a state is built
+  normalized to ``sum(|amps|**2) * h == 1``; no consumer checks again.
 * ``hbar`` defaults to 1 (model units).
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -26,6 +27,11 @@ from .errors import DomainError, InvalidStateError, ResolutionError
 NORM_TOLERANCE = 1e-6
 
 
+def _integral(values: np.ndarray, h: float, factor=1.0):
+    """``factor * sum(values) * h``, evaluated left to right: the one node sum."""
+    return factor * np.add.reduce(values) * h
+
+
 def _norm(amps: np.ndarray, h: float, out=None) -> float:
     """sqrt(sum |amps|^2 h); ``out`` receives |amps|^2.
 
@@ -34,7 +40,7 @@ def _norm(amps: np.ndarray, h: float, out=None) -> float:
     """
     with np.errstate(over="ignore"):
         square = np.square(np.abs(amps, out=out), out=out)
-        return float(np.sqrt(np.add.reduce(square) * h))
+        return float(np.sqrt(_integral(square, h)))
 
 
 def _check_norm(norm: float) -> None:
@@ -55,13 +61,6 @@ def _square(value: float, name: str) -> float:
     return square
 
 
-def _require_finite(obj, *names: str) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-
-
 def _require_positive(value: float, name: str) -> None:
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
@@ -73,14 +72,19 @@ def _require_increasing(values: np.ndarray, name: str) -> None:
         raise DomainError(f"{name} must be finite and strictly increasing")
 
 
-def _require_finite_tau(tau, name: str = "tau") -> None:
-    """Refuse a scalar or array argument holding NaN or inf, by its name.
+def _require_finite(value, name: str) -> None:
+    """Refuse a scalar or array holding NaN or inf, by its name.
 
-    A float, ``np.float64`` included, is checked by ``math.isfinite`` with
-    no NumPy call, so a scalar check is cheap enough for hot paths.
+    A scalar is checked by ``math.isfinite`` with no NumPy call, so the
+    check is cheap enough for hot paths; an array refusal names the first
+    offending index and its value, not every sample.
     """
-    if not (math.isfinite(tau) if isinstance(tau, float) else np.all(np.isfinite(tau))):
-        raise DomainError(f"{name} must be finite, got {tau}")
+    if not (isinstance(value, np.ndarray) and value.ndim):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    elif not np.all(np.isfinite(value)):
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
+        raise DomainError(f"{name}{list(index)} must be finite, got {value[index]}")
 
 
 def _evenly_spaced(nodes: np.ndarray) -> bool:
@@ -126,7 +130,6 @@ class FrameModel:
     shift_convention: ShiftConvention = ShiftConvention.MEAN_MOMENTUM
 
     def __post_init__(self):
-        _require_finite(self, "lam", "hbar")
         _require_positive(self.lam, "potential slope")
         _require_positive(self.hbar, "hbar")
 
@@ -139,7 +142,7 @@ class ClassicalState:
     p: float
 
     def __post_init__(self):
-        _require_finite(self, "q0", "p")
+        _require_finite(self.q0, "q0")
         _require_positive(self.p, "momentum")
 
 
@@ -152,9 +155,14 @@ class MomentumGrid:
     n: int
 
     def __post_init__(self):
-        _require_finite(self, "p_min", "p_max")
+        _require_finite(self.p_min, "p_min")
+        _require_finite(self.p_max, "p_max")
         if not self.p_min < self.p_max:
             raise DomainError(f"need p_min < p_max, got [{self.p_min}, {self.p_max}]")
+        try:
+            operator.index(self.n)  # int or np.integer; NaN and 2.5 are refused
+        except TypeError:
+            raise DomainError(f"grid size n must be an integer, got {self.n}") from None
         if self.n < 2:
             raise DomainError(f"need at least 2 grid nodes, got {self.n}")
 
@@ -181,7 +189,7 @@ class MomentumState:
     tau: float
 
     def __post_init__(self):
-        _require_finite_tau(self.tau)
+        _require_finite(self.tau, "tau")
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.shape != (self.grid.n,):
             raise InvalidStateError(
@@ -208,7 +216,8 @@ class GaussianSpec:
     sigma: float
 
     def __post_init__(self):
-        _require_finite(self, "q0", "p0", "sigma")
+        _require_finite(self.q0, "q0")
+        _require_finite(self.p0, "p0")
         _require_positive(self.sigma, "sigma")
 
 
@@ -232,12 +241,11 @@ class ExpectationSeries:
     def __post_init__(self):
         for name in ("taus", "q_mean", "norm", "q_var"):
             arr = np.array(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} must be finite")
+            _require_finite(arr, name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "anchor", float(self.anchor))
-        _require_finite(self, "anchor")
+        _require_finite(self.anchor, "anchor")
         if self.taus.ndim != 1:
             raise DomainError("tau samples must be a 1-d array")
         _require_increasing(self.taus, "tau samples")
@@ -260,7 +268,9 @@ class ShiftReport:
     convention: ShiftConvention = ShiftConvention.MEAN_MOMENTUM
 
     def __post_init__(self):
-        _require_finite(self, *(f.name for f in fields(self) if f.name != "convention"))
+        for f in fields(self):
+            if f.name != "convention":
+                _require_finite(getattr(self, f.name), f.name)
         if self.residual < 0.0:
             raise InvalidStateError("residual must be non-negative")
 
@@ -291,7 +301,7 @@ def make_gaussian(
         raise DomainError(
             f"truncate-positive mode needs p_min > 0, got {grid.p_min}"
         )
-    _require_finite_tau(tau0)
+    _require_finite(tau0, "tau0")
     if tau0 > 0.0:
         raise DomainError(f"reference tau0 must be <= 0, got {tau0}")
     sigma_p = model.hbar / (2.0 * spec.sigma)
@@ -309,10 +319,10 @@ def make_gaussian(
     amps = envelope * np.exp(-1j * p * spec.q0 / model.hbar)
     if tau0 != 0.0:
         amps = amps * np.exp(-1j * p * tau0 / model.hbar)
-    norm2 = np.sum(np.abs(amps) ** 2) * grid.h
-    if norm2 <= 0.0:
+    norm = _norm(amps, grid.h)
+    if norm <= 0.0:
         raise ResolutionError("state has no support on the supplied grid")
-    return MomentumState(grid=grid, amps=amps / np.sqrt(norm2), tau=tau0)
+    return MomentumState(grid=grid, amps=amps / norm, tau=tau0)
 
 
 def moments(state: MomentumState) -> Moments:
@@ -320,8 +330,8 @@ def moments(state: MomentumState) -> Moments:
     p = state.grid.nodes
     dens = np.abs(state.amps) ** 2
     h = state.grid.h
-    mean_p = float(np.sum(dens * p) * h)
-    mean_p2 = float(np.sum(dens * p * p) * h)
+    mean_p = float(_integral(dens * p, h))
+    mean_p2 = float(_integral(dens * p * p, h))
     return Moments(mean_p, mean_p2, mean_p2 - mean_p**2)
 
 

@@ -43,8 +43,9 @@ from .model import (
     MomentumState,
     _check_norm,
     _evenly_spaced,
+    _integral,
     _norm,
-    _require_finite_tau,
+    _require_finite,
     _require_increasing,
     _require_positive,
     _square,
@@ -62,7 +63,7 @@ def phase_branch(tau: float, p: float, model: FrameModel) -> int:
     decide both boundaries, so the index names the formula it evaluates.
     """
     _require_positive(p, "momentum")
-    _require_finite_tau(tau)
+    _require_finite(tau, "tau")
     p2 = p * p
     if tau <= 0.0:
         return 1
@@ -89,7 +90,7 @@ def phase_theta(phi: float, p: float, model: FrameModel) -> float:
 def total_phase(tau: float, p: float, model: FrameModel) -> float:
     """Accumulated evolution phase Phi(tau, p) along the monotonic scale."""
     _require_positive(p, "momentum")
-    _require_finite_tau(tau)
+    _require_finite(tau, "tau")
     out = _kernels.phase_profile(np.array([float(p)]), float(tau), model.lam)
     return float(out[0])
 
@@ -100,7 +101,7 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
     Position expectations follow as q0 + integral of |f|^2 D.
     """
     _require_positive(p, "momentum")
-    _require_finite_tau(tau)
+    _require_finite(tau, "tau")
     p_arr = np.array([float(p)])
     _, out = _kernels.phase_and_displacement(p_arr, float(tau), model.lam)
     return float(out[0])
@@ -108,7 +109,7 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
 
 def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumState:
     """Advance a state to scale tau by the exact pointwise phase law."""
-    _require_finite_tau(tau)
+    _require_finite(tau, "tau")
     p = initial.grid.nodes
     start = _kernels.phase_profile(p, float(initial.tau), model.lam)
     dphi = _kernels.phase_profile(p, float(tau), model.lam) - start
@@ -128,7 +129,7 @@ def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
     It depends on the modulus only, so it is the same for every state that
     differs by a pointwise unimodular phase.
     """
-    return hbar * float(np.sum(modulus * _derivative(modulus, h))) * h
+    return float(_integral(modulus * _derivative(modulus, h), h, hbar))
 
 
 def _fd_position_mean(
@@ -142,7 +143,7 @@ def _fd_position_mean(
     receives the integrand.
     """
     integrand = np.multiply(np.conj(amps, out=out), d, out=out)
-    raw = 1j * hbar * np.add.reduce(integrand) * h
+    raw = _integral(integrand, h, 1j * hbar)
     return float(raw.real), float(abs(raw.imag - boundary))
 
 
@@ -160,7 +161,7 @@ def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float,
     ``out`` receives |dpsi/dp|^2.
     """
     square = np.square(np.abs(d, out=out), out=out)
-    mean_q2 = _square(hbar, "hbar") * float(np.add.reduce(square) * h)
+    mean_q2 = _square(hbar, "hbar") * float(_integral(square, h))
     var = mean_q2 - _square(mean_q, "mean position")
     if not var >= -1e-9:
         raise ConsistencyError(f"variance {var:.3e} is negative beyond tolerance")
@@ -213,14 +214,14 @@ def _analytic_mean(ref: _Reference, kernel: np.ndarray, h: float,
                    out=None) -> float:
     """anchor + sum |f|^2 D h; ``out`` receives the integrand."""
     integrand = np.multiply(ref.density, kernel, out=out)
-    return ref.anchor + float(np.add.reduce(integrand) * h)
+    return ref.anchor + float(_integral(integrand, h))
 
 
 def position_expectation_analytic(
     initial: MomentumState, tau: float, model: FrameModel
 ) -> float:
     """Position expectation from the displacement-kernel quadrature."""
-    _require_finite_tau(tau)
+    _require_finite(tau, "tau")
     grid = initial.grid
     _, kernel = _kernels.phase_and_displacement(grid.nodes, float(tau), model.lam)
     return _analytic_mean(_reference(initial, model), kernel, grid.h)
@@ -261,7 +262,7 @@ def to_position_representation(
         state.grid.nodes, np.asarray(state.amps), q, model.hbar
     )
     amps = raw * state.grid.h / np.sqrt(2.0 * np.pi * model.hbar)
-    norm = float(np.sum(np.abs(amps) ** 2) * (q[1] - q[0]))
+    norm = float(_integral(np.abs(amps) ** 2, q[1] - q[0]))
     return PositionProfile(
         q=q, amps=amps, norm=norm, coverage_ok=bool(abs(norm - 1.0) <= 1e-3)
     )
@@ -273,7 +274,8 @@ def expectation_series(initial: MomentumState, taus,
 
     Each sample is computed by the analytic route and cross-checked
     against the numeric route; disagreement beyond 1e-4 raises
-    :class:`ConsistencyError` naming the offending tau and the grid's n.
+    :class:`ConsistencyError` naming the offending tau and the grid's n,
+    or :class:`DomainError` on a grid reaching p <= 0.
     The tau-invariant work is done once: the anchor, the density |f|^2 and
     the truncation term, which depends on |psi| = |f| only because the
     evolution is a unimodular phase.  One :func:`_kernels.workspace` holds
@@ -306,10 +308,14 @@ def expectation_series(initial: MomentumState, taus,
         d = _derivative(amps, h, ws)
         numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, ws.work)
         _check_residual(residual, f" at tau={tau}; grid too coarse for its phase")
-        if not abs(numeric - q_mean[k]) <= CROSS_CHECK_TOLERANCE:
-            raise ConsistencyError(
-                f"analytic/numeric expectation mismatch "
-                f"{abs(numeric - q_mean[k]):.3e} at tau={tau} on the n={p.shape[0]} grid"
-            )
+        gap = abs(numeric - q_mean[k])
+        if not gap <= CROSS_CHECK_TOLERANCE:
+            message = (f"analytic/numeric expectation mismatch {gap:.3e} "
+                       f"at tau={tau} on the n={p.shape[0]} grid")
+            if initial.grid.p_min <= 0.0:
+                raise DomainError(
+                    f"{message}: the grid reaches p <= 0, and the phase law jumps "
+                    f"at tau = 0+ for p < 0, so a finer grid may not help")
+            raise ConsistencyError(message)
         q_var[k] = _variance(d, numeric, h, hbar, ws.real)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

@@ -21,7 +21,7 @@ from .model import (
     MomentumState,
     ShiftConvention,
     ShiftReport,
-    _require_finite_tau,
+    _require_finite,
     _require_positive,
     moments,
 )
@@ -43,7 +43,7 @@ def total_shift(mean_p: float, var_p: float, model: FrameModel) -> float:
     MEAN_MOMENTUM: -4<p>^2/lam - 2(dp)^2/lam.
     MEAN_SQUARE_MOMENTUM: -4<p^2>/lam (classical p^2 read as <p^2>).
     """
-    _require_finite_tau(mean_p, "mean momentum")
+    _require_finite(mean_p, "mean momentum")
     if not 0.0 <= var_p < math.inf:
         raise DomainError(
             f"momentum variance must be non-negative and finite, got {var_p}")
@@ -54,7 +54,7 @@ def total_shift(mean_p: float, var_p: float, model: FrameModel) -> float:
 
 def asymptotic_tau_bound(grid_p_max: float, model: FrameModel) -> float:
     """Scale beyond which every grid component is past re-crossing."""
-    _require_finite_tau(grid_p_max, "grid p_max")
+    _require_finite(grid_p_max, "grid p_max")
     return 2.0 * grid_p_max**2 / model.lam
 
 

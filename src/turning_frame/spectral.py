@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
-from .model import FrameModel, _require_finite, _require_finite_tau, _require_increasing
+from .model import FrameModel, _require_finite, _require_increasing
 
 # Sum |c|^2 over a discrete spectrum is exact up to rounding, so it is held
 # to 1e-9; model.NORM_TOLERANCE (1e-6) bounds a grid quadrature of |f|^2
@@ -34,7 +34,7 @@ class SpectralState:
     tau: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "tau")
+        _require_finite(self.tau, "tau")
         energies = np.asarray(self.energies, dtype=np.float64)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if energies.ndim != 1 or energies.shape != coeffs.shape:
@@ -76,7 +76,7 @@ class ObservableMatrix:
 
 def propagate(state: SpectralState, tau: float, model: FrameModel) -> SpectralState:
     """Advance spectral coefficients by the turning-point phase law."""
-    _require_finite_tau(tau)
+    _require_finite(tau, "tau")
     dphi = (
         _kernels.phase_profile(state.energies, float(tau), model.lam)
         - _kernels.phase_profile(state.energies, float(state.tau), model.lam)

@@ -184,19 +184,26 @@ def test_reference_config_holds_the_digest(tmp_path):
 
 
 # sha256 of every file the checked-in configs produce; a change that alters
-# one byte of them changes the package's published numbers
+# one byte of them changes the package's published numbers.  hbar = 0.75 is
+# not a power of two, so it shows a reordered hbar * sum * h; hbar = 1 cannot
 GOLDEN = {
-    ("classical", "classical_trajectory.json"): {
+    ("classical", "classical_trajectory.json", ()): {
         "classical_trajectory.csv":
             "ae0613196ef8057a93a33c0684077e8ab7e826efbb3f6f1446fefc48eed759af",
     },
-    ("shift", "shift_reference.json"): {
+    ("shift", "shift_reference.json", ()): {
         "shift_reference_report.json":
             "8d99fb03f986543d37499c82764c35fef6f3f46877c09e7f680b46778d085f24",
         "shift_reference_series.csv":
             "496e0d52225bc2838dc77f4cef1c60181ba73d3cdf9f4bd955fe02b651017a8c",
     },
-    ("evolve", "wavefunction_snapshots.json"): {
+    ("shift", "shift_reference.json", ("--hbar", "0.75")): {
+        "shift_reference_report.json":
+            "bcee9d5c2ad59f1997fac01ca90207605f945b991bc201eeb14cbc52b20462c5",
+        "shift_reference_series.csv":
+            "f51a0cc4d1c2f8add1a9ca32f0c82a662956c017475e9bd54bb86ddd4398b4ac",
+    },
+    ("evolve", "wavefunction_snapshots.json", ()): {
         "snapshots_momentum_00.csv":
             "bfa5f9df2359c5436daeeb83ac40d6401dca5c69fb23fa058186ec9e142fa8b8",
         "snapshots_momentum_01.csv":
@@ -219,13 +226,15 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command, config", GOLDEN)
-def test_checked_in_configs_give_the_recorded_bytes(tmp_path, command, config):
+@pytest.mark.parametrize("command, config, flags", GOLDEN, ids=[
+    "-".join([command, config, *(flag.lstrip("-") for flag in flags)])
+    for command, config, flags in GOLDEN])
+def test_checked_in_configs_give_the_recorded_bytes(tmp_path, command, config, flags):
     assert main([command, "--config", str(CONFIGS / config),
-                 "--outdir", str(tmp_path)]) == 0
+                 "--outdir", str(tmp_path), *flags]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
-    assert written == GOLDEN[command, config]
+    assert written == GOLDEN[command, config, flags]
 
 
 def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):
@@ -236,6 +245,19 @@ def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expectation mismatch" in err
     assert "tau=0.45" in err and "n=1024" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_route_gap_on_a_grid_reaching_p_le_0_exits_2(tmp_path, capsys):
+    """A raw state with mass at p < 0 meets the phase law's jump at tau = 0+."""
+    argv = ["shift", "--config", str(CONFIGS / "shift_reference.json"),
+            "--mode", "raw", "--p0", "0.3", "--sigma", "0.3",
+            "--p-min", "-5", "--p-max", "5", "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "expectation mismatch 2.392e-03" in err
+    assert "tau=0.05" in err and "n=4096" in err
+    assert "p <= 0" in err and "finer grid may not help" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -29,3 +29,32 @@ def test_relative_imports_are_read():
 ])
 def test_module_does_not_import(module, forbidden):
     assert forbidden not in relative_imports(module)
+
+
+def calls_outside(module: str, function: str, attrs: set[str]) -> list[int]:
+    """Lines of ``module`` calling ``x.<attr>(...)`` outside ``function``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == function
+              for node in ast.walk(top)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in attrs and id(node) not in inside]
+
+
+# one quadrature rule: switching it (say to trapezoid end weights) edits
+# model._integral alone
+def test_node_sums_go_through_integral():
+    assert len(calls_outside("model", "", {"sum", "reduce"})) == 1  # not vacuous
+    for module in ("model", "quantum"):
+        assert calls_outside(module, "_integral", {"sum", "reduce"}) == [], module
+
+
+def test_one_finiteness_guard():
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "_require_finite_tau" not in names, path.name

@@ -45,6 +45,7 @@ def test_grid_validation():
     grid = MomentumGrid(0.0, 1.0, 11)
     assert grid.h == pytest.approx(0.1)
     assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 1.0
+    assert MomentumGrid(0.0, 1.0, np.int64(11)).nodes.shape == (11,)
 
 
 def test_gaussian_spec_requires_positive_sigma():

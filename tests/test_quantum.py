@@ -501,6 +501,7 @@ def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
 # reads the mean and the imaginary residual through quantum._fd_position_mean
 _NAN_RESIDUAL = ("_fd_position_mean", lambda *args: (0.0, math.nan))
 _NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
+_GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got nan$"}
 
 
 @pytest.mark.parametrize("patch, call, error", [
@@ -543,6 +544,10 @@ _NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
     (None, lambda s, m: quantum_shift_analytic(math.inf, m), DomainError),
     (None, lambda s, m: gauge_solution(math.inf, m, 1.0), DomainError),
     (None, lambda s, m: displacement_kernel(1.0, math.inf, m), DomainError),
+    (None, lambda s, m: q_of_tau(np.where(np.arange(401) == 200, math.nan, 0.5),
+                                 ClassicalState(REF_Q0, REF_P0), m), DomainError),
+    (None, lambda s, m: MomentumGrid(0.1, 1.0, math.nan), DomainError),
+    (None, lambda s, m: MomentumGrid(0.1, 1.0, 2.5), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
@@ -551,13 +556,17 @@ _NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
         "unwind-phi-nan", "unwind-phi-array-inf", "phi-of-q-nan", "q-of-phi-nan",
         "gauge-epsilon-nan", "phase-branch-nan", "total-shift-mean-nan",
         "total-shift-var-nan", "tau-bound-nan", "shift-analytic-inf", "gauge-energy-inf",
-        "displacement-p-inf"])
+        "displacement-p-inf", "q-of-tau-array-one-nan", "grid-n-nan",
+        "grid-n-fractional"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
-                                             patch, call, error):
+                                             request, patch, call, error):
     if patch is not None:
         monkeypatch.setattr(quantum, *patch)
-    with pytest.raises(error):
+    match = _GUARD_MESSAGES.get(request.node.callspec.id)
+    with pytest.raises(error, match=match) as info:
         call(trunc_state, model)
+    # a refusal names the offending sample, never the whole array
+    assert len(str(info.value)) <= 200
 
 
 @pytest.mark.parametrize("mean, residual, error", [
