@@ -8,6 +8,13 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
   exactly at the turning point land on the closed-form joint value
   instead of picking up a ``sqrt(eps)`` spray from the infinite one-sided
   slope.  ``before_exit`` places tau against the outer boundary.
+* The phase and its displacement kernel give every node the free-flight
+  forms ``p tau - (2/3) p^3/lam`` and ``tau - 2 p^2/lam``; the
+  turning-region formulas run only from the first node before its exit
+  on, so the nodes past their exit (a prefix on an ascending grid of
+  positive momenta, and every node once tau is past the last exit) get
+  the free-flight form alone.  Nodes may come in any order: a node past its
+  exit inside the tail keeps its free-flight value by the select.
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
@@ -46,9 +53,10 @@ class Workspace(NamedTuple):
     The first seven are the tau-invariant subexpressions of
     ``phase_and_displacement``, so every tau gets the same bits; the rest are
     written at each tau and hold Phi, D, psi and the stencil until the next
-    one (``exponent`` only in its imaginary slot).  ``workspace`` fills all
-    of them.  A kernel given the all-None ``_FRESH`` allocates its arrays,
-    as a single call does.
+    one (``exponent`` only in its imaginary slot), the branch scratch ``u``,
+    ``s``, ``t`` and ``mask`` only from the first node before its exit on.
+    ``workspace`` fills all of them.  A kernel given the all-None ``_FRESH``
+    allocates its arrays, as a single call does.
     """
 
     p2: np.ndarray | None = None        # p^2
@@ -111,16 +119,20 @@ def before_exit(p2, tau, lam, ws=_FRESH):
     return np.greater_equal(p2, 0.5 * lam * tau, out=ws.early)
 
 
-def _phase(p, tau, lam, p3, cubic, u, s, early, ws=_FRESH):
+def _phase(phase, p3, u, s, early, lam, t=None):
+    """Overwrite ``phase`` with the turning-region phase where ``early``."""
     # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
-    mid = np.multiply(u, s, out=ws.t)
+    mid = np.multiply(u, s, out=t)
     np.subtract(p3, mid, out=mid)
     np.multiply(2.0 / 3.0, mid, out=mid)
     mid /= lam
-    phase = np.multiply(p, tau, out=ws.phi)
-    phase -= cubic
     np.copyto(phase, mid, where=early)
-    return phase
+
+
+def _first_early(early):
+    """Index of the first node before its exit, or None if there is none."""
+    lo = int(early.argmax())
+    return lo if early[lo] else None
 
 
 def phase_profile(p, tau, lam):
@@ -128,39 +140,54 @@ def phase_profile(p, tau, lam):
     if tau <= 0.0:
         return p * tau
     p2, p3, cubic = _phase_terms(p, lam)
-    u, s = branch(p2, tau, lam)
-    return _phase(p, tau, lam, p3, cubic, u, s, before_exit(p2, tau, lam))
+    phase = p * tau
+    phase -= cubic
+    early = before_exit(p2, tau, lam)
+    lo = _first_early(early)
+    if lo is not None:
+        u, s = branch(p2[lo:], tau, lam)
+        _phase(phase[lo:], p3[lo:], u, s, early[lo:], lam)
+    return phase
 
 
 def phase_and_displacement(p, tau, lam, ws=None):
     """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
 
     ``ws`` is ``workspace(p, lam)``, built here for a single call; Phi and D
-    come back in ``ws.phi`` and ``ws.d``.
+    come back in ``ws.phi`` and ``ws.d``.  Every node gets the free-flight
+    forms; the turning-region formulas overwrite them from the first node
+    before its exit on, on the tails of the nodes and of the scratch arrays.
     """
     if ws is None:
         ws = workspace(p, lam)
     if tau <= 0.0:
         ws.d.fill(tau)
         return np.multiply(p, tau, out=ws.phi), ws.d
-    u, s = branch(ws.p2, tau, lam, ws)
+    phase = np.multiply(p, tau, out=ws.phi)
+    phase -= ws.cubic
+    d = np.subtract(tau, ws.exit, out=ws.d)
     early = before_exit(ws.p2, tau, lam, ws)
-    phase = _phase(p, tau, lam, ws.p3, ws.cubic, u, s, early, ws)
+    lo = _first_early(early)
+    if lo is None:
+        return phase, d
+    p, p2, early, t = p[lo:], ws.p2[lo:], early[lo:], ws.t[lo:]
+    u, s = branch(p2, tau, lam, Workspace(snap=ws.snap[lo:], u=ws.u[lo:],
+                                          s=ws.s[lo:], mask=ws.mask[lo:]))
+    _phase(phase[lo:], ws.p3[lo:], u, s, early, lam, t)
     # Approaching branch: 2(p^2 - p sqrt(u))/lam rewritten as 2 p tau/(p+sqrt(u))
     # to avoid the p^2 - p*sqrt(p^2 - lam*tau) cancellation near tau -> 0.
     # The rewrite needs p + sqrt(u) > 0, so it replaces the direct form only
     # where u >= 0 and p > 0.  Each array is dead once read, so s then u
     # take the next intermediates.
-    approaching = np.greater_equal(u, 0.0, out=ws.mask)
-    approaching &= ws.positive
-    denom = np.add(p, s, out=ws.t)
+    approaching = np.greater_equal(u, 0.0, out=ws.mask[lo:])
+    approaching &= ws.positive[lo:]
+    denom = np.add(p, s, out=t)
     mid = np.multiply(p, s, out=s)
-    np.subtract(ws.p2, mid, out=mid)
+    np.subtract(p2, mid, out=mid)
     np.multiply(2.0, mid, out=mid)
     mid /= lam
-    np.divide(np.multiply(ws.two_p, tau, out=u), denom, out=mid, where=approaching)
-    d = np.subtract(tau, ws.exit, out=ws.d)
-    np.copyto(d, mid, where=early)
+    np.divide(np.multiply(ws.two_p[lo:], tau, out=u), denom, out=mid, where=approaching)
+    np.copyto(d[lo:], mid, where=early)
     return phase, d
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .model import (ClassicalState, FrameModel, _require_finite,
+from .model import (ClassicalState, FrameModel, _finite_floats, _require_finite,
                     _require_positive, _square)
 
 
@@ -73,8 +73,7 @@ def turning_point(H: float, model: FrameModel) -> float:
 
 def phi_of_q(q, state: ClassicalState, model: FrameModel):
     """Frame value as a function of the system position (single-valued)."""
-    q_arr = np.asarray(q, dtype=np.float64)
-    _require_finite(q_arr, "q")
+    q_arr = _finite_floats(q, "q")
     dq = q_arr - state.q0
     lam, p = model.lam, state.p
     p2 = _square(p, "p")
@@ -90,8 +89,7 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
     BEFORE covers the approach to the turning point, AFTER the return;
     the sheets meet at phi = p^2/lam.
     """
-    phi_arr = np.asarray(phi, dtype=np.float64)
-    _require_finite(phi_arr, "phi")
+    phi_arr = _finite_floats(phi, "phi")
     lam, q0, p2 = model.lam, state.q0, state.p * state.p
     u, _ = _kernels.branch(p2, phi_arr, lam)
     if np.any(u < 0.0):
@@ -111,8 +109,7 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
 def unwind_phi(tau, H: float, model: FrameModel):
     """Frame value reconstructed from the monotonic scale tau."""
     _require_positive(H, "H")
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    _require_finite(tau_arr, "tau")
+    tau_arr = _finite_floats(tau, "tau")
     phi_t = _square(H, "H") / model.lam
     out = np.where(tau_arr <= phi_t, tau_arr, 2.0 * phi_t - tau_arr)
     return float(out) if np.isscalar(tau) else out
@@ -120,8 +117,7 @@ def unwind_phi(tau, H: float, model: FrameModel):
 
 def q_of_tau(tau, state: ClassicalState, model: FrameModel):
     """Relational trajectory q(tau): free, slowed, re-crossing, free again."""
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-    _require_finite(tau_arr, "tau")
+    tau_arr = np.atleast_1d(_finite_floats(tau, "tau"))
     out = _kernels.classical_position_profile(tau_arr, state.q0, state.p, model.lam)
     return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
 

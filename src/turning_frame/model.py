@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import reprlib
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -61,9 +62,22 @@ def _square(value: float, name: str) -> float:
     return square
 
 
+def _is_finite(value) -> bool:
+    """``math.isfinite``, and False for a Python int beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value) -> str:
+    """A refused scalar for a message; an int is cut to 40 characters."""
+    return reprlib.repr(value) if isinstance(value, int) else str(value)
+
+
 def _require_positive(value: float, name: str) -> None:
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+    if not (_is_finite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 def _require_increasing(values: np.ndarray, name: str) -> None:
@@ -80,11 +94,25 @@ def _require_finite(value, name: str) -> None:
     offending index and its value, not every sample.
     """
     if not (isinstance(value, np.ndarray) and value.ndim):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+        if not _is_finite(value):
+            raise DomainError(f"{name} must be finite, got {_shown(value)}")
     elif not np.all(np.isfinite(value)):
         index = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
         raise DomainError(f"{name}{list(index)} must be finite, got {value[index]}")
+
+
+def _finite_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, refused unless every entry is finite.
+
+    A Python int beyond float range is refused too, where the conversion
+    would raise a bare ``OverflowError``.
+    """
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got an int beyond float range") from None
+    _require_finite(arr, name)
+    return arr
 
 
 def _evenly_spaced(nodes: np.ndarray) -> bool:

@@ -18,24 +18,6 @@ def test_snap_produces_exact_boundary_values():
         assert d[0] == pytest.approx(2.0 * p * p / lam, abs=1e-12)
 
 
-# Grids reach p <= 0, where the displacement takes its direct form, and tau
-# ranges over both sides of 0 and past the outer boundary 2 p^2 / lam.
-@settings(max_examples=200, deadline=None)
-@given(
-    p_lo=st.floats(-3.0, 3.0),
-    p_span=st.floats(0.0, 6.0),
-    n=st.integers(1, 64),
-    tau=st.floats(-5.0, 20.0),
-    lam=st.floats(1e-3, 1e3),
-)
-@example(p_lo=-1.0, p_span=2.0, n=9, tau=0.25, lam=4.0)
-def test_phase_profile_is_the_fused_phase(p_lo, p_span, n, tau, lam):
-    """Both entry points evaluate one phase formula, bit for bit."""
-    p = np.linspace(p_lo, p_lo + p_span, n)
-    phase, _ = K.phase_and_displacement(p, tau, lam)
-    assert K.phase_profile(p, tau, lam).tobytes() == phase.tobytes()
-
-
 # -- reference: the allocating kernels the buffered ones must reproduce ----
 
 _REF_SNAP = 8.0 * float(np.finfo(np.float64).eps)
@@ -84,6 +66,45 @@ def ref_derivative(values, h):
     return d
 
 
+# Grids reach p <= 0, where the displacement takes its direct form, and tau
+# ranges over both sides of 0 and past the outer boundary 2 p^2 / lam.  A
+# shuffled grid puts nodes past their exit after the first node before it
+# (in the second example, node 6, followed by 202 nodes past their exit).
+@settings(max_examples=200, deadline=None)
+@given(
+    p_lo=st.floats(-3.0, 3.0),
+    p_span=st.floats(0.0, 6.0),
+    n=st.integers(1, 64),
+    tau=st.floats(-5.0, 20.0),
+    lam=st.floats(1e-3, 1e3),
+    shuffle=st.booleans(),
+)
+@example(p_lo=-1.0, p_span=2.0, n=9, tau=0.25, lam=4.0, shuffle=False)
+@example(p_lo=-2.5, p_span=8.0, n=256, tau=8.0, lam=4.0, shuffle=True)
+def test_phase_profile_is_the_fused_phase(p_lo, p_span, n, tau, lam, shuffle):
+    """Both entry points give the reference's bits, for nodes in any order."""
+    p = np.linspace(p_lo, p_lo + p_span, n)
+    if shuffle:
+        p = np.random.default_rng(n).permutation(p)
+    phase, kernel = K.phase_and_displacement(p, tau, lam)
+    ref_phase, ref_kernel = ref_phase_and_displacement(p, tau, lam)
+    assert phase.tobytes() == ref_phase.tobytes()
+    assert kernel.tobytes() == ref_kernel.tobytes()
+    assert K.phase_profile(p, tau, lam).tobytes() == phase.tobytes()
+
+
+def test_no_branch_work_past_every_exit():
+    """Past every exit the kernel returns the free-flight forms alone."""
+    p, lam, tau = np.linspace(0.01, 5.0, 64), 4.0, 13.0  # every exit <= 12.5
+    ws = K.workspace(p, lam)
+    for scratch in (ws.u, ws.s, ws.t):
+        scratch.fill(np.nan)
+    phase, kernel = K.phase_and_displacement(p, tau, lam, ws)
+    assert phase.tobytes() == (p * tau - ws.cubic).tobytes()
+    assert kernel.tobytes() == (tau - ws.exit).tobytes()
+    assert np.isnan(ws.u).all() and np.isnan(ws.s).all() and np.isnan(ws.t).all()
+
+
 def _marked_tau(p, lam, pick):
     """tau at 0, a node's turning point p^2/lam or its exit 2 p^2/lam,
     moved by -1, 0 or +1 units in the last place."""
@@ -96,6 +117,9 @@ def _marked_tau(p, lam, pick):
 
 _WIDE_PICKS = [(node, multiple, ulps) for node in range(0, 8192, 397)
                for multiple in (0.0, 1.0, 2.0) for ulps in (-1, 0, 1)]
+# every 97th node's exit on the reference grid, where the nodes before
+# their exit are a strict suffix
+_EXIT_PICKS = [(node, 2.0, ulps) for node in range(0, 4096, 97) for ulps in (-1, 0, 1)]
 
 
 # Grids reach p <= 0; tau sits on and one ulp beside 0, the turning points
@@ -116,6 +140,8 @@ _WIDE_PICKS = [(node, multiple, ulps) for node in range(0, 8192, 397)
 )
 @example(p_lo=-2.5, p_span=8.0, n=8192, lam=4.0, hbar=1.0, picks=_WIDE_PICKS,
          free=list(np.linspace(-1.0, 16.0, 35)), seed=0)
+@example(p_lo=0.01, p_span=4.99, n=4096, lam=4.0, hbar=1.0, picks=_EXIT_PICKS,
+         free=[1e-5, 13.0], seed=0)  # before every turning point, past every exit
 def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, hbar,
                                                          picks, free, seed):
     rng = np.random.default_rng(seed)

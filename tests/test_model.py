@@ -53,7 +53,9 @@ def test_gaussian_spec_requires_positive_sigma():
         GaussianSpec(q0=0.0, p0=1.0, sigma=0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# 10**400 is a Python int beyond float range: finite as an int, no float
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float", "-int-beyond-float"])
 def test_value_types_reject_non_finite_parameters(bad):
     for make in (
         lambda: FrameModel(lam=bad),

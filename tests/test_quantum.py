@@ -548,6 +548,9 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
                                  ClassicalState(REF_Q0, REF_P0), m), DomainError),
     (None, lambda s, m: MomentumGrid(0.1, 1.0, math.nan), DomainError),
     (None, lambda s, m: MomentumGrid(0.1, 1.0, 2.5), DomainError),
+    (None, lambda s, m: evolve(s, 10**400, m), DomainError),
+    (None, lambda s, m: q_of_tau(10**400, ClassicalState(REF_Q0, REF_P0), m),
+     DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
@@ -557,7 +560,7 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
         "gauge-epsilon-nan", "phase-branch-nan", "total-shift-mean-nan",
         "total-shift-var-nan", "tau-bound-nan", "shift-analytic-inf", "gauge-energy-inf",
         "displacement-p-inf", "q-of-tau-array-one-nan", "grid-n-nan",
-        "grid-n-fractional"])
+        "grid-n-fractional", "evolve-int-beyond-float", "q-of-tau-int-beyond-float"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              request, patch, call, error):
     if patch is not None:
