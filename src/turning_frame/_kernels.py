@@ -23,15 +23,17 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
   and writes into it with the same expressions, in the same order, as a
   single call, which allocates its arrays instead.  Results are
   bit-identical either way.
-* Complex-by-real-scalar arithmetic (the exponent of ``apply_phase``, the
-  interior of ``derivative``) runs on the float64 view of the complex
-  array, as real ufuncs.  NumPy would cast the scalar x to ``x + 0j`` and
-  run a complex loop, in which every product with the zero imaginary part
-  is +-0 and its complex division (Smith's algorithm) is a multiply by
-  ``1 / x``; so the bits are the same.  Only the sign of a zero can
-  differ, where a component is exactly +-0 and NumPy's extra ``+-0`` term
-  flips it: never in the exponent, whose real slot NumPy makes +0 for
-  every finite phase, and only in such zeros of the stencil.
+* ``apply_phase`` writes exp(i theta), theta = -phase / hbar, as
+  ``cos theta`` and ``sin theta`` into the two float64 slots of psi: the
+  bits of NumPy's complex ``exp(+0 + i theta)``, which is ``(cos theta,
+  sin theta)``, without its complex loop.
+* Complex-by-real-scalar arithmetic (the interior of ``derivative``) runs
+  on the float64 view of the complex array, as real ufuncs.  NumPy would
+  cast the scalar x to ``x + 0j`` and run a complex loop, in which every
+  product with the zero imaginary part is +-0 and its complex division
+  (Smith's algorithm) is a multiply by ``1 / x``; so the bits are the
+  same.  Only the sign of a zero can differ, where a component is exactly
+  +-0 and NumPy's extra ``+-0`` term flips it.
 * The plane-wave sum onto a position grid is a chirp-z transform
   (Bluestein's algorithm), O((N_p + N_q) log(N_p + N_q)) instead of the
   direct O(N_p N_q) sum; both grids must be uniform.
@@ -53,8 +55,8 @@ class Workspace(NamedTuple):
     The first seven are the tau-invariant subexpressions of
     ``phase_and_displacement``, so every tau gets the same bits; the rest are
     written at each tau and hold Phi, D, psi and the stencil until the next
-    one (``exponent`` only in its imaginary slot), the branch scratch ``u``,
-    ``s``, ``t`` and ``mask`` only from the first node before its exit on.
+    one, the branch scratch ``u``, ``s``, ``t`` and ``mask`` only from the
+    first node before its exit on.
     ``workspace`` fills all of them.  A kernel given the all-None ``_FRESH``
     allocates its arrays, as a single call does.
     """
@@ -73,7 +75,7 @@ class Workspace(NamedTuple):
     t: np.ndarray | None = None         # the phase scratch, then p + sqrt(u)
     mask: np.ndarray | None = None      # the snap mask, then the approaching one
     early: np.ndarray | None = None     # before_exit
-    exponent: np.ndarray | None = None  # -i phase / hbar of apply_phase, real slot +0
+    theta: np.ndarray | None = None     # the angle -phase / hbar of apply_phase
     psi: np.ndarray | None = None       # the evolved amplitudes
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, then an integrand
@@ -93,8 +95,7 @@ def workspace(p, lam) -> Workspace:
     p2, p3, cubic = _phase_terms(p, lam)
     n = p.shape[0]
     return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p, 2.0 * p2 / lam, p > 0.0,
-                     *np.empty((5, n)), *np.empty((2, n), dtype=bool),
-                     np.zeros(n, dtype=np.complex128),
+                     *np.empty((5, n)), *np.empty((2, n), dtype=bool), np.empty(n),
                      *np.empty((3, n), dtype=np.complex128), np.empty(n))
 
 
@@ -206,16 +207,15 @@ def classical_position_profile(taus, q0, p, lam):
 def apply_phase(amps, phase, hbar, ws=_FRESH):
     """Multiply amplitudes by exp(-i phase / hbar) into ``ws.psi``.
 
-    The exponent goes to ``ws.exponent`` as NumPy's bits of
-    ``-1j * phase / hbar``: +0 and ``-phase * (1 / hbar)``.
+    The angle ``phase * (-1 / hbar)``, NumPy's bits of the imaginary part
+    of ``-1j * phase / hbar``, goes to ``ws.theta``; its cos and sin go to
+    the real and imaginary slots of ``ws.psi``.
     """
-    if ws.exponent is None:
-        exponent = psi = np.zeros(phase.shape, dtype=np.complex128)
-    else:
-        exponent, psi = ws.exponent, ws.psi
-    np.multiply(phase, -1.0 / hbar, out=exponent.imag)
-    z = np.exp(exponent, out=psi)
-    return np.multiply(amps, z, out=z)
+    psi = np.empty(phase.shape, dtype=np.complex128) if ws.psi is None else ws.psi
+    theta = np.multiply(phase, -1.0 / hbar, out=ws.theta)
+    np.cos(theta, out=psi.real)
+    np.sin(theta, out=psi.imag)
+    return np.multiply(amps, psi, out=psi)
 
 
 def derivative(values, h, ws=_FRESH):

@@ -81,9 +81,12 @@ def _require_positive(value: float, name: str) -> None:
 
 
 def _require_increasing(values: np.ndarray, name: str) -> None:
-    # neighbours are compared, not subtracted: a NaN fails, no step overflows
-    if not (np.all(np.isfinite(values)) and np.all(values[1:] > values[:-1])):
-        raise DomainError(f"{name} must be finite and strictly increasing")
+    """Refuse values that do not strictly increase; callers refuse inf first.
+
+    Neighbours are compared, not subtracted: a NaN fails, no step overflows.
+    """
+    if not np.all(values[1:] > values[:-1]):
+        raise DomainError(f"{name} must be strictly increasing")
 
 
 def _require_finite(value, name: str) -> None:
@@ -101,16 +104,18 @@ def _require_finite(value, name: str) -> None:
         raise DomainError(f"{name}{list(index)} must be finite, got {value[index]}")
 
 
-def _finite_floats(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array, refused unless every entry is finite.
-
-    A Python int beyond float range is refused too, where the conversion
-    would raise a bare ``OverflowError``.
-    """
+def _floats(value, name: str, dtype=np.float64) -> np.ndarray:
+    """``value`` as an array of ``dtype``; a Python int beyond float range is
+    refused with DomainError, where NumPy raises a bare ``OverflowError``."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        return np.asarray(value, dtype=dtype)
     except OverflowError:
         raise DomainError(f"{name} must be finite, got an int beyond float range") from None
+
+
+def _finite_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, refused unless every entry is finite."""
+    arr = _floats(value, name)
     _require_finite(arr, name)
     return arr
 
@@ -218,7 +223,7 @@ class MomentumState:
 
     def __post_init__(self):
         _require_finite(self.tau, "tau")
-        amps = np.array(self.amps, dtype=np.complex128)
+        amps = _floats(self.amps, "amps", np.complex128).copy()
         if amps.shape != (self.grid.n,):
             raise InvalidStateError(
                 f"amplitude shape {amps.shape} does not match grid size {self.grid.n}"
@@ -268,8 +273,7 @@ class ExpectationSeries:
 
     def __post_init__(self):
         for name in ("taus", "q_mean", "norm", "q_var"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            _require_finite(arr, name)
+            arr = _finite_floats(getattr(self, name), name).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "anchor", float(self.anchor))

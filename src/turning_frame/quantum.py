@@ -43,6 +43,8 @@ from .model import (
     MomentumState,
     _check_norm,
     _evenly_spaced,
+    _finite_floats,
+    _floats,
     _integral,
     _norm,
     _require_finite,
@@ -147,11 +149,12 @@ def _fd_position_mean(
     return float(raw.real), float(abs(raw.imag - boundary))
 
 
-def _check_residual(residual: float, where: str) -> None:
+def _check_residual(residual: float, where: str, *args) -> None:
+    """Refuse a residual above the limit; ``where.format(*args)`` ends the
+    message, which is built only then."""
     if not residual <= IMAG_RESIDUAL_LIMIT:
-        raise ResolutionError(
-            f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT}{where}"
-        )
+        raise ResolutionError(f"imaginary residual {residual:.3e} exceeds "
+                              f"{IMAG_RESIDUAL_LIMIT}{where.format(*args)}")
 
 
 def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float,
@@ -253,7 +256,7 @@ def to_position_representation(
     ``coverage_ok`` is cleared when the squared norm over the window
     deviates from 1 by more than 1e-3 (insufficient coverage).
     """
-    q = np.asarray(q_grid, dtype=np.float64)
+    q = _floats(q_grid, "q_grid")
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError("q_grid must be a 1-d array with at least 2 nodes")
     if not _evenly_spaced(q):
@@ -286,7 +289,7 @@ def expectation_series(initial: MomentumState, taus,
     instead, so every value equals theirs bit for bit.  Samples are
     evaluated in order and summed in fixed order.
     """
-    taus = np.asarray(taus, dtype=np.float64)
+    taus = _finite_floats(taus, "tau samples")
     if taus.ndim != 1 or taus.shape[0] == 0:
         raise DomainError("need a non-empty 1-d array of tau samples")
     _require_increasing(taus, "tau samples")
@@ -307,7 +310,7 @@ def expectation_series(initial: MomentumState, taus,
         _check_norm(norms[k])
         d = _derivative(amps, h, ws)
         numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, ws.work)
-        _check_residual(residual, f" at tau={tau}; grid too coarse for its phase")
+        _check_residual(residual, " at tau={}; grid too coarse for its phase", tau)
         gap = abs(numeric - q_mean[k])
         if not gap <= CROSS_CHECK_TOLERANCE:
             message = (f"analytic/numeric expectation mismatch {gap:.3e} "

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
-from .model import FrameModel, _require_finite, _require_increasing
+from .model import (FrameModel, _finite_floats, _floats, _require_finite,
+                    _require_increasing)
 
 # Sum |c|^2 over a discrete spectrum is exact up to rounding, so it is held
 # to 1e-9; model.NORM_TOLERANCE (1e-6) bounds a grid quadrature of |f|^2
@@ -35,8 +36,8 @@ class SpectralState:
 
     def __post_init__(self):
         _require_finite(self.tau, "tau")
-        energies = np.asarray(self.energies, dtype=np.float64)
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        energies = _finite_floats(self.energies, "energies")
+        coeffs = _floats(self.coeffs, "coeffs", np.complex128)
         if energies.ndim != 1 or energies.shape != coeffs.shape:
             raise InvalidStateError("energies and coeffs must be matching 1-d arrays")
         _require_increasing(energies, "energies")
@@ -60,7 +61,7 @@ class ObservableMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = _floats(self.matrix, "matrix", np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidStateError("observable must be a non-empty square matrix")
         if not (np.all(np.isfinite(m))

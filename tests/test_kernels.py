@@ -1,5 +1,6 @@
 """Kernel checks: boundary snapping, stencil order, chirp-z vs direct sum."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -210,6 +211,35 @@ def test_real_view_kernels_equal_the_complex_expressions(n, h, hbar, zero_share,
     modulus = np.abs(values)  # a real input keeps the true division by 12 h
     assert np.array_equal(K.derivative(modulus, h).view(np.uint64),
                           ref_derivative(modulus, h).view(np.uint64))
+
+
+# Signed zeros, the smallest subnormal and normal angles (where glibc's cexp
+# takes a shortcut of its own), pi/2 and huge angles.
+_EXACT_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 -2.2250738585072014e-308, math.pi / 2, 1e22, -1e22, 1e300]
+
+
+def test_apply_phase_at_exact_angles():
+    """cos and sin of the angle are the bits of the complex exp it replaced."""
+    theta = np.array(_EXACT_ANGLES)
+    phase = -theta  # phase * (-1 / hbar) at hbar = 1 is the angle, sign of zero too
+    ws = K.workspace(np.linspace(0.01, 5.0, theta.shape[0]), 4.0)
+    for amps in (np.ones(theta.shape, dtype=np.complex128),
+                 np.full(theta.shape, 1.5 - 0.25j)):
+        want = ref_apply_phase(amps, phase, 1.0)
+        for got in (K.apply_phase(amps, phase, 1.0, ws), K.apply_phase(amps, phase, 1.0)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(ws.theta.view(np.uint64), theta.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_apply_phase_of_a_non_finite_phase_is_nan(bad):
+    """An infinite angle warns, as NumPy's exp did; cos and sin of NaN do not."""
+    with (pytest.warns(RuntimeWarning, match="invalid value") if math.isinf(bad)
+          else contextlib.nullcontext()):
+        got = K.apply_phase(np.ones(2, dtype=np.complex128), np.array([0.5, bad]), 1.0)
+    assert got[0] == np.exp(-0.5j)
+    assert np.isnan(got[1].real) and np.isnan(got[1].imag)
 
 
 def test_derivative_zero_sign_beside_an_exact_zero():

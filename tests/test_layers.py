@@ -50,6 +50,17 @@ def test_node_sums_go_through_integral():
         assert calls_outside(module, "_integral", {"sum", "reduce"}) == [], module
 
 
+# the tau loop runs no complex exponential: apply_phase takes cos and sin of
+# a real angle
+@pytest.mark.parametrize("function", ["phase_and_displacement", "apply_phase",
+                                      "derivative"])
+def test_per_tau_kernels_call_no_exp(function):
+    every = calls_outside("_kernels", "", {"exp"})
+    assert every  # not vacuous: the position transform still calls np.exp
+    assert hasattr(turning_frame._kernels, function)
+    assert set(every) == set(calls_outside("_kernels", function, {"exp"}))
+
+
 def test_one_finiteness_guard():
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())

@@ -166,6 +166,8 @@ def test_unnormalized_state_is_refused_when_built(trunc_grid):
         MomentumState(MomentumGrid(0.5, 1.0, 3), np.full(3, 1e200), 0.0)
     with pytest.raises(InvalidStateError, match="shape"):
         MomentumState(grid=trunc_grid, amps=np.ones(3), tau=0.0)
+    with pytest.raises(DomainError):  # an int beyond float range
+        MomentumState(MomentumGrid(0.5, 1.0, 3), [1.0, 10**400, 0.0], 0.0)
 
 
 def test_nan_state_is_refused_when_built(trunc_grid):
@@ -223,7 +225,8 @@ def test_expectation_series_validation():
     valid = dict(taus=[0.0, 1.0, 2.0], q_mean=np.zeros(3), norm=np.ones(3),
                  q_var=np.zeros(3), anchor=0.0)
     for field, nan_value in (("taus", [0.0, math.nan, 2.0]), ("anchor", math.nan),
-                             ("q_mean", [0.0, math.nan, 0.0])):
+                             ("q_mean", [0.0, math.nan, 0.0]),
+                             ("taus", [0.0, 1.0, 10**400])):
         with pytest.raises(DomainError):
             ExpectationSeries(**{**valid, field: nan_value})
     with pytest.raises(DomainError):

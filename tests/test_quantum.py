@@ -551,6 +551,10 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
     (None, lambda s, m: evolve(s, 10**400, m), DomainError),
     (None, lambda s, m: q_of_tau(10**400, ClassicalState(REF_Q0, REF_P0), m),
      DomainError),
+    (None, lambda s, m: expectation_series(s, [0.5, 10**400], m), DomainError),
+    (None, lambda s, m: to_position_representation(s, [0.0, 10**400], m), DomainError),
+    (None, lambda s, m: SpectralState([1.0, 10**400], [1.0, 0.0]), DomainError),
+    (None, lambda s, m: SpectralState([1.0, 2.0], [1.0, 10**400]), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
@@ -560,7 +564,9 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
         "gauge-epsilon-nan", "phase-branch-nan", "total-shift-mean-nan",
         "total-shift-var-nan", "tau-bound-nan", "shift-analytic-inf", "gauge-energy-inf",
         "displacement-p-inf", "q-of-tau-array-one-nan", "grid-n-nan",
-        "grid-n-fractional", "evolve-int-beyond-float", "q-of-tau-int-beyond-float"])
+        "grid-n-fractional", "evolve-int-beyond-float", "q-of-tau-int-beyond-float",
+        "series-int-beyond-float", "q-grid-int-beyond-float",
+        "spectral-energies-int-beyond-float", "spectral-coeffs-int-beyond-float"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              request, patch, call, error):
     if patch is not None:
@@ -572,12 +578,17 @@ def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
     assert len(str(info.value)) <= 200
 
 
-@pytest.mark.parametrize("mean, residual, error", [
-    (0.0, math.nan, ResolutionError),
-    (math.nan, 0.0, ConsistencyError),
-], ids=["nan-residual", "nan-route-gap"])
+_TOO_COARSE = " at tau=0.5; grid too coarse for its phase$"
+
+
+@pytest.mark.parametrize("mean, residual, error, message", [
+    (0.0, math.nan, ResolutionError, "^imaginary residual nan exceeds 0.0001" + _TOO_COARSE),
+    (math.nan, 0.0, ConsistencyError, "tau=0.5"),
+    (0.0, 2.5e-3, ResolutionError,
+     r"^imaginary residual 2\.500e-03 exceeds 0\.0001" + _TOO_COARSE),
+], ids=["nan-residual", "nan-route-gap", "large-residual"])
 def test_series_sample_nan_guards_raise(trunc_state, model, monkeypatch,
-                                        mean, residual, error):
+                                        mean, residual, error, message):
     """A NaN past the anchor, on a tau sample, trips that sample's guard."""
     genuine = quantum._fd_position_mean
     calls = []
@@ -587,6 +598,7 @@ def test_series_sample_nan_guards_raise(trunc_state, model, monkeypatch,
         return genuine(*args) if len(calls) == 1 else (mean, residual)
 
     monkeypatch.setattr(quantum, "_fd_position_mean", nan_after_anchor)
-    with pytest.raises(error, match="tau=0.5"):
+    with pytest.raises(error, match=message):
         expectation_series(trunc_state, [0.5, 1.0], model)
     assert len(calls) == 2
+

@@ -54,6 +54,8 @@ def test_observable_must_be_hermitian():
             ObservableMatrix(np.array([[1.0, bad], [bad, 1.0]]))
     with pytest.raises(InvalidStateError):
         ObservableMatrix(np.zeros((0, 0)))
+    with pytest.raises(DomainError):  # an int beyond float range
+        ObservableMatrix([[1.0, 10**400], [10**400, 1.0]])
     obs = ObservableMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert obs.dim == 2
 
