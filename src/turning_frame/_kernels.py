@@ -1,5 +1,5 @@
-"""Hot numeric kernels: branchwise phase laws, displacement kernels, stencils
-and the position transform.
+"""Hot numeric kernels: branchwise phase laws, displacement kernels, the one
+propagation step, stencils and the position transform.
 
 Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
 
@@ -23,6 +23,9 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
   and writes into it with the same expressions, in the same order, as a
   single call, which allocates its arrays instead.  Results are
   bit-identical either way.
+* ``advance``, the product with exp(-i (Phi(tau) - Phi(start)) / hbar), is
+  the one propagation; only the tau loop of a series, which keeps Phi in
+  its workspace, calls ``apply_phase`` itself.
 * ``apply_phase`` writes exp(i theta), theta = -phase / hbar, as
   ``cos theta`` and ``sin theta`` into the two float64 slots of psi: the
   bits of NumPy's complex ``exp(+0 + i theta)``, which is ``(cos theta,
@@ -46,13 +49,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ResolutionError
+
 _SNAP = 8.0 * float(np.finfo(np.float64).eps)
 
 
 class Workspace(NamedTuple):
     """Every array the tau loop of a series reads or overwrites, on nodes p.
 
-    The first seven are the tau-invariant subexpressions of
+    The first six are the tau-invariant subexpressions of
     ``phase_and_displacement``, so every tau gets the same bits; the rest are
     written at each tau and hold Phi, D, psi and the stencil until the next
     one, the branch scratch ``u``, ``s``, ``t`` and ``mask`` only from the
@@ -65,7 +70,6 @@ class Workspace(NamedTuple):
     snap: np.ndarray | None = None      # _SNAP p^2, the snap width of ``branch``
     p3: np.ndarray | None = None        # p^2 p of the turning-region phase
     cubic: np.ndarray | None = None     # (2/3) p^2 p / lam of the late phase
-    two_p: np.ndarray | None = None     # 2 p of the approaching displacement
     exit: np.ndarray | None = None      # 2 p^2 / lam of the late displacement
     positive: np.ndarray | None = None  # p > 0, where the approaching rewrite holds
     phi: np.ndarray | None = None       # Phi
@@ -94,7 +98,7 @@ def workspace(p, lam) -> Workspace:
     """The invariants on nodes p and one array of every per-tau kind."""
     p2, p3, cubic = _phase_terms(p, lam)
     n = p.shape[0]
-    return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p, 2.0 * p2 / lam, p > 0.0,
+    return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, p > 0.0,
                      *np.empty((5, n)), *np.empty((2, n), dtype=bool), np.empty(n),
                      *np.empty((3, n), dtype=np.complex128), np.empty(n))
 
@@ -187,7 +191,7 @@ def phase_and_displacement(p, tau, lam, ws=None):
     np.subtract(p2, mid, out=mid)
     np.multiply(2.0, mid, out=mid)
     mid /= lam
-    np.divide(np.multiply(ws.two_p[lo:], tau, out=u), denom, out=mid, where=approaching)
+    np.divide(np.multiply(p, 2.0 * tau, out=u), denom, out=mid, where=approaching)
     np.copyto(d[lo:], mid, where=early)
     return phase, d
 
@@ -218,6 +222,12 @@ def apply_phase(amps, phase, hbar, ws=_FRESH):
     return np.multiply(amps, psi, out=psi)
 
 
+def advance(x, amps, start, tau, lam, hbar):
+    """Amplitudes on nodes x at scale start, carried to tau by the phase law."""
+    return apply_phase(amps, phase_profile(x, tau, lam) - phase_profile(x, start, lam),
+                       hbar)
+
+
 def derivative(values, h, ws=_FRESH):
     """Fourth-order finite-difference derivative on a uniform grid (n >= 5).
 
@@ -228,6 +238,8 @@ def derivative(values, h, ws=_FRESH):
     take the other sign where a component of ``values`` is exactly +-0.
     A real ``values`` keeps the true division by 12 h.
     """
+    if values.shape[0] < 5:
+        raise ResolutionError("derivative stencils need at least 5 grid nodes")
     d = np.empty_like(values) if ws.stencil is None else ws.stencil
     k = 2 if values.dtype.kind == "c" else 1
     v, dv = values.view(np.float64), d.view(np.float64)

@@ -343,7 +343,7 @@ def _collect_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config)
     for path in FLAGS:
         _override(cfg, path, getattr(args, path, None))
-    if getattr(args, "snapshots", None):
+    if getattr(args, "snapshots", None) is not None:
         cfg["snapshots"] = args.snapshots.split(",")
     return cfg
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _csv
+from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError, ResolutionError
 
 NORM_TOLERANCE = 1e-6
@@ -63,7 +63,10 @@ def _square(value: float, name: str) -> float:
 
 
 def _is_finite(value) -> bool:
-    """``math.isfinite``, and False for a Python int beyond float range."""
+    """``math.isfinite``, and False for a Python int beyond float range and
+    for a complex value, whose imaginary part a float conversion drops."""
+    if isinstance(value, (complex, np.complexfloating)):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
@@ -80,13 +83,13 @@ def _require_positive(value: float, name: str) -> None:
         raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
-def _require_increasing(values: np.ndarray, name: str) -> None:
-    """Refuse values that do not strictly increase; callers refuse inf first.
+def _require_increasing(values: np.ndarray, name: str, error=DomainError) -> None:
+    """Raise ``error`` unless values strictly increase; callers refuse inf first.
 
     Neighbours are compared, not subtracted: a NaN fails, no step overflows.
     """
     if not np.all(values[1:] > values[:-1]):
-        raise DomainError(f"{name} must be strictly increasing")
+        raise error(f"{name} must be strictly increasing")
 
 
 def _require_finite(value, name: str) -> None:
@@ -105,10 +108,14 @@ def _require_finite(value, name: str) -> None:
 
 
 def _floats(value, name: str, dtype=np.float64) -> np.ndarray:
-    """``value`` as an array of ``dtype``; a Python int beyond float range is
-    refused with DomainError, where NumPy raises a bare ``OverflowError``."""
+    """``value`` as an array of ``dtype``, or DomainError for complex values
+    when ``dtype`` is real (NumPy drops the imaginary part with a warning) and
+    for a Python int beyond float range (NumPy raises ``OverflowError``)."""
     try:
-        return np.asarray(value, dtype=dtype)
+        arr = np.asarray(value)
+        if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+            raise DomainError(f"{name} must be real, got complex values")
+        return np.asarray(arr, dtype=dtype)
     except OverflowError:
         raise DomainError(f"{name} must be finite, got an int beyond float range") from None
 
@@ -326,8 +333,8 @@ def make_gaussian(
     """Build a normalized Gaussian momentum state referenced to tau0 <= 0.
 
     Amplitudes follow ``exp(-sigma^2 (p - p0)^2 / hbar^2) exp(-i p q0 / hbar)``
-    and are renormalized on the grid. In TRUNCATE_POSITIVE mode the grid
-    must be strictly positive.
+    and are renormalized on the grid, then carried to tau0 as ``evolve``
+    does. In TRUNCATE_POSITIVE mode the grid must be strictly positive.
     """
     if mode is GaussianMode.TRUNCATE_POSITIVE and not grid.p_min > 0.0:
         raise DomainError(
@@ -349,12 +356,13 @@ def make_gaussian(
     with np.errstate(over="ignore"):
         envelope = np.exp(-sigma2 * (p - spec.p0) ** 2 / _square(model.hbar, "hbar"))
     amps = envelope * np.exp(-1j * p * spec.q0 / model.hbar)
-    if tau0 != 0.0:
-        amps = amps * np.exp(-1j * p * tau0 / model.hbar)
     norm = _norm(amps, grid.h)
     if norm <= 0.0:
         raise ResolutionError("state has no support on the supplied grid")
-    return MomentumState(grid=grid, amps=amps / norm, tau=tau0)
+    amps = amps / norm
+    if tau0 != 0.0:
+        amps = _kernels.advance(p, amps, 0.0, tau0, model.lam, model.hbar)
+    return MomentumState(grid=grid, amps=amps, tau=tau0)
 
 
 def moments(state: MomentumState) -> Moments:
@@ -380,6 +388,7 @@ def load_momentum_csv(path, tau: float = 0.0) -> MomentumState:
         raise InvalidStateError(f"{path}: holds fewer than 2 nodes")
     if not _evenly_spaced(p_arr):
         raise InvalidStateError(f"{path}: nodes are not finite and evenly spaced")
+    _require_increasing(p_arr, f"{path}: p", InvalidStateError)
     grid = MomentumGrid(float(p_arr[0]), float(p_arr[-1]), int(p_arr.size))
     amps = np.column_stack([re, im]).view(np.complex128).ravel()
     try:

@@ -55,7 +55,6 @@ from .model import (
 
 IMAG_RESIDUAL_LIMIT = 1e-4
 CROSS_CHECK_TOLERANCE = 1e-4
-MIN_DERIVATIVE_NODES = 5
 
 
 def phase_branch(tau: float, p: float, model: FrameModel) -> int:
@@ -81,6 +80,7 @@ def phase_theta(phi: float, p: float, model: FrameModel) -> float:
     up to the turning point of the given momentum component.
     """
     _require_positive(p, "momentum")
+    _require_finite(phi, "phi")
     lam, p2 = model.lam, p * p
     if _kernels.branch(p2, phi, lam)[0] < 0.0:
         raise DomainError(
@@ -112,17 +112,9 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
 def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumState:
     """Advance a state to scale tau by the exact pointwise phase law."""
     _require_finite(tau, "tau")
-    p = initial.grid.nodes
-    start = _kernels.phase_profile(p, float(initial.tau), model.lam)
-    dphi = _kernels.phase_profile(p, float(tau), model.lam) - start
-    amps = _kernels.apply_phase(initial.amps, dphi, model.hbar)
+    amps = _kernels.advance(initial.grid.nodes, initial.amps, float(initial.tau),
+                            float(tau), model.lam, model.hbar)
     return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
-
-
-def _derivative(values: np.ndarray, h: float, ws=_kernels._FRESH) -> np.ndarray:
-    if values.shape[0] < MIN_DERIVATIVE_NODES:
-        raise ResolutionError("derivative stencils need at least 5 grid nodes")
-    return _kernels.derivative(values, h, ws=ws)
 
 
 def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
@@ -131,7 +123,7 @@ def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
     It depends on the modulus only, so it is the same for every state that
     differs by a pointwise unimodular phase.
     """
-    return float(_integral(modulus * _derivative(modulus, h), h, hbar))
+    return float(_integral(modulus * _kernels.derivative(modulus, h), h, hbar))
 
 
 def _fd_position_mean(
@@ -174,25 +166,10 @@ def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float,
 def position_expectation_numeric(state: MomentumState, model: FrameModel) -> float:
     """Position expectation from finite differences of the evolved state."""
     amps, h, hbar = state.amps, state.grid.h, model.hbar
-    value, residual = _fd_position_mean(
-        amps, _derivative(amps, h), h, hbar, _boundary_term(np.abs(amps), h, hbar)
-    )
+    value, residual = _fd_position_mean(amps, _kernels.derivative(amps, h), h, hbar,
+                                        _boundary_term(np.abs(amps), h, hbar))
     _check_residual(residual, "; grid too coarse for the state's phase")
     return value
-
-
-def _reference_amplitudes(initial: MomentumState, model: FrameModel) -> np.ndarray:
-    """Recover f(p) from a state referenced at tau <= 0 (pre-potential)."""
-    if initial.tau > 0.0:
-        raise DomainError(
-            f"initial state must be referenced at tau <= 0, got {initial.tau}"
-        )
-    if initial.tau == 0.0:
-        return np.asarray(initial.amps)
-    p = initial.grid.nodes
-    return _kernels.apply_phase(
-        np.asarray(initial.amps), -p * initial.tau, model.hbar
-    )
 
 
 class _Reference(NamedTuple):
@@ -204,11 +181,18 @@ class _Reference(NamedTuple):
 
 
 def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
-    f = _reference_amplitudes(initial, model)
+    """The statistics of f(p), the state carried back from tau <= 0 to 0."""
+    if initial.tau > 0.0:
+        raise DomainError(
+            f"initial state must be referenced at tau <= 0, got {initial.tau}"
+        )
     h, hbar = initial.grid.h, model.hbar
+    f = initial.amps
+    if initial.tau != 0.0:
+        f = _kernels.advance(initial.grid.nodes, f, initial.tau, 0.0, model.lam, hbar)
     modulus = np.abs(f)
     boundary = _boundary_term(modulus, h, hbar)
-    anchor, residual = _fd_position_mean(f, _derivative(f, h), h, hbar, boundary)
+    anchor, residual = _fd_position_mean(f, _kernels.derivative(f, h), h, hbar, boundary)
     _check_residual(residual, " while extracting the position anchor")
     return _Reference(anchor, modulus**2, boundary)
 
@@ -233,7 +217,7 @@ def position_expectation_analytic(
 def position_variance(state: MomentumState, model: FrameModel) -> float:
     """Position variance via the symmetric form hbar^2 sum |dpsi/dp|^2 h."""
     amps, h = state.amps, state.grid.h
-    d = _derivative(amps, h)
+    d = _kernels.derivative(amps, h)
     mean_q, _ = _fd_position_mean(amps, d, h, model.hbar, 0.0)
     return _variance(d, mean_q, h, model.hbar)
 
@@ -261,6 +245,7 @@ def to_position_representation(
         raise DomainError("q_grid must be a 1-d array with at least 2 nodes")
     if not _evenly_spaced(q):
         raise DomainError("q_grid must be finite and evenly spaced")
+    _require_increasing(q, "q_grid")
     raw = _kernels.position_transform(
         state.grid.nodes, np.asarray(state.amps), q, model.hbar
     )
@@ -308,7 +293,7 @@ def expectation_series(initial: MomentumState, taus,
         amps = _kernels.apply_phase(initial.amps, phase, hbar, ws)
         norms[k] = _norm(amps, h, ws.real)
         _check_norm(norms[k])
-        d = _derivative(amps, h, ws)
+        d = _kernels.derivative(amps, h, ws=ws)
         numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, ws.work)
         _check_residual(residual, " at tau={}; grid too coarse for its phase", tau)
         gap = abs(numeric - q_mean[k])

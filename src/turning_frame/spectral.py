@@ -78,11 +78,8 @@ class ObservableMatrix:
 def propagate(state: SpectralState, tau: float, model: FrameModel) -> SpectralState:
     """Advance spectral coefficients by the turning-point phase law."""
     _require_finite(tau, "tau")
-    dphi = (
-        _kernels.phase_profile(state.energies, float(tau), model.lam)
-        - _kernels.phase_profile(state.energies, float(state.tau), model.lam)
-    )
-    coeffs = _kernels.apply_phase(np.asarray(state.coeffs), dphi, model.hbar)
+    coeffs = _kernels.advance(state.energies, state.coeffs, float(state.tau),
+                              float(tau), model.lam, model.hbar)
     return SpectralState(energies=state.energies, coeffs=coeffs, tau=float(tau))
 
 
@@ -110,6 +107,7 @@ def save_spectral_csv(state: SpectralState, path) -> None:
 def load_spectral_csv(path, tau: float = 0.0) -> SpectralState:
     """Read an ``E,re,im`` file back into a spectral state."""
     energies, re, im = _csv.read(path, ["E", "re", "im"])
+    _require_increasing(energies, f"{path}: E", InvalidStateError)
     coeffs = np.column_stack([re, im]).view(np.complex128).ravel()
     return SpectralState(energies=energies, coeffs=coeffs, tau=tau)
 

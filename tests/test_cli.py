@@ -132,7 +132,7 @@ def test_evolve_writes_snapshots_with_unit_norms(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--q0", "nan"), ("--p0", "inf"), ("--sigma", "nan"),
     ("--lambda", "-inf"), ("--hbar", "nan"), ("--snapshots", "0.5,nan"),
-    ("--snapshots", "0.5,abc"),
+    ("--snapshots", "0.5,abc"), ("--snapshots", ""),
 ])
 def test_evolve_rejects_non_finite_input_without_output(tmp_path, capsys,
                                                         flag, value):

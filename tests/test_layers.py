@@ -61,6 +61,17 @@ def test_per_tau_kernels_call_no_exp(function):
     assert set(every) == set(calls_outside("_kernels", function, {"exp"}))
 
 
+# one propagation: Phi(tau) - Phi(start), then apply_phase, is
+# _kernels.advance; only the tau loop of a series, which keeps Phi in its
+# workspace, calls apply_phase itself
+def test_one_propagation_function():
+    for module in ("model", "spectral"):
+        assert calls_outside(module, "", {"advance"}), module  # not vacuous
+        assert calls_outside(module, "", {"apply_phase", "phase_profile"}) == [], module
+    assert calls_outside("quantum", "", {"apply_phase"})  # not vacuous
+    assert calls_outside("quantum", "expectation_series", {"apply_phase"}) == []
+
+
 def test_one_finiteness_guard():
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())

@@ -388,6 +388,13 @@ def test_position_profile_rejects_nonuniform_grid(wide_state, model):
             to_position_representation(wide_state, q_grid, model)
 
 
+def test_position_profile_rejects_non_increasing_grid(wide_state, model):
+    """A descending or repeated grid would give a negative or zero norm."""
+    for q_grid in ([2.0, 1.0], np.linspace(12.0, -2.0, 101), [1.0, 1.0]):
+        with pytest.raises(DomainError, match="^q_grid must be strictly increasing$"):
+            to_position_representation(wide_state, q_grid, model)
+
+
 def test_nan_state_is_refused_before_rendering(wide_grid):
     with pytest.raises(InvalidStateError):
         MomentumState(grid=wide_grid, amps=np.full(wide_grid.n, np.nan), tau=0.0)
@@ -463,6 +470,22 @@ def _assert_series_equals_single_tau_functions(state, taus, model):
     return series
 
 
+@settings(max_examples=10, deadline=None)
+@given(q0=st.floats(0.0, 6.0), p0=st.floats(1.0, 1.5), sigma=st.floats(0.7, 1.4))
+@pytest.mark.parametrize("hbar", [0.7, 1.0])
+@pytest.mark.parametrize("tau0", [-0.5, -2.0])
+def test_gaussian_referenced_at_tau0_is_the_evolved_gaussian(tau0, hbar, q0, p0,
+                                                             sigma):
+    """make_gaussian(tau0) is the tau = 0 Gaussian evolved to tau0, bit for bit."""
+    model = FrameModel(lam=REF_LAMBDA, hbar=hbar)
+    grid = MomentumGrid(0.01, 5.0, 4096)
+    spec = GaussianSpec(q0, p0, sigma)
+    referenced = make_gaussian(spec, grid, model, tau0=tau0)
+    evolved = evolve(make_gaussian(spec, grid, model), tau0, model)
+    assert referenced.tau == evolved.tau
+    assert referenced.amps.tobytes() == evolved.amps.tobytes()
+
+
 def test_series_runs_one_stencil_per_tau(trunc_state, model, monkeypatch):
     """The tau-invariant stencils run once per series, not once per sample,
     and the shift fit reuses the series' anchor instead of running any."""
@@ -501,7 +524,8 @@ def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
 # reads the mean and the imaginary residual through quantum._fd_position_mean
 _NAN_RESIDUAL = ("_fd_position_mean", lambda *args: (0.0, math.nan))
 _NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
-_GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got nan$"}
+_GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got nan$",
+                   "phase-theta-nan": r"^phi must be finite, got nan$"}
 
 
 @pytest.mark.parametrize("patch, call, error", [
@@ -555,6 +579,18 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
     (None, lambda s, m: to_position_representation(s, [0.0, 10**400], m), DomainError),
     (None, lambda s, m: SpectralState([1.0, 10**400], [1.0, 0.0]), DomainError),
     (None, lambda s, m: SpectralState([1.0, 2.0], [1.0, 10**400]), DomainError),
+    # NumPy drops an imaginary part with only a warning; math.isfinite raises
+    # a bare TypeError on a complex scalar
+    (None, lambda s, m: SpectralState([1 + 1j, 2.0], [1.0, 0.0]), DomainError),
+    (None, lambda s, m: expectation_series(s, [0.5 + 1j, 1.0], m), DomainError),
+    (None, lambda s, m: q_of_tau([0.5 + 1j], ClassicalState(REF_Q0, REF_P0), m),
+     DomainError),
+    (None, lambda s, m: unwind_phi([0.5 + 1j], REF_P0, m), DomainError),
+    (None, lambda s, m: to_position_representation(s, [1j, 1, 2], m), DomainError),
+    (None, lambda s, m: FrameModel(lam=1 + 0j), DomainError),
+    (None, lambda s, m: FrameModel(lam=np.complex64(1.0)), DomainError),
+    (None, lambda s, m: evolve(s, 0.5 + 1j, m), DomainError),
+    (None, lambda s, m: phase_theta(math.nan, REF_P0, m), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
@@ -566,7 +602,10 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
         "displacement-p-inf", "q-of-tau-array-one-nan", "grid-n-nan",
         "grid-n-fractional", "evolve-int-beyond-float", "q-of-tau-int-beyond-float",
         "series-int-beyond-float", "q-grid-int-beyond-float",
-        "spectral-energies-int-beyond-float", "spectral-coeffs-int-beyond-float"])
+        "spectral-energies-int-beyond-float", "spectral-coeffs-int-beyond-float",
+        "spectral-energies-complex", "series-tau-complex", "q-of-tau-complex",
+        "unwind-phi-complex", "q-grid-complex", "lambda-complex", "lambda-complex64",
+        "evolve-tau-complex", "phase-theta-nan"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              request, patch, call, error):
     if patch is not None:

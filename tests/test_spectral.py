@@ -181,9 +181,11 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
     pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,1,0\n", id="momentum-unnormalized"),
     pytest.param(load_momentum_csv, "p,re,im\n0,1e200,0\n1,0,0\n", id="momentum-overflowing"),
     pytest.param(load_momentum_csv, "q,re,im\n0,1,0\n1,0,0\n", id="momentum-wrong-header"),
+    pytest.param(load_momentum_csv, "p,re,im\n1,1,0\n0,0,0\n", id="momentum-descending"),
     pytest.param(load_spectral_csv, "", id="spectral-empty"),
     pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
     pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
+    pytest.param(load_spectral_csv, "E,re,im\n2,1,0\n1,0,0\n", id="spectral-descending"),
     pytest.param(load_observable_csv, "", id="observable-empty"),
     pytest.param(load_observable_csv, "1:0,0:0\n0:0\n", id="observable-short-row"),
     pytest.param(load_observable_csv, "E,re,im\n1:0,0:0,0:0\n", id="observable-not-a-number"),
