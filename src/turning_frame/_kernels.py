@@ -24,12 +24,16 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
   single call, which allocates its arrays instead.  Results are
   bit-identical either way.
 * ``advance``, the product with exp(-i (Phi(tau) - Phi(start)) / hbar), is
-  the one propagation; only the tau loop of a series, which keeps Phi in
-  its workspace, calls ``apply_phase`` itself.
+  the one propagation outside the tau loop of a series.  On a uniform grid
+  from a start <= 0 it runs ``phase_step``, the step that loop runs in its
+  workspace, so the two give the same bits.  The step gives the nodes past
+  their exit the plane wave of ``plane_wave``, two tables of about sqrt(n)
+  unit phases, in place of a cos and sin per node.
 * ``apply_phase`` writes exp(i theta), theta = -phase / hbar, as
   ``cos theta`` and ``sin theta`` into the two float64 slots of psi: the
   bits of NumPy's complex ``exp(+0 + i theta)``, which is ``(cos theta,
-  sin theta)``, without its complex loop.
+  sin theta)``, without its complex loop.  The tables of ``plane_wave`` are
+  written the same way.
 * Complex-by-real-scalar arithmetic (the interior of ``derivative``) runs
   on the float64 view of the complex array, as real ufuncs.  NumPy would
   cast the scalar x to ``x + 0j`` and run a complex loop, in which every
@@ -61,7 +65,8 @@ class Workspace(NamedTuple):
     ``phase_and_displacement``, so every tau gets the same bits; the rest are
     written at each tau and hold Phi, D, psi and the stencil until the next
     one, the branch scratch ``u``, ``s``, ``t`` and ``mask`` only from the
-    first node before its exit on.
+    first node before its exit on.  ``spun`` is the one array a series
+    writes once, before its first tau.
     ``workspace`` fills all of them.  A kernel given the all-None ``_FRESH``
     allocates its arrays, as a single call does.
     """
@@ -80,6 +85,7 @@ class Workspace(NamedTuple):
     mask: np.ndarray | None = None      # the snap mask, then the approaching one
     early: np.ndarray | None = None     # before_exit
     theta: np.ndarray | None = None     # the angle -phase / hbar of apply_phase
+    spun: np.ndarray | None = None      # spin of the initial amplitudes, once per series
     psi: np.ndarray | None = None       # the evolved amplitudes
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, then an integrand
@@ -100,7 +106,7 @@ def workspace(p, lam) -> Workspace:
     n = p.shape[0]
     return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, p > 0.0,
                      *np.empty((5, n)), *np.empty((2, n), dtype=bool), np.empty(n),
-                     *np.empty((3, n), dtype=np.complex128), np.empty(n))
+                     *np.empty((4, n), dtype=np.complex128), np.empty(n))
 
 
 def branch(p2, tau, lam, ws=_FRESH):
@@ -134,10 +140,11 @@ def _phase(phase, p3, u, s, early, lam, t=None):
     np.copyto(phase, mid, where=early)
 
 
-def _first_early(early):
-    """Index of the first node before its exit, or None if there is none."""
+def _free_count(early):
+    """Number of leading nodes past their exit: the index of the first node
+    before it in the ``before_exit`` mask, or every node."""
     lo = int(early.argmax())
-    return lo if early[lo] else None
+    return lo if early[lo] else early.shape[0]
 
 
 def phase_profile(p, tau, lam):
@@ -148,8 +155,8 @@ def phase_profile(p, tau, lam):
     phase = p * tau
     phase -= cubic
     early = before_exit(p2, tau, lam)
-    lo = _first_early(early)
-    if lo is not None:
+    lo = _free_count(early)
+    if lo < p.shape[0]:
         u, s = branch(p2[lo:], tau, lam)
         _phase(phase[lo:], p3[lo:], u, s, early[lo:], lam)
     return phase
@@ -172,8 +179,8 @@ def phase_and_displacement(p, tau, lam, ws=None):
     phase -= ws.cubic
     d = np.subtract(tau, ws.exit, out=ws.d)
     early = before_exit(ws.p2, tau, lam, ws)
-    lo = _first_early(early)
-    if lo is None:
+    lo = _free_count(early)
+    if lo == p.shape[0]:
         return phase, d
     p, p2, early, t = p[lo:], ws.p2[lo:], early[lo:], ws.t[lo:]
     u, s = branch(p2, tau, lam, Workspace(snap=ws.snap[lo:], u=ws.u[lo:],
@@ -208,6 +215,15 @@ def classical_position_profile(taus, q0, p, lam):
     return np.where(taus <= 0.0, q0 + taus, out)
 
 
+def _unit(theta, out=None):
+    """exp(i theta) as ``cos theta`` and ``sin theta`` in the two float64
+    slots of the complex ``out``."""
+    out = np.empty(theta.shape, dtype=np.complex128) if out is None else out
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def apply_phase(amps, phase, hbar, ws=_FRESH):
     """Multiply amplitudes by exp(-i phase / hbar) into ``ws.psi``.
 
@@ -215,17 +231,85 @@ def apply_phase(amps, phase, hbar, ws=_FRESH):
     of ``-1j * phase / hbar``, goes to ``ws.theta``; its cos and sin go to
     the real and imaginary slots of ``ws.psi``.
     """
-    psi = np.empty(phase.shape, dtype=np.complex128) if ws.psi is None else ws.psi
-    theta = np.multiply(phase, -1.0 / hbar, out=ws.theta)
-    np.cos(theta, out=psi.real)
-    np.sin(theta, out=psi.imag)
+    psi = _unit(np.multiply(phase, -1.0 / hbar, out=ws.theta), ws.psi)
     return np.multiply(amps, psi, out=psi)
 
 
-def advance(x, amps, start, tau, lam, hbar):
-    """Amplitudes on nodes x at scale start, carried to tau by the phase law."""
-    return apply_phase(amps, phase_profile(x, tau, lam) - phase_profile(x, start, lam),
-                       hbar)
+def spin(amps, cubic, hbar, out=None):
+    """amps exp(+i cubic / hbar) into ``out``: the tau-invariant factor of the
+    free-flight phase p tau - cubic, with cubic = (2/3) p^3 / lam."""
+    return apply_phase(amps, -cubic, hbar, Workspace(psi=out))
+
+
+def plane_wave(amps, x0, h, t, hbar, out=None):
+    """amps_j exp(-i x_j t / hbar) on the uniform nodes x_j = x0 + j h.
+
+    With m = ceil(sqrt(n)) and j = b m + r, the factor is the product of a
+    row table exp(-i (x0 + b m h) t / hbar) and a column table
+    exp(-i r h t / hbar), unit phases as ``_unit`` writes them: about
+    2 sqrt(n) cos and sin in place of n, and one complex multiply per node.
+    A table angle is off by a few eps (1 + |x| |t| / hbar), as the direct
+    angle x_j t / hbar is.
+    """
+    n = amps.shape[0]
+    m = math.isqrt(n - 1) + 1
+    full, rest = divmod(n, m)
+    c = t * (-1.0 / hbar)
+    k = np.arange(m, dtype=np.float64)
+    table = _unit(np.concatenate((x0 * c + k[:full + (rest > 0)] * (m * h * c),
+                                  k * (h * c))))
+    rows, cols = table[:-m], table[-m:]
+    wave = np.empty(n, dtype=np.complex128) if out is None else out
+    np.multiply(rows[:full, None], cols, out=wave[:full * m].reshape(full, m))
+    if rest:
+        np.multiply(rows[full], cols[:rest], out=wave[full * m:])
+    return np.multiply(amps, wave, out=wave)
+
+
+def phase_step(p, h, amps, phase, tau, start, hbar, ws):
+    """amps on the uniform nodes p (spacing h) at a scale start <= 0,
+    carried to tau, into ``ws.psi``.
+
+    ``phase`` holds Phi(tau) and, for tau > 0, ``ws.early`` the
+    ``before_exit`` mask at tau, as ``phase_and_displacement`` leaves them;
+    Phi(start) is p start.  Past its exit a node has Phi(tau) - Phi(start)
+    = p (tau - start) - (2/3) p^3 / lam, so the nodes past their exit, a
+    prefix, take ``ws.spun`` (``spin`` of amps on at least that prefix), or
+    amps itself when tau <= 0, times ``plane_wave`` of tau - start.  The
+    other nodes take ``apply_phase`` of Phi(tau) - p start, with
+    ``ws.theta`` as scratch.
+    """
+    n = p.shape[0]
+    lo = n if tau <= 0.0 else _free_count(ws.early)
+    psi = ws.psi
+    if lo:
+        plane_wave((amps if tau <= 0.0 else ws.spun)[:lo], p[0], h, tau - start,
+                   hbar, psi[:lo])
+    if lo < n:
+        delta = np.multiply(p[lo:], start, out=ws.theta[lo:])
+        np.subtract(phase[lo:], delta, out=delta)
+        apply_phase(amps[lo:], delta, hbar, Workspace(theta=delta, psi=psi[lo:]))
+    return psi
+
+
+def advance(x, amps, start, tau, lam, hbar, h=None):
+    """Amplitudes on nodes x at scale start, carried to tau by the phase law.
+
+    Nodes of a uniform grid of spacing ``h`` from a start <= 0 take
+    ``phase_step`` with fresh arrays, so a series, which runs that step in
+    its workspace, gets the same bits; other nodes (energies) and a
+    start > 0 take ``apply_phase`` of Phi(tau) - Phi(start).
+    """
+    phase = phase_profile(x, tau, lam)
+    if h is None or start > 0.0:
+        return apply_phase(amps, phase - phase_profile(x, start, lam), hbar)
+    n = x.shape[0]
+    early = before_exit(x * x, tau, lam)
+    lo = _free_count(early)
+    spun = spin(amps[:lo], _phase_terms(x[:lo], lam)[2], hbar) if tau > 0.0 else None
+    return phase_step(x, h, amps, phase, tau, start, hbar,
+                      Workspace(early=early, spun=spun, theta=np.empty(n),
+                                psi=np.empty(n, dtype=np.complex128)))
 
 
 def derivative(values, h, ws=_FRESH):

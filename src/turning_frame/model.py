@@ -62,10 +62,20 @@ def _square(value: float, name: str) -> float:
     return square
 
 
+def _is_complex(value) -> bool:
+    """Whether ``value`` is a complex scalar or an array holding one; an
+    object array (a list mixing complex values with ints beyond float range)
+    is searched element by element."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "c" or (
+            value.dtype.kind == "O" and any(map(_is_complex, value.flat)))
+    return isinstance(value, (complex, np.complexfloating))
+
+
 def _is_finite(value) -> bool:
     """``math.isfinite``, and False for a Python int beyond float range and
     for a complex value, whose imaginary part a float conversion drops."""
-    if isinstance(value, (complex, np.complexfloating)):
+    if _is_complex(value):
         return False
     try:
         return math.isfinite(value)
@@ -109,11 +119,12 @@ def _require_finite(value, name: str) -> None:
 
 def _floats(value, name: str, dtype=np.float64) -> np.ndarray:
     """``value`` as an array of ``dtype``, or DomainError for complex values
-    when ``dtype`` is real (NumPy drops the imaginary part with a warning) and
-    for a Python int beyond float range (NumPy raises ``OverflowError``)."""
+    when ``dtype`` is real (NumPy drops the imaginary part with a warning, or
+    raises a bare ``TypeError`` for an object array) and for a Python int
+    beyond float range (NumPy raises ``OverflowError``)."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        if np.dtype(dtype).kind != "c" and _is_complex(arr):
             raise DomainError(f"{name} must be real, got complex values")
         return np.asarray(arr, dtype=dtype)
     except OverflowError:
@@ -361,7 +372,7 @@ def make_gaussian(
         raise ResolutionError("state has no support on the supplied grid")
     amps = amps / norm
     if tau0 != 0.0:
-        amps = _kernels.advance(p, amps, 0.0, tau0, model.lam, model.hbar)
+        amps = _kernels.advance(p, amps, 0.0, tau0, model.lam, model.hbar, grid.h)
     return MomentumState(grid=grid, amps=amps, tau=tau0)
 
 

@@ -112,9 +112,10 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
 def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumState:
     """Advance a state to scale tau by the exact pointwise phase law."""
     _require_finite(tau, "tau")
-    amps = _kernels.advance(initial.grid.nodes, initial.amps, float(initial.tau),
-                            float(tau), model.lam, model.hbar)
-    return MomentumState(grid=initial.grid, amps=amps, tau=float(tau))
+    grid = initial.grid
+    amps = _kernels.advance(grid.nodes, initial.amps, float(initial.tau), float(tau),
+                            model.lam, model.hbar, grid.h)
+    return MomentumState(grid=grid, amps=amps, tau=float(tau))
 
 
 def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
@@ -189,7 +190,7 @@ def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
     h, hbar = initial.grid.h, model.hbar
     f = initial.amps
     if initial.tau != 0.0:
-        f = _kernels.advance(initial.grid.nodes, f, initial.tau, 0.0, model.lam, hbar)
+        f = _kernels.advance(initial.grid.nodes, f, initial.tau, 0.0, model.lam, hbar, h)
     modulus = np.abs(f)
     boundary = _boundary_term(modulus, h, hbar)
     anchor, residual = _fd_position_mean(f, _kernels.derivative(f, h), h, hbar, boundary)
@@ -264,10 +265,12 @@ def expectation_series(initial: MomentumState, taus,
     against the numeric route; disagreement beyond 1e-4 raises
     :class:`ConsistencyError` naming the offending tau and the grid's n,
     or :class:`DomainError` on a grid reaching p <= 0.
-    The tau-invariant work is done once: the anchor, the density |f|^2 and
+    The tau-invariant work is done once: the anchor, the density |f|^2,
     the truncation term, which depends on |psi| = |f| only because the
-    evolution is a unimodular phase.  One :func:`_kernels.workspace` holds
-    the kernel's tau-invariant arrays and every array a sample overwrites.
+    evolution is a unimodular phase, and the amplitudes spun by the
+    free-flight factor exp(+i (2/3) p^3 / (lam hbar)).  One
+    :func:`_kernels.workspace` holds the kernel's tau-invariant arrays and
+    every array a sample overwrites.
     Each sample then runs one derivative stencil, which serves both the
     numeric route and the variance, and writes into the workspace through
     the same expressions as the single-tau functions, which allocate
@@ -280,17 +283,17 @@ def expectation_series(initial: MomentumState, taus,
     _require_increasing(taus, "tau samples")
     ref = _reference(initial, model)
     p, h, hbar, lam = initial.grid.nodes, initial.grid.h, model.hbar, model.lam
-    start = _kernels.phase_profile(p, float(initial.tau), lam)
+    start = float(initial.tau)
     ws = _kernels.workspace(p, lam)
+    _kernels.spin(initial.amps, ws.cubic, hbar, ws.spun)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
     q_var = np.empty_like(taus)
-    for k, tau in enumerate(taus):
-        phase, kernel = _kernels.phase_and_displacement(p, float(tau), lam, ws)
+    for k, tau in enumerate(taus.tolist()):
+        phase, kernel = _kernels.phase_and_displacement(p, tau, lam, ws)
         q_mean[k] = _analytic_mean(ref, kernel, h, ws.real)
-        phase -= start
-        amps = _kernels.apply_phase(initial.amps, phase, hbar, ws)
+        amps = _kernels.phase_step(p, h, initial.amps, phase, tau, start, hbar, ws)
         norms[k] = _norm(amps, h, ws.real)
         _check_norm(norms[k])
         d = _kernels.derivative(amps, h, ws=ws)

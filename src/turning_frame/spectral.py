@@ -109,7 +109,10 @@ def load_spectral_csv(path, tau: float = 0.0) -> SpectralState:
     energies, re, im = _csv.read(path, ["E", "re", "im"])
     _require_increasing(energies, f"{path}: E", InvalidStateError)
     coeffs = np.column_stack([re, im]).view(np.complex128).ravel()
-    return SpectralState(energies=energies, coeffs=coeffs, tau=tau)
+    try:
+        return SpectralState(energies=energies, coeffs=coeffs, tau=tau)
+    except (InvalidStateError, DomainError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_observable_csv(obs: ObservableMatrix, path) -> None:

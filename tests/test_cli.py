@@ -195,13 +195,13 @@ GOLDEN = {
         "shift_reference_report.json":
             "8d99fb03f986543d37499c82764c35fef6f3f46877c09e7f680b46778d085f24",
         "shift_reference_series.csv":
-            "496e0d52225bc2838dc77f4cef1c60181ba73d3cdf9f4bd955fe02b651017a8c",
+            "719b9f88d2b283e53e5791597b1dfd8a96584ca2e23db3f726a5cf66cccef56d",
     },
     ("shift", "shift_reference.json", ("--hbar", "0.75")): {
         "shift_reference_report.json":
             "bcee9d5c2ad59f1997fac01ca90207605f945b991bc201eeb14cbc52b20462c5",
         "shift_reference_series.csv":
-            "f51a0cc4d1c2f8add1a9ca32f0c82a662956c017475e9bd54bb86ddd4398b4ac",
+            "e2a92fe176d9fd2e6f8233223120e27f6fed8db8ec3bae79f1eae56450585216",
     },
     ("evolve", "wavefunction_snapshots.json", ()): {
         "snapshots_momentum_00.csv":

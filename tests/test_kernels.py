@@ -1,14 +1,21 @@
-"""Kernel checks: boundary snapping, stencil order, chirp-z vs direct sum."""
+"""Kernel checks: boundary snapping, stencil order, the free-flight plane
+wave and the chirp-z transform against direct sums."""
 
 import contextlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import turning_frame
+from turning_frame import (FrameModel, GaussianSpec, MomentumGrid, evolve, make_gaussian,
+                           to_position_representation)
 from turning_frame import _kernels as K
-from turning_frame import to_position_representation
 
 
 def test_snap_produces_exact_boundary_values():
@@ -240,6 +247,107 @@ def test_apply_phase_of_a_non_finite_phase_is_nan(bad):
         got = K.apply_phase(np.ones(2, dtype=np.complex128), np.array([0.5, bad]), 1.0)
     assert got[0] == np.exp(-0.5j)
     assert np.isnan(got[1].real) and np.isnan(got[1].imag)
+
+
+# Every angle, a table's and the direct x t / hbar alike, is off by a few eps
+# (1 + |x| |t| / hbar), and each complex product adds a few eps more.
+def _phase_bound(amps, x, t, hbar):
+    eps = np.finfo(np.float64).eps
+    return 8.0 * (1.0 + np.abs(x).max() * abs(t) / hbar) * eps * np.abs(amps)
+
+
+# n = 5 takes tables of 3 and 2 entries, 4096 two full tables of 64 and 4097
+# and 9000 a partial last row; x0 < 0 puts nodes on both sides of 0 and
+# |x t| / hbar reaches 4000 rad.
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(5, 9000),
+    x0=st.floats(-5.0, -1e-3),
+    span=st.floats(0.1, 10.0),
+    t=st.floats(-20.0, 20.0),
+    hbar=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, x0=-1.0, span=2.0, t=3.0, hbar=1.0, seed=0)
+@example(n=4096, x0=-5.0, span=10.0, t=-20.0, hbar=0.05, seed=1)
+@example(n=4097, x0=-2.5, span=8.0, t=17.0, hbar=0.75, seed=2)
+@example(n=9000, x0=-1e-3, span=10.0, t=20.0, hbar=0.05, seed=3)
+def test_plane_wave_is_the_direct_phase(n, x0, span, t, hbar, seed):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(x0, x0 + span, n)
+    h = (x[-1] - x[0]) / (n - 1)  # as MomentumGrid.h
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = K.plane_wave(amps, x[0], h, t, hbar)
+    assert np.all(np.abs(got - ref_apply_phase(amps, x * t, hbar))
+                  <= _phase_bound(amps, x, t, hbar))
+    out = np.empty(n, dtype=np.complex128)
+    assert K.plane_wave(amps, x[0], h, t, hbar, out).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("hbar", [0.75, 1.0])
+def test_evolve_is_the_direct_phase(hbar):
+    """On the reference grid from tau0 = -1, ``evolve`` before, across and past
+    every exit agrees with exp(-i (Phi(tau) - Phi(tau0)) / hbar) to that bound."""
+    model = FrameModel(lam=4.0, hbar=hbar)
+    grid = MomentumGrid(0.01, 5.0, 4096)
+    state = make_gaussian(GaussianSpec(4.0, 1.25, 1.0), grid, model, tau0=-1.0)
+    p = grid.nodes
+    for tau in (-0.5, 0.0, 3.0, 8.0, 16.0):
+        phase = K.phase_profile(p, tau, model.lam) - K.phase_profile(p, -1.0, model.lam)
+        got = evolve(state, tau, model).amps
+        assert np.all(np.abs(got - ref_apply_phase(state.amps, phase, hbar))
+                      <= _phase_bound(state.amps, p, tau + 1.0, hbar)), tau
+
+
+# Digests of the free-flight step (``plane_wave`` and ``advance``) and of one
+# series whose state comes from a complex exp, which calls libm: a real
+# np.exp, as in make_gaussian's envelope, has other bits under AVX-512.
+_STEP_DIGEST = """
+import hashlib
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from turning_frame import FrameModel, MomentumGrid, MomentumState, expectation_series
+from turning_frame import _kernels as K
+grid = MomentumGrid(0.01, 5.0, 4096)
+p, h = grid.nodes, grid.h
+amps = np.exp(-(p - 1.25) ** 2 - 4j * p)
+amps /= np.sqrt(np.add.reduce(np.abs(amps) ** 2) * h)
+state = MomentumState(grid, amps, -1.0)
+digest = hashlib.sha256(K.plane_wave(amps, p[0], h, 17.0, 0.75).tobytes())
+for tau in (-0.5, 3.0, 8.0, 16.0):
+    digest.update(K.advance(p, state.amps, -1.0, tau, 4.0, 1.0, h).tobytes())
+series = expectation_series(state, np.linspace(-1.0, 16.0, 35), FrameModel(4.0))
+for column in (series.q_mean, series.norm, series.q_var):
+    digest.update(column.tobytes())
+print(__cpu_features__["X86_V4"], digest.hexdigest())
+"""
+
+
+def _step_digest(**env):
+    src = str(Path(turning_frame.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", _STEP_DIGEST], capture_output=True,
+                         text=True, check=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src, **env})
+    return run.stdout.split()
+
+
+def _dispatches_x86_v4():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4", False)
+
+
+@pytest.mark.skipif(not _dispatches_x86_v4(),
+                    reason="NumPy does not dispatch X86_V4 here")
+def test_free_flight_bits_do_not_depend_on_avx512():
+    """The tables take cos, sin and complex products, whose bits hold with
+    AVX-512 dispatch disabled in a fresh process."""
+    wide, digest = _step_digest()
+    narrow, same = _step_digest(NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+    assert (wide, narrow) == ("True", "False")  # the switch took effect
+    assert same == digest
 
 
 def test_derivative_zero_sign_beside_an_exact_zero():

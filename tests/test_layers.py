@@ -50,8 +50,9 @@ def test_node_sums_go_through_integral():
         assert calls_outside(module, "_integral", {"sum", "reduce"}) == [], module
 
 
-# the tau loop runs no complex exponential: apply_phase takes cos and sin of
-# a real angle
+# no whole-grid complex exponential runs per tau: apply_phase takes cos and
+# sin of a real angle, and the free-flight nodes take a plane wave built from
+# tables of about 2 sqrt(n) unit phases
 @pytest.mark.parametrize("function", ["phase_and_displacement", "apply_phase",
                                       "derivative"])
 def test_per_tau_kernels_call_no_exp(function):
@@ -61,15 +62,16 @@ def test_per_tau_kernels_call_no_exp(function):
     assert set(every) == set(calls_outside("_kernels", function, {"exp"}))
 
 
-# one propagation: Phi(tau) - Phi(start), then apply_phase, is
-# _kernels.advance; only the tau loop of a series, which keeps Phi in its
-# workspace, calls apply_phase itself
+# one propagation: _kernels.advance carries amplitudes from start to tau;
+# only the tau loop of a series, which keeps Phi in its workspace, calls its
+# per-tau step itself
 def test_one_propagation_function():
     for module in ("model", "spectral"):
         assert calls_outside(module, "", {"advance"}), module  # not vacuous
-        assert calls_outside(module, "", {"apply_phase", "phase_profile"}) == [], module
-    assert calls_outside("quantum", "", {"apply_phase"})  # not vacuous
-    assert calls_outside("quantum", "expectation_series", {"apply_phase"}) == []
+        assert calls_outside(module, "", {"apply_phase", "phase_profile",
+                                          "phase_step"}) == [], module
+    assert calls_outside("quantum", "", {"phase_step"})  # not vacuous
+    assert calls_outside("quantum", "expectation_series", {"phase_step"}) == []
 
 
 def test_one_finiteness_guard():

@@ -590,6 +590,8 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
     (None, lambda s, m: FrameModel(lam=1 + 0j), DomainError),
     (None, lambda s, m: FrameModel(lam=np.complex64(1.0)), DomainError),
     (None, lambda s, m: evolve(s, 0.5 + 1j, m), DomainError),
+    (None, lambda s, m: evolve(s, np.array(0.5 + 1j), m), DomainError),
+    (None, lambda s, m: SpectralState([1j, 10**400], [1.0, 0.0]), DomainError),
     (None, lambda s, m: phase_theta(math.nan, REF_P0, m), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
@@ -605,7 +607,8 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
         "spectral-energies-int-beyond-float", "spectral-coeffs-int-beyond-float",
         "spectral-energies-complex", "series-tau-complex", "q-of-tau-complex",
         "unwind-phi-complex", "q-grid-complex", "lambda-complex", "lambda-complex64",
-        "evolve-tau-complex", "phase-theta-nan"])
+        "evolve-tau-complex", "evolve-tau-0d-complex",
+        "spectral-energies-complex-and-big-int", "phase-theta-nan"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              request, patch, call, error):
     if patch is not None:

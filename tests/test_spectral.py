@@ -186,6 +186,7 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
     pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
     pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
     pytest.param(load_spectral_csv, "E,re,im\n2,1,0\n1,0,0\n", id="spectral-descending"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,1,0\n2,1,0\n", id="spectral-unnormalized"),
     pytest.param(load_observable_csv, "", id="observable-empty"),
     pytest.param(load_observable_csv, "1:0,0:0\n0:0\n", id="observable-short-row"),
     pytest.param(load_observable_csv, "E,re,im\n1:0,0:0,0:0\n", id="observable-not-a-number"),
@@ -196,3 +197,10 @@ def test_malformed_csv_raises_invalid_state(tmp_path, load, text):
     path.write_text(text)
     with pytest.raises(InvalidStateError, match="bad.csv"):
         load(path)
+
+
+def test_non_positive_energy_in_csv_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("E,re,im\n0,1,0\n2,0,0\n")
+    with pytest.raises(DomainError, match="bad.csv: all energies must be positive"):
+        load_spectral_csv(path)
