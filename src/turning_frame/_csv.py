@@ -8,6 +8,7 @@ raise InvalidStateError, naming the file and line, on a malformed file.
 from __future__ import annotations
 
 import csv
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,16 +32,30 @@ def _parse(path, head: int, parts: int) -> tuple[list, np.ndarray]:
     if not rows or not rows[0]:
         raise InvalidStateError(f"{path}: file is empty or starts with a blank line")
     width = len(rows[0])
-    values = []
+    body = rows[head:]
+    cells = list(map(str.split, chain.from_iterable(body), repeat(":")))
+    if set(map(len, body)) <= {width} and set(map(len, cells)) <= {parts}:
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(cells)), np.float64)
+        except ValueError:
+            pass
+        else:
+            return rows[:head], values.reshape(-1, width * parts)
+    raise _first_bad_row(path, rows, head, width, parts)
+
+
+def _first_bad_row(path, rows: list, head: int, width: int, parts: int) -> InvalidStateError:
+    """The error naming the first body row that ``_parse`` refuses: one of
+    another width, with a cell of other than ``parts`` numbers, or with a
+    cell that is not a number."""
     for line, row in enumerate(rows[head:], start=head + 1):
         cells = [cell.split(":") for cell in row]
         if len(cells) != width or any(len(cell) != parts for cell in cells):
-            raise InvalidStateError(f"{path}, line {line}: malformed row {row}")
+            return InvalidStateError(f"{path}, line {line}: malformed row {row}")
         try:
-            values.extend(float(x) for cell in cells for x in cell)
+            [float(x) for cell in cells for x in cell]
         except ValueError as exc:
-            raise InvalidStateError(f"{path}, line {line}: {exc}") from None
-    return rows[:head], np.array(values, dtype=np.float64).reshape(-1, width * parts)
+            return InvalidStateError(f"{path}, line {line}: {exc}")
 
 
 def write(path, header: list[str], columns) -> None:

@@ -26,6 +26,14 @@ _NORM_TOL = 1e-9
 _HERMITICITY_TOL = 1e-12
 
 
+def _require_normalized(coeffs: np.ndarray) -> None:
+    norm2 = float(np.sum(np.abs(coeffs) ** 2))
+    if not abs(norm2 - 1.0) <= _NORM_TOL:
+        raise InvalidStateError(
+            f"coefficient norm^2 {norm2:.12f} deviates from 1 beyond {_NORM_TOL}"
+        )
+
+
 @dataclass(frozen=True)
 class SpectralState:
     """Normalized coefficients over a discrete positive energy spectrum."""
@@ -43,15 +51,26 @@ class SpectralState:
         _require_increasing(energies, "energies")
         if not np.all(energies > 0.0):
             raise DomainError("all energies must be positive")
-        norm2 = float(np.sum(np.abs(coeffs) ** 2))
-        if not abs(norm2 - 1.0) <= _NORM_TOL:
-            raise InvalidStateError(
-                f"coefficient norm^2 {norm2:.12f} deviates from 1 beyond {_NORM_TOL}"
-            )
+        _require_normalized(coeffs)
         energies.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def _at(self, coeffs: np.ndarray, tau: float) -> SpectralState:
+        """This spectrum with new complex128 ``coeffs`` at scale ``tau``.
+
+        The energies were validated when this state was built and are
+        frozen, so only the norm of ``coeffs`` is checked; it refuses the
+        NaN of an overflowing phase.
+        """
+        _require_normalized(coeffs)
+        coeffs.setflags(write=False)
+        state = object.__new__(SpectralState)
+        object.__setattr__(state, "energies", self.energies)
+        object.__setattr__(state, "coeffs", coeffs)
+        object.__setattr__(state, "tau", tau)
+        return state
 
 
 @dataclass(frozen=True)
@@ -78,9 +97,10 @@ class ObservableMatrix:
 def propagate(state: SpectralState, tau: float, model: FrameModel) -> SpectralState:
     """Advance spectral coefficients by the turning-point phase law."""
     _require_finite(tau, "tau")
+    tau = float(tau)
     coeffs = _kernels.advance(state.energies, state.coeffs, float(state.tau),
-                              float(tau), model.lam, model.hbar)
-    return SpectralState(energies=state.energies, coeffs=coeffs, tau=float(tau))
+                              tau, model.lam, model.hbar)
+    return state._at(coeffs, tau)
 
 
 def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
@@ -122,4 +142,8 @@ def save_observable_csv(obs: ObservableMatrix, path) -> None:
 
 def load_observable_csv(path) -> ObservableMatrix:
     """Read a dense ``re:im`` matrix file back into an observable."""
-    return ObservableMatrix(matrix=_csv.read_matrix(path))
+    matrix = _csv.read_matrix(path)
+    try:
+        return ObservableMatrix(matrix=matrix)
+    except InvalidStateError as exc:
+        raise InvalidStateError(f"{path}: {exc}") from None

@@ -1,5 +1,7 @@
 """Tests for energy-representation propagation and matrix observables."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from turning_frame import (
     save_spectral_csv,
     total_phase,
 )
+from turning_frame import _kernels
 
 
 @pytest.fixture
@@ -68,6 +71,20 @@ def test_propagate_identity_and_norm(two_level, model):
     np.testing.assert_allclose(
         np.abs(moved.coeffs), np.abs(two_level.coeffs), rtol=1e-15, atol=0
     )
+
+
+def test_propagated_state_keeps_spectrum_and_checks_coefficients(model):
+    state = SpectralState(energies=[1.0, 2.0], coeffs=[0.6, 0.8])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidStateError, match="coefficient norm\\^2 nan"):
+        propagate(state, 1e308, model)
+    moved = propagate(state, 1.3, model)
+    assert moved.energies is state.energies
+    assert not moved.coeffs.flags.writeable
+    expected = _kernels.advance(state.energies, state.coeffs, 0.0, 1.3,
+                                model.lam, model.hbar)
+    assert moved.coeffs.tobytes() == expected.tobytes()
+    assert moved.tau == 1.3
 
 
 def test_single_eigenstate_observables_are_static(model):
@@ -169,34 +186,76 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("load, text", [
-    pytest.param(load_momentum_csv, "", id="momentum-empty"),
-    pytest.param(load_momentum_csv, "p,re,im\n0.5,1\n1,0,0\n", id="momentum-short-row"),
-    pytest.param(load_momentum_csv, "p,re,im\n0.5,1,x\n1,0,0\n", id="momentum-not-a-number"),
-    pytest.param(load_momentum_csv, "p,re,im\n0.5,1,0\n", id="momentum-one-node"),
-    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\n3,0,0\n", id="momentum-uneven-nodes"),
-    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\nnan,0,0\n2,0,0\n", id="momentum-nan-node"),
-    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\nnan,0,0\n", id="momentum-nan-last-node"),
-    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\ninf,0,0\n", id="momentum-inf-node"),
-    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,1,0\n", id="momentum-unnormalized"),
-    pytest.param(load_momentum_csv, "p,re,im\n0,1e200,0\n1,0,0\n", id="momentum-overflowing"),
-    pytest.param(load_momentum_csv, "q,re,im\n0,1,0\n1,0,0\n", id="momentum-wrong-header"),
-    pytest.param(load_momentum_csv, "p,re,im\n1,1,0\n0,0,0\n", id="momentum-descending"),
-    pytest.param(load_spectral_csv, "", id="spectral-empty"),
-    pytest.param(load_spectral_csv, "E,re,im\n1,1\n", id="spectral-short-row"),
-    pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n", id="spectral-not-a-number"),
-    pytest.param(load_spectral_csv, "E,re,im\n2,1,0\n1,0,0\n", id="spectral-descending"),
-    pytest.param(load_spectral_csv, "E,re,im\n1,1,0\n2,1,0\n", id="spectral-unnormalized"),
-    pytest.param(load_observable_csv, "", id="observable-empty"),
-    pytest.param(load_observable_csv, "1:0,0:0\n0:0\n", id="observable-short-row"),
-    pytest.param(load_observable_csv, "E,re,im\n1:0,0:0,0:0\n", id="observable-not-a-number"),
-    pytest.param(load_observable_csv, "1:0:0\n", id="observable-three-part-cell"),
+@pytest.mark.parametrize("load, text, message", [
+    pytest.param(load_momentum_csv, "", "bad.csv: file is empty", id="momentum-empty"),
+    pytest.param(load_momentum_csv, "p,re,im\n0.5,1\n1,0,0\n",
+                 "bad.csv, line 2: malformed row ['0.5', '1']", id="momentum-short-row"),
+    pytest.param(load_momentum_csv, "p,re,im\n0.5,1,x\n1,0,0\n",
+                 "bad.csv, line 2: could not convert string to float: 'x'",
+                 id="momentum-not-a-number"),
+    pytest.param(load_momentum_csv, "p,re,im\n0.5,1,0\n", "bad.csv", id="momentum-one-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\n3,0,0\n", "bad.csv",
+                 id="momentum-uneven-nodes"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\nnan,0,0\n2,0,0\n", "bad.csv",
+                 id="momentum-nan-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\nnan,0,0\n", "bad.csv",
+                 id="momentum-nan-last-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,0,0\ninf,0,0\n", "bad.csv",
+                 id="momentum-inf-node"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1,0\n1,1,0\n", "bad.csv",
+                 id="momentum-unnormalized"),
+    pytest.param(load_momentum_csv, "p,re,im\n0,1e200,0\n1,0,0\n", "bad.csv",
+                 id="momentum-overflowing"),
+    pytest.param(load_momentum_csv, "q,re,im\n0,1,0\n1,0,0\n", "bad.csv",
+                 id="momentum-wrong-header"),
+    pytest.param(load_momentum_csv, "p,re,im\n1,1,0\n0,0,0\n", "bad.csv",
+                 id="momentum-descending"),
+    pytest.param(load_spectral_csv, "", "bad.csv: file is empty", id="spectral-empty"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,1\n",
+                 "bad.csv, line 2: malformed row ['1', '1']", id="spectral-short-row"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,one,0\n",
+                 "bad.csv, line 2: could not convert string to float: 'one'",
+                 id="spectral-not-a-number"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,0.6,0.8\n2,x,0\n",
+                 "bad.csv, line 3: could not convert string to float: 'x'",
+                 id="spectral-later-not-a-number"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,0.6,0.8\n\n",
+                 "bad.csv, line 3: malformed row []", id="spectral-trailing-blank-line"),
+    pytest.param(load_spectral_csv, "E,re,im\n2,1,0\n1,0,0\n", "bad.csv",
+                 id="spectral-descending"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,1,0\n2,1,0\n", "bad.csv",
+                 id="spectral-unnormalized"),
+    pytest.param(load_observable_csv, "", "bad.csv: file is empty", id="observable-empty"),
+    pytest.param(load_observable_csv, "1:0,0:0\n0:0\n",
+                 "bad.csv, line 2: malformed row ['0:0']", id="observable-short-row"),
+    pytest.param(load_observable_csv, "E,re,im\n1:0,0:0,0:0\n",
+                 "bad.csv, line 1: malformed row ['E', 're', 'im']",
+                 id="observable-not-a-number"),
+    pytest.param(load_observable_csv, "1:0:0\n",
+                 "bad.csv, line 1: malformed row ['1:0:0']", id="observable-three-part-cell"),
+    pytest.param(load_observable_csv, "1:0,0:0\n0:0,1:0\n0:0,0:0\n",
+                 "bad.csv: observable must be a non-empty square matrix",
+                 id="observable-non-square"),
+    pytest.param(load_observable_csv, "1:0,0:1\n0:1,1:0\n",
+                 "bad.csv: observable matrix is not finite and Hermitian",
+                 id="observable-not-hermitian"),
+    pytest.param(load_observable_csv, "nan:0\n",
+                 "bad.csv: observable matrix is not finite and Hermitian",
+                 id="observable-nan"),
 ])
-def test_malformed_csv_raises_invalid_state(tmp_path, load, text):
+def test_malformed_csv_raises_invalid_state(tmp_path, load, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(InvalidStateError, match="bad.csv"):
+    with pytest.raises(InvalidStateError, match=re.escape(message)):
         load(path)
+
+
+def test_quoted_cells_load(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('E,re,im\n"1",0.6,0.8\n')
+    state = load_spectral_csv(path)
+    assert state.energies.tolist() == [1.0]
+    assert state.coeffs.tolist() == [0.6 + 0.8j]
 
 
 def test_non_positive_energy_in_csv_names_the_file(tmp_path):
