@@ -1,6 +1,7 @@
 """The package's one CSV format: a header row, then rows of numbers written
 to 17 significant digits (enough to round-trip every float64), joined by
-``,`` and ended by ``\\n``.  Observable matrices have no header and write each
+``,`` and ended by ``\\n``.  A column written many times can be formatted
+once by ``cells``.  Observable matrices have no header and write each
 entry as one ``re:im`` cell.  Readers also accept ``\\r\\n`` line ends and
 raise InvalidStateError, naming the file and line, on a malformed file.
 """
@@ -58,10 +59,22 @@ def _first_bad_row(path, rows: list, head: int, width: int, parts: int) -> Inval
             return InvalidStateError(f"{path}, line {line}: {exc}")
 
 
+def cells(values) -> np.ndarray:
+    """Float values as their 17-digit cells: an object array of strings that
+    ``write`` takes as a column, so a column written many times is
+    formatted once."""
+    text = ((_NUMBER + "\n") * len(values)) % tuple(values.tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)
+
+
 def write(path, header: list[str], columns) -> None:
-    """Write equal-length float columns under a header row."""
-    _dump(path, ",".join(header) + "\n", np.column_stack(columns),
-          ",".join([_NUMBER] * len(header)))
+    """Write equal-length columns under a header row: float columns to 17
+    significant digits, ``cells`` columns as the strings they hold."""
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    _dump(path, ",".join(header) + "\n", table,
+          ",".join(["%s" if column.dtype == object else _NUMBER for column in columns]))
 
 
 def read(path, names: list[str]) -> list[np.ndarray]:

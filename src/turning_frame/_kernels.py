@@ -43,7 +43,9 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
   +-0 and NumPy's extra ``+-0`` term flips it.
 * The plane-wave sum onto a position grid is a chirp-z transform
   (Bluestein's algorithm), O((N_p + N_q) log(N_p + N_q)) instead of the
-  direct O(N_p N_q) sum; both grids must be uniform.
+  direct O(N_p N_q) sum; both grids must be uniform.  ``chirp_plan``
+  holds the factors fixed by the grids and hbar, so snapshots on the same
+  grids build them once.
 """
 
 from __future__ import annotations
@@ -360,16 +362,24 @@ def _chirp(n, c):
     return np.exp(1j * (head * n)) * np.exp(1j * ((c - head) * n))
 
 
-def position_transform(p, amps, q, hbar):
-    """Plane-wave quadrature sum_j amps_j exp(i p_j q_k / hbar) per q node.
+class ChirpPlan(NamedTuple):
+    """The factors of ``position_transform`` fixed by the two grids and hbar,
+    built once by ``chirp_plan`` for every amplitude array on them."""
+
+    ramp: np.ndarray    # exp(i q_0 (p_j - p_0) / hbar)
+    pre: np.ndarray     # the chirp exp(i c j^2)
+    kernel: np.ndarray  # FFT of the chirp exp(-i c m^2), m the circular k - j
+    post: np.ndarray    # the chirp exp(i c k^2)
+    shift: np.ndarray   # exp(i p_0 q_k / hbar)
+    size: int           # the FFT length, a power of 2 >= n_p + n_q - 1
+    n_q: int
+
+
+def chirp_plan(p, q, hbar) -> ChirpPlan:
+    """The plan of ``position_transform`` from nodes p onto nodes q.
 
     Both grids must be uniform with at least 2 nodes; the spacings are read
     from their ends.
-    With p_j = p_0 + j dp and q_k = q_0 + k dq,
-    p_j q_k = p_0 q_k + q_0 (p_j - p_0) + dp dq jk, and
-    jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into one convolution with the
-    chirp exp(-i dp dq m^2 / 2hbar), evaluated by zero-padded FFTs
-    (Bluestein's chirp-z algorithm).
     """
     n_p, n_q = p.shape[0], q.shape[0]
     dp = (p[-1] - p[0]) / (n_p - 1)
@@ -381,6 +391,24 @@ def position_transform(p, amps, q, hbar):
     # circular offsets k - j: 0..n_q-1 at the front, -(n_p-1)..-1 at the back
     m = np.arange(size, dtype=np.float64)
     m = np.where(m < n_q, m, size - m)
-    y = amps * np.exp(1j * q[0] * (p - p[0]) / hbar) * _chirp(j * j, c)
-    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(_chirp(m * m, -c)))[:n_q]
-    return conv * _chirp(k * k, c) * np.exp(1j * p[0] * q / hbar)
+    return ChirpPlan(np.exp(1j * q[0] * (p - p[0]) / hbar), _chirp(j * j, c),
+                     np.fft.fft(_chirp(m * m, -c)), _chirp(k * k, c),
+                     np.exp(1j * p[0] * q / hbar), size, n_q)
+
+
+def position_transform(p, amps, q, hbar, plan=None):
+    """Plane-wave quadrature sum_j amps_j exp(i p_j q_k / hbar) per q node.
+
+    ``plan`` is ``chirp_plan(p, q, hbar)``, built here when not given; a
+    reused plan gives the bits of a fresh one.
+    With p_j = p_0 + j dp and q_k = q_0 + k dq,
+    p_j q_k = p_0 q_k + q_0 (p_j - p_0) + dp dq jk, and
+    jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into one convolution with the
+    chirp exp(-i dp dq m^2 / 2hbar), evaluated by zero-padded FFTs
+    (Bluestein's chirp-z algorithm).
+    """
+    if plan is None:
+        plan = chirp_plan(p, q, hbar)
+    y = amps * plan.ramp * plan.pre
+    conv = np.fft.ifft(np.fft.fft(y, plan.size) * plan.kernel)[:plan.n_q]
+    return conv * plan.post * plan.shift

@@ -23,6 +23,7 @@ problem, 3 grid resolution failure (a ResolutionError or a ConsistencyError),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from .model import (
     make_gaussian,
 )
 from .classical import q_of_tau, unwind_phi
-from .quantum import evolve, expectation_series, to_position_representation
+from .quantum import evolve, expectation_series, position_plan, position_profile
 from .shift import extract_shift_numeric
 from .estimates import STANDARD_GRAVITY, PhysicalScenario, \
     coherence_time_estimate, displacement_estimate, lambda_gravitational
@@ -207,9 +208,9 @@ def _taus_from(cfg: dict) -> np.ndarray:
     return _linspace(cfg, "tau.start", "tau.stop", "tau.num")
 
 
-def _write_amplitudes(path: Path, axis: str, nodes, amps: np.ndarray) -> None:
+def _write_amplitudes(path: Path, axis: str, cells: np.ndarray, amps: np.ndarray) -> None:
     _csv.write(path, [axis, "re", "im", "abs2"],
-               [nodes, amps.real, amps.imag, np.abs(amps) ** 2])
+               [cells, amps.real, amps.imag, np.abs(amps) ** 2])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -243,9 +244,13 @@ def cmd_evolve(cfg: dict) -> int:
         raise ConfigError("snapshots", "need a non-empty list of tau values")
     snapshots = [_finite(t, "snapshots") for t in snapshots]
 
-    q_grid = None
+    # the work every snapshot shares, done once and before any file is written
+    plan = None
     if _get(cfg, "q_grid", None) is not None:
         q_grid = _linspace(cfg, "q_grid.q_min", "q_grid.q_max", "q_grid.n")
+        plan = position_plan(grid, q_grid, model)
+        q_cells = _csv.cells(plan.q)
+    p_cells = _csv.cells(grid.nodes)
 
     outdir = _outdir(cfg)
     prefix = _text(cfg, "output.prefix", "evolve")
@@ -254,13 +259,13 @@ def cmd_evolve(cfg: dict) -> int:
     for k, tau in enumerate(snapshots):
         evolved = evolve(state, tau, model)
         p_path = outdir / f"{prefix}_momentum_{k:02d}.csv"
-        _write_amplitudes(p_path, "p", grid.nodes, evolved.amps)
+        _write_amplitudes(p_path, "p", p_cells, evolved.amps)
         entry = {"tau": tau, "norm_p": evolved.norm() ** 2,
                  "momentum_csv": p_path.name}
-        if q_grid is not None:
-            profile = to_position_representation(evolved, q_grid, model)
+        if plan is not None:
+            profile = position_profile(evolved, plan)
             q_path = outdir / f"{prefix}_position_{k:02d}.csv"
-            _write_amplitudes(q_path, "q", profile.q, profile.amps)
+            _write_amplitudes(q_path, "q", q_cells, profile.amps)
             entry.update(
                 norm_q=profile.norm,
                 coverage_ok=profile.coverage_ok,
@@ -378,8 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: argparse keeps no state between parses
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

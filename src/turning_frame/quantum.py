@@ -40,6 +40,7 @@ from .errors import ConsistencyError, DomainError, ResolutionError
 from .model import (
     ExpectationSeries,
     FrameModel,
+    MomentumGrid,
     MomentumState,
     _check_norm,
     _evenly_spaced,
@@ -233,28 +234,52 @@ class PositionProfile:
     coverage_ok: bool
 
 
-def to_position_representation(
-    state: MomentumState, q_grid: np.ndarray, model: FrameModel
-) -> PositionProfile:
-    """Fourier quadrature of the state onto a uniform position grid.
+class PositionPlan(NamedTuple):
+    """A checked uniform q grid and the chirp-z plan onto it from one
+    momentum grid at one hbar: the work every snapshot on them shares."""
 
-    ``coverage_ok`` is cleared when the squared norm over the window
-    deviates from 1 by more than 1e-3 (insufficient coverage).
-    """
+    grid: MomentumGrid
+    q: np.ndarray
+    hbar: float
+    chirp: _kernels.ChirpPlan
+
+
+def position_plan(grid: MomentumGrid, q_grid, model: FrameModel) -> PositionPlan:
+    """Check ``q_grid`` and plan the transform of states on ``grid`` onto it."""
     q = _floats(q_grid, "q_grid")
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError("q_grid must be a 1-d array with at least 2 nodes")
     if not _evenly_spaced(q):
         raise DomainError("q_grid must be finite and evenly spaced")
     _require_increasing(q, "q_grid")
+    return PositionPlan(grid, q, model.hbar,
+                        _kernels.chirp_plan(grid.nodes, q, model.hbar))
+
+
+def position_profile(state: MomentumState, plan: PositionPlan) -> PositionProfile:
+    """Fourier quadrature of a state on ``plan.grid`` onto ``plan.q``.
+
+    ``coverage_ok`` is cleared when the squared norm over the window
+    deviates from 1 by more than 1e-3 (insufficient coverage).
+    """
+    if state.grid != plan.grid:
+        raise DomainError(f"state grid {state.grid} is not the planned {plan.grid}")
+    q = plan.q
     raw = _kernels.position_transform(
-        state.grid.nodes, np.asarray(state.amps), q, model.hbar
+        state.grid.nodes, np.asarray(state.amps), q, plan.hbar, plan.chirp
     )
-    amps = raw * state.grid.h / np.sqrt(2.0 * np.pi * model.hbar)
+    amps = raw * state.grid.h / np.sqrt(2.0 * np.pi * plan.hbar)
     norm = float(_integral(np.abs(amps) ** 2, q[1] - q[0]))
     return PositionProfile(
         q=q, amps=amps, norm=norm, coverage_ok=bool(abs(norm - 1.0) <= 1e-3)
     )
+
+
+def to_position_representation(
+    state: MomentumState, q_grid: np.ndarray, model: FrameModel
+) -> PositionProfile:
+    """``position_profile`` of the state on a plan built for it alone."""
+    return position_profile(state, position_plan(state.grid, q_grid, model))
 
 
 def expectation_series(initial: MomentumState, taus,

@@ -34,6 +34,15 @@ def _require_normalized(coeffs: np.ndarray) -> None:
         )
 
 
+def _hermiticity_gap(m: np.ndarray) -> float:
+    """max |m - m^H|, the bits of ``np.max(np.abs(m - m.conj().T))``, with
+    one contiguous temporary in place of a strided read of the transpose."""
+    t = m.T.copy()
+    np.conjugate(t, out=t)
+    np.subtract(m, t, out=t)
+    return np.max(np.abs(t))
+
+
 @dataclass(frozen=True)
 class SpectralState:
     """Normalized coefficients over a discrete positive energy spectrum."""
@@ -83,8 +92,7 @@ class ObservableMatrix:
         m = _floats(self.matrix, "matrix", np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidStateError("observable must be a non-empty square matrix")
-        if not (np.all(np.isfinite(m))
-                and np.max(np.abs(m - m.conj().T)) <= _HERMITICITY_TOL):
+        if not (np.all(np.isfinite(m)) and _hermiticity_gap(m) <= _HERMITICITY_TOL):
             raise InvalidStateError("observable matrix is not finite and Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from turning_frame import ClassicalState, FrameModel, q_of_tau
+from turning_frame import ClassicalState, FrameModel, _csv, _kernels, q_of_tau
 from turning_frame.cli import FLAGS, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -237,6 +237,43 @@ def test_checked_in_configs_give_the_recorded_bytes(tmp_path, command, config, f
     assert written == GOLDEN[command, config, flags]
 
 
+def test_one_process_runs_successive_commands(tmp_path, capsys):
+    """The parser is built once per process and every call parses afresh:
+    a refused flag, then a shift and an evolve with their recorded bytes."""
+    assert main(["classical", "--n", "64"]) == 2
+    assert "--n" in capsys.readouterr().err
+    for command, config, flags in [("shift", "shift_reference.json", ()),
+                                   ("evolve", "wavefunction_snapshots.json", ())]:
+        out = tmp_path / command
+        assert main([command, "--config", str(CONFIGS / config),
+                     "--outdir", str(out), *flags]) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir()}
+        assert written == GOLDEN[command, config, flags]
+        assert capsys.readouterr().err == ""
+
+
+def test_evolve_does_its_snapshot_invariant_work_once(tmp_path, monkeypatch, capsys):
+    """One chirp-z plan and one formatting of each grid column per command,
+    whatever the number of snapshots."""
+    calls = {"_chirp": 0, "cells": 0}
+    for module, name in ((_kernels, "_chirp"), (_csv, "cells")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    counts = []
+    for snapshots in ([0.5], [0.25, 0.5, 0.75, 1.0]):
+        cfg = write_config(tmp_path, state={"mode": "raw"},
+                           grid={"p_min": -2.5, "p_max": 5.5, "n": 512},
+                           snapshots=snapshots,
+                           q_grid={"q_min": -2.0, "q_max": 12.0, "n": 101})
+        calls.update(_chirp=0, cells=0)
+        assert main(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"_chirp": 3, "cells": 2}
+
+
 def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):
     """The two expectation routes part on a grid too coarse for the phase."""
     argv = ["shift", "--config", str(CONFIGS / "shift_reference.json"),
@@ -377,6 +414,10 @@ def test_missing_config_field_names_the_field(tmp_path, capsys):
     ("evolve", {"snapshots": [0.5],
                 "q_grid": {"q_min": -2.0, "q_max": 12.0, "n": 1}},
      "out", "q_grid.n"),
+    # a finite range too narrow for its nodes: linspace repeats a node
+    ("evolve", {"snapshots": [0.5],
+                "q_grid": {"q_min": 0.0, "q_max": 1e-323, "n": 5}},
+     "out", "q_grid"),
     # a string names a prepared config file in place of overrides
     ("shift", "config_dir", "out", "config_dir"),
     ("shift", "latin1.json", "out", "latin1.json"),

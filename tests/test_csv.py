@@ -57,3 +57,16 @@ def test_matrix_round_trip_is_exact(tmp_path, pairs):
     )
     assert path.read_bytes() == reference.encode()
     assert same_bits(_csv.read_matrix(path), matrix)
+
+
+@file_settings
+@given(values=arrays(np.float64, st.integers(0, 12), elements=finite),
+       other=st.floats(allow_nan=False, allow_infinity=False))
+@example(values=np.array(EDGES), other=EDGES[1])
+def test_cells_write_the_bytes_of_their_floats(tmp_path, values, other):
+    """A ``cells`` column, formatted once, writes what its floats write."""
+    rest = np.full_like(values, other)
+    floats, cells = tmp_path / "floats.csv", tmp_path / "cells.csv"
+    _csv.write(floats, ["x", "y", "z"], [values, rest, values])
+    _csv.write(cells, ["x", "y", "z"], [_csv.cells(values), rest, _csv.cells(values)])
+    assert cells.read_bytes() == floats.read_bytes()

@@ -422,3 +422,17 @@ def test_position_representation_of_wide_state(wide_state, model):
     assert profile.norm == pytest.approx(
         float(np.sum(np.abs(direct) ** 2) * (q[1] - q[0])), abs=1e-12)
     assert np.max(np.abs(profile.amps - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_reused_chirp_plan_gives_the_bits_of_a_fresh_transform(wide_state, model):
+    """One plan serves every snapshot on its grids with the bits of a
+    transform that plans for itself."""
+    p = wide_state.grid.nodes
+    q = np.linspace(-2.0, 12.0, 1051)
+    for hbar in (1.0, 0.5):
+        plan = K.chirp_plan(p, q, hbar)
+        for tau in (-1.0, 0.0, 0.4, 0.75, 1.5):
+            amps = evolve(wide_state, tau, model).amps
+            reused = K.position_transform(p, amps, q, hbar, plan)
+            fresh = K.position_transform(p, amps, q, hbar)
+            assert reused.tobytes() == fresh.tobytes()

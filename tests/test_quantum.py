@@ -42,6 +42,7 @@ from turning_frame import (
     unwind_phi,
 )
 from turning_frame import _kernels, quantum
+from turning_frame.quantum import position_plan, position_profile
 
 from conftest import REF_LAMBDA, REF_P0, REF_Q0, REF_SIGMA, riemann
 
@@ -393,6 +394,14 @@ def test_position_profile_rejects_non_increasing_grid(wide_state, model):
     for q_grid in ([2.0, 1.0], np.linspace(12.0, -2.0, 101), [1.0, 1.0]):
         with pytest.raises(DomainError, match="^q_grid must be strictly increasing$"):
             to_position_representation(wide_state, q_grid, model)
+
+
+def test_position_plan_refuses_a_state_on_another_grid(wide_state, trunc_state,
+                                                       model, q_window):
+    plan = position_plan(wide_state.grid, q_window, model)
+    assert position_profile(wide_state, plan).coverage_ok
+    with pytest.raises(DomainError, match="is not the planned"):
+        position_profile(trunc_state, plan)
 
 
 def test_nan_state_is_refused_before_rendering(wide_grid):

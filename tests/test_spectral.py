@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turning_frame import (
     DomainError,
@@ -21,7 +22,7 @@ from turning_frame import (
     save_spectral_csv,
     total_phase,
 )
-from turning_frame import _kernels
+from turning_frame import _kernels, spectral
 
 
 @pytest.fixture
@@ -47,6 +48,31 @@ def test_spectral_state_validation():
                           coeffs=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InvalidStateError, match="matching"):
         SpectralState(energies=np.array([1.0, 2.0]), coeffs=np.array([1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-15.0, -10.0), fortran=st.booleans())
+def test_hermiticity_check_matches_the_direct_expression(d, seed, scale, fortran):
+    """Random near-Hermitian matrices around the 1e-12 tolerance: the check
+    takes the bits of max |m - m.conj().T|, accepts and refuses the same
+    matrices, and leaves the caller's array, C or Fortran order, as it was."""
+    rng = np.random.default_rng(seed)
+    a, noise = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    m = a + a.conj().T + 10.0**scale * noise
+    if fortran:
+        m = np.asfortranarray(m)
+    given_matrix = m.copy()
+    gap = np.max(np.abs(m - m.conj().T))
+    assert spectral._hermiticity_gap(m) == gap
+    try:
+        ObservableMatrix(m)
+    except InvalidStateError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (gap <= 1e-12)
+    assert np.array_equal(m, given_matrix)
 
 
 def test_observable_must_be_hermitian():
