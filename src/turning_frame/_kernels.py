@@ -1,20 +1,25 @@
 """Hot numeric kernels: branchwise phase laws, displacement kernels, the one
 propagation step, stencils and the position transform.
 
-Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
+Every kernel is vectorised NumPy over grids or index ranges of them.
+Numerical conventions:
 
 * Branch geometry lives in ``branch``: ``u = p**2 - lam*tau`` is snapped
   to zero within ``8 eps`` relative to ``p**2`` so that values computed
   exactly at the turning point land on the closed-form joint value
   instead of picking up a ``sqrt(eps)`` spray from the infinite one-sided
   slope.  ``before_exit`` places tau against the outer boundary.
-* The phase and its displacement kernel give every node the free-flight
-  forms ``p tau - (2/3) p^3/lam`` and ``tau - 2 p^2/lam``; the
-  turning-region formulas run only from the first node before its exit
-  on, so the nodes past their exit (a prefix on an ascending grid of
-  positive momenta, and every node once tau is past the last exit) get
-  the free-flight form alone.  Nodes may come in any order: a node past its
-  exit inside the tail keeps its free-flight value by the select.
+* On ascending nodes p^2 falls over p <= 0 and rises over p > 0, so every
+  branch is an index range.  ``exit_split`` finds the boundaries of
+  ``before_exit`` by bisection, with its comparison, and ``snap_band`` the
+  snapped nodes next to the sign change of u, with the snap of ``branch``.
+  ``phase_and_displacement`` runs each closed form on its own ranges only:
+  the free-flight forms ``p tau - (2/3) p^3/lam`` and ``tau - 2 p^2/lam``
+  on the nodes past their exit, the turning-region forms on the rest.
+  ``workspace`` checks the node order once; nodes in any other order run
+  sorted by one stable permutation and are scattered back.
+  ``phase_profile``, which takes no workspace, keeps one whole-grid
+  ``before_exit`` mask and runs ``branch`` from its first True on.
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
@@ -50,7 +55,9 @@ Every kernel is vectorised NumPy over whole grids.  Numerical conventions:
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -63,35 +70,36 @@ _SNAP = 8.0 * float(np.finfo(np.float64).eps)
 class Workspace(NamedTuple):
     """Every array the tau loop of a series reads or overwrites, on nodes p.
 
-    The first six are the tau-invariant subexpressions of
-    ``phase_and_displacement``, so every tau gets the same bits; the rest are
-    written at each tau and hold Phi, D, psi and the stencil until the next
-    one, the branch scratch ``u``, ``s``, ``t`` and ``mask`` only from the
-    first node before its exit on.  ``spun`` is the one array a series
-    writes once, before its first tau.
-    ``workspace`` fills all of them.  A kernel given the all-None ``_FRESH``
-    allocates its arrays, as a single call does.
+    The first five are the tau-invariant subexpressions of
+    ``phase_and_displacement``, so every tau gets the same bits; the next
+    eleven hold Phi, D, psi and the stencil from one tau to the next, the
+    branch scratch ``u``, ``s`` and ``t`` only on the turning-region ranges.
+    ``spun`` is the one of them a series writes once, before its first tau.
+    On nodes out of ascending order, ``order`` is the stable permutation
+    that sorts them and ``ascending`` the first ten on the sorted nodes, for
+    the kernel; else both are None.  ``workspace`` fills all of them.  A
+    kernel given the all-None ``_FRESH`` allocates its arrays, as a single
+    call does.
     """
 
     p2: np.ndarray | None = None        # p^2
-    snap: np.ndarray | None = None      # _SNAP p^2, the snap width of ``branch``
+    snap: np.ndarray | None = None      # _SNAP p^2, the snap width of ``snap_band``
     p3: np.ndarray | None = None        # p^2 p of the turning-region phase
-    cubic: np.ndarray | None = None     # (2/3) p^2 p / lam of the late phase
-    exit: np.ndarray | None = None      # 2 p^2 / lam of the late displacement
-    positive: np.ndarray | None = None  # p > 0, where the approaching rewrite holds
+    cubic: np.ndarray | None = None     # (2/3) p^2 p / lam of the free-flight phase
+    exit: np.ndarray | None = None      # 2 p^2 / lam of the free-flight displacement
     phi: np.ndarray | None = None       # Phi
     d: np.ndarray | None = None         # D
-    u: np.ndarray | None = None         # u, then 2 p tau
-    s: np.ndarray | None = None         # |u|, sqrt|u|, then the direct D form
-    t: np.ndarray | None = None         # the phase scratch, then p + sqrt(u)
-    mask: np.ndarray | None = None      # the snap mask, then the approaching one
-    early: np.ndarray | None = None     # before_exit
+    u: np.ndarray | None = None         # u, snapped
+    s: np.ndarray | None = None         # sqrt|u|
+    t: np.ndarray | None = None         # p + sqrt(u) of the approaching rewrite
     theta: np.ndarray | None = None     # the angle -phase / hbar of apply_phase
     spun: np.ndarray | None = None      # spin of the initial amplitudes, once per series
     psi: np.ndarray | None = None       # the evolved amplitudes
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, then an integrand
     real: np.ndarray | None = None      # the integrand of a real reduction
+    order: np.ndarray | None = None     # the stable sort of nodes out of order
+    ascending: Workspace | None = None  # the kernel's arrays on the sorted nodes
 
 
 _FRESH = Workspace()
@@ -102,51 +110,70 @@ def _phase_terms(p, lam):
     return p2, p2 * p, (2.0 / 3.0) * p2 * p / lam
 
 
-def workspace(p, lam) -> Workspace:
-    """The invariants on nodes p and one array of every per-tau kind."""
+def _phase_arrays(p, lam):
+    """The first ten fields of a workspace on nodes p."""
     p2, p3, cubic = _phase_terms(p, lam)
+    return p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, *np.empty((5, p.shape[0]))
+
+
+def workspace(p, lam) -> Workspace:
+    """The invariants on nodes p and one array of every per-tau kind; for
+    nodes out of ascending order also their stable sort and the kernel's
+    arrays on the sorted nodes."""
     n = p.shape[0]
-    return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, p > 0.0,
-                     *np.empty((5, n)), *np.empty((2, n), dtype=bool), np.empty(n),
-                     *np.empty((4, n), dtype=np.complex128), np.empty(n))
+    order = None if np.all(p[1:] >= p[:-1]) else np.argsort(p, kind="stable")
+    return Workspace(*_phase_arrays(p, lam), np.empty(n),
+                     *np.empty((4, n), dtype=np.complex128), np.empty(n), order,
+                     None if order is None else Workspace(*_phase_arrays(p[order], lam)))
 
 
-def branch(p2, tau, lam, ws=_FRESH):
-    """(u, s): u = p2 - lam tau snapped to 0 at the turning point, s = sqrt|u|.
-
-    The snap width is ``ws.snap``, or ``_SNAP * p2`` computed here; u, |u|
-    and the snap mask go to ``ws.u``, ``ws.s`` and ``ws.mask``.
-    """
-    u = np.subtract(p2, lam * tau, out=ws.u)
-    turning = np.less_equal(np.abs(u, out=ws.s),
-                            _SNAP * p2 if ws.snap is None else ws.snap, out=ws.mask)
-    if ws.u is None:  # u may be a scalar, which has no in-place select
-        u = np.where(turning, 0.0, u)
-    else:
-        np.copyto(u, 0.0, where=turning)
-    return u, np.sqrt(np.abs(u, out=ws.s), out=ws.s)
+def branch(p2, tau, lam):
+    """(u, s): u = p2 - lam tau snapped to 0 at the turning point, s = sqrt|u|."""
+    u = np.subtract(p2, lam * tau)
+    u = np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
+    return u, np.sqrt(np.abs(u))
 
 
-def before_exit(p2, tau, lam, ws=_FRESH):
+def before_exit(p2, tau, lam):
     """True where tau <= 2 p2/lam, before the frame leaves the potential."""
-    return np.greater_equal(p2, 0.5 * lam * tau, out=ws.early)
+    return np.greater_equal(p2, 0.5 * lam * tau)
 
 
-def _phase(phase, p3, u, s, early, lam, t=None):
-    """Overwrite ``phase`` with the turning-region phase where ``early``."""
+def exit_split(p, p2, tau, lam):
+    """(a, b) on ascending nodes p with squares p2: ``before_exit(p2, tau,
+    lam)`` holds exactly on [0:a) and [b:n).
+
+    p2 falls over the nodes p <= 0 and rises over the rest, so each side has
+    one boundary, found by bisection with the comparison of ``before_exit``.
+    """
+    edge = 0.5 * lam * tau
+    zero = bisect.bisect_right(p, 0.0) if p[0] <= 0.0 else 0
+    a = bisect.bisect_right(p2, -edge, 0, zero, key=operator.neg)  # first p2 < edge
+    return a, bisect.bisect_left(p2, edge, zero, p2.shape[0])      # first p2 >= edge
+
+
+def snap_band(u, snap):
+    """Snap the non-decreasing u to 0 where |u| <= snap, as ``branch`` does,
+    and return that band [i:j), the nodes next to the sign change of u;
+    from i on, u >= 0."""
+    i = j = bisect.bisect_left(u, 0.0)
+    while i and -u[i - 1] <= snap[i - 1]:
+        i -= 1
+    while j < u.shape[0] and u[j] <= snap[j]:
+        j += 1
+    if i < j:
+        u[i:j] = 0.0
+    return i, j
+
+
+def _turning_phase(p3, u, s, lam, out=None):
+    """The turning-region phase from u and s = sqrt|u| of ``branch``."""
     # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
-    mid = np.multiply(u, s, out=t)
+    mid = np.multiply(u, s, out=out)
     np.subtract(p3, mid, out=mid)
     np.multiply(2.0 / 3.0, mid, out=mid)
     mid /= lam
-    np.copyto(phase, mid, where=early)
-
-
-def _free_count(early):
-    """Number of leading nodes past their exit: the index of the first node
-    before it in the ``before_exit`` mask, or every node."""
-    lo = int(early.argmax())
-    return lo if early[lo] else early.shape[0]
+    return mid
 
 
 def phase_profile(p, tau, lam):
@@ -157,52 +184,70 @@ def phase_profile(p, tau, lam):
     phase = p * tau
     phase -= cubic
     early = before_exit(p2, tau, lam)
-    lo = _free_count(early)
-    if lo < p.shape[0]:
+    lo = int(early.argmax())  # the first node before its exit, if any
+    if early[lo]:
         u, s = branch(p2[lo:], tau, lam)
-        _phase(phase[lo:], p3[lo:], u, s, early[lo:], lam)
+        np.copyto(phase[lo:], _turning_phase(p3[lo:], u, s, lam), where=early[lo:])
     return phase
+
+
+def _turning(p, ws, lo, hi, c, tau, lam):
+    """The turning-region forms on the nodes [lo:hi), whose snapped u is in
+    ``ws.u``: Phi, D's direct form on [lo:c) and its approaching rewrite
+    on [c:hi)."""
+    u, s = ws.u[lo:hi], ws.s[lo:hi]
+    np.sqrt(np.abs(u, out=s), out=s)
+    _turning_phase(ws.p3[lo:hi], u, s, lam, ws.phi[lo:hi])
+    if lo < c:
+        mid = np.multiply(p[lo:c], s[:c - lo], out=ws.d[lo:c])
+        np.subtract(ws.p2[lo:c], mid, out=mid)
+        np.multiply(2.0, mid, out=mid)
+        mid /= lam
+    if c < hi:
+        d = np.multiply(p[c:hi], 2.0 * tau, out=ws.d[c:hi])
+        d /= np.add(p[c:hi], s[c - lo:], out=ws.t[c:hi])
 
 
 def phase_and_displacement(p, tau, lam, ws=None):
     """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
 
     ``ws`` is ``workspace(p, lam)``, built here for a single call; Phi and D
-    come back in ``ws.phi`` and ``ws.d``.  Every node gets the free-flight
-    forms; the turning-region formulas overwrite them from the first node
-    before its exit on, on the tails of the nodes and of the scratch arrays.
+    come back in ``ws.phi`` and ``ws.d``.  Each closed form runs on its own
+    index range of the ascending nodes, from ``exit_split`` and
+    ``snap_band``: the free-flight forms past the exit, on [a:b), the
+    turning-region phase on [0:a) and [b:n), D's direct form on [0:a) and
+    [b:c), and its approaching rewrite on [c:n).  Nodes out of order run
+    sorted, by ``ws.order``, and are scattered back.
     """
     if ws is None:
         ws = workspace(p, lam)
+    phi, d = ws.phi, ws.d
     if tau <= 0.0:
-        ws.d.fill(tau)
-        return np.multiply(p, tau, out=ws.phi), ws.d
-    phase = np.multiply(p, tau, out=ws.phi)
-    phase -= ws.cubic
-    d = np.subtract(tau, ws.exit, out=ws.d)
-    early = before_exit(ws.p2, tau, lam, ws)
-    lo = _free_count(early)
-    if lo == p.shape[0]:
-        return phase, d
-    p, p2, early, t = p[lo:], ws.p2[lo:], early[lo:], ws.t[lo:]
-    u, s = branch(p2, tau, lam, Workspace(snap=ws.snap[lo:], u=ws.u[lo:],
-                                          s=ws.s[lo:], mask=ws.mask[lo:]))
-    _phase(phase[lo:], ws.p3[lo:], u, s, early, lam, t)
-    # Approaching branch: 2(p^2 - p sqrt(u))/lam rewritten as 2 p tau/(p+sqrt(u))
-    # to avoid the p^2 - p*sqrt(p^2 - lam*tau) cancellation near tau -> 0.
-    # The rewrite needs p + sqrt(u) > 0, so it replaces the direct form only
-    # where u >= 0 and p > 0.  Each array is dead once read, so s then u
-    # take the next intermediates.
-    approaching = np.greater_equal(u, 0.0, out=ws.mask[lo:])
-    approaching &= ws.positive[lo:]
-    denom = np.add(p, s, out=t)
-    mid = np.multiply(p, s, out=s)
-    np.subtract(p2, mid, out=mid)
-    np.multiply(2.0, mid, out=mid)
-    mid /= lam
-    np.divide(np.multiply(p, 2.0 * tau, out=u), denom, out=mid, where=approaching)
-    np.copyto(d[lo:], mid, where=early)
-    return phase, d
+        d.fill(tau)
+        return np.multiply(p, tau, out=phi), d
+    if ws.order is not None:
+        phi[ws.order], d[ws.order] = phase_and_displacement(p[ws.order], tau, lam,
+                                                            ws.ascending)
+        return phi, d
+    n = p.shape[0]
+    a, b = exit_split(p, ws.p2, tau, lam)
+    np.multiply(p[a:b], tau, out=phi[a:b])
+    phi[a:b] -= ws.cubic[a:b]
+    np.subtract(tau, ws.exit[a:b], out=d[a:b])
+    # The turning region: u = p^2 - lam tau rises over [b:n), where p > 0,
+    # and falls over [0:a), where p <= 0, so its snapped nodes sit next to
+    # each sign change.  The approaching branch 2(p^2 - p sqrt(u))/lam is
+    # rewritten as 2 p tau/(p + sqrt(u)) to avoid the cancellation near
+    # tau -> 0.  The rewrite needs p + sqrt(u) > 0, so it holds only where
+    # u >= 0 and p > 0: on [c:n), from the band's first node on.
+    if b < n:
+        u = np.subtract(ws.p2[b:], lam * tau, out=ws.u[b:])
+        _turning(p, ws, b, n, b + snap_band(u, ws.snap[b:])[0], tau, lam)
+    if a:
+        u = np.subtract(ws.p2[:a], lam * tau, out=ws.u[:a])
+        snap_band(u[::-1], ws.snap[:a][::-1])
+        _turning(p, ws, 0, a, a, tau, lam)
+    return phi, d
 
 
 def classical_position_profile(taus, q0, p, lam):
@@ -268,21 +313,29 @@ def plane_wave(amps, x0, h, t, hbar, out=None):
     return np.multiply(amps, wave, out=wave)
 
 
-def phase_step(p, h, amps, phase, tau, start, hbar, ws):
+def _free_end(p, p2, tau, lam):
+    """The end of the prefix of the ascending nodes p past their exit: the
+    first node before its exit by ``exit_split``, or every node once
+    tau <= 0.  A first node before its exit leaves the prefix empty."""
+    if tau <= 0.0:
+        return p.shape[0]
+    a, b = exit_split(p, p2, tau, lam)
+    return 0 if a else b
+
+
+def phase_step(p, h, amps, phase, tau, start, lam, hbar, ws):
     """amps on the uniform nodes p (spacing h) at a scale start <= 0,
     carried to tau, into ``ws.psi``.
 
-    ``phase`` holds Phi(tau) and, for tau > 0, ``ws.early`` the
-    ``before_exit`` mask at tau, as ``phase_and_displacement`` leaves them;
-    Phi(start) is p start.  Past its exit a node has Phi(tau) - Phi(start)
-    = p (tau - start) - (2/3) p^3 / lam, so the nodes past their exit, a
-    prefix, take ``ws.spun`` (``spin`` of amps on at least that prefix), or
-    amps itself when tau <= 0, times ``plane_wave`` of tau - start.  The
-    other nodes take ``apply_phase`` of Phi(tau) - p start, with
-    ``ws.theta`` as scratch.
+    ``phase`` holds Phi(tau) and ``ws.p2`` p^2; Phi(start) is p start.  Past
+    its exit a node has Phi(tau) - Phi(start) = p (tau - start) - (2/3) p^3
+    / lam, so the nodes past their exit, a prefix, take ``ws.spun`` (``spin``
+    of amps on at least that prefix), or amps itself when tau <= 0, times
+    ``plane_wave`` of tau - start.  The other nodes take ``apply_phase`` of
+    Phi(tau) - p start, with ``ws.theta`` as scratch.
     """
     n = p.shape[0]
-    lo = n if tau <= 0.0 else _free_count(ws.early)
+    lo = _free_end(p, ws.p2, tau, lam)
     psi = ws.psi
     if lo:
         plane_wave((amps if tau <= 0.0 else ws.spun)[:lo], p[0], h, tau - start,
@@ -305,12 +358,11 @@ def advance(x, amps, start, tau, lam, hbar, h=None):
     phase = phase_profile(x, tau, lam)
     if h is None or start > 0.0:
         return apply_phase(amps, phase - phase_profile(x, start, lam), hbar)
-    n = x.shape[0]
-    early = before_exit(x * x, tau, lam)
-    lo = _free_count(early)
+    n, p2 = x.shape[0], x * x
+    lo = _free_end(x, p2, tau, lam)
     spun = spin(amps[:lo], _phase_terms(x[:lo], lam)[2], hbar) if tau > 0.0 else None
-    return phase_step(x, h, amps, phase, tau, start, hbar,
-                      Workspace(early=early, spun=spun, theta=np.empty(n),
+    return phase_step(x, h, amps, phase, tau, start, lam, hbar,
+                      Workspace(p2=p2, spun=spun, theta=np.empty(n),
                                 psi=np.empty(n, dtype=np.complex128)))
 
 

@@ -406,6 +406,8 @@ def main(argv=None) -> int:
         message, code = str(exc), _EXIT_CODES.get(type(exc), EXIT_CONFIG)
     except UnicodeDecodeError as exc:
         message, code = f"config: {args.config}: {exc}", EXIT_CONFIG
+    except MemoryError as exc:  # a count such as --n 1e15, refused at allocation
+        message, code = f"out of memory: {str(exc) or 'allocation failed'}", EXIT_CONFIG
     except BrokenPipeError:
         # The reader of stdout has gone (``| head -1``).  As the SIGPIPE note
         # in the docs of Python's signal module advises, exit 1 without a

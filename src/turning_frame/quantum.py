@@ -318,7 +318,8 @@ def expectation_series(initial: MomentumState, taus,
     for k, tau in enumerate(taus.tolist()):
         phase, kernel = _kernels.phase_and_displacement(p, tau, lam, ws)
         q_mean[k] = _analytic_mean(ref, kernel, h, ws.real)
-        amps = _kernels.phase_step(p, h, initial.amps, phase, tau, start, hbar, ws)
+        amps = _kernels.phase_step(p, h, initial.amps, phase, tau, start, lam,
+                                    hbar, ws)
         norms[k] = _norm(amps, h, ws.real)
         _check_norm(norms[k])
         d = _kernels.derivative(amps, h, ws=ws)

@@ -450,6 +450,23 @@ def test_malformed_counts_and_outputs_exit_2(tmp_path, capsys, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+# 1e15 float64 nodes (7 PiB) are refused at allocation, before any memory
+# is touched; a count the machine could really allocate has no place here
+@pytest.mark.parametrize("command, overrides", [
+    ("shift --n 1e15", {}),
+    ("shift --tau-num 1e15", {}),
+    ("classical --tau-num 1e15", {}),
+    ("evolve", {"snapshots": [0.5], "q_grid": {"q_min": -2.0, "q_max": 12.0, "n": 1e15}}),
+])
+def test_count_too_large_to_allocate_exits_2(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(cfg), "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_config_file_exit_code(tmp_path, capsys):
     assert main(["shift", "--config", str(tmp_path / "nope.json")]) == 2
 

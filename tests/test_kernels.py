@@ -173,6 +173,50 @@ def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, h
         assert K.derivative(evolved, h).tobytes() == d.tobytes()
 
 
+# Ascending grids, some crossing p = 0 and some with repeated nodes; tau
+# sits on and one ulp beside 0, the turning points and the exits of the
+# nodes, plus free values up past every exit.
+@settings(max_examples=150, deadline=None)
+@given(
+    p_lo=st.floats(-3.0, 3.0),
+    p_span=st.floats(0.0, 6.0),
+    n=st.integers(1, 64),
+    lam=st.floats(1e-3, 1e3),
+    picks=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from([0.0, 1.0, 2.0]),
+                             st.integers(-1, 1)), max_size=12),
+    free=st.lists(st.floats(-5.0, 20.0), max_size=4),
+)
+@example(p_lo=-2.5, p_span=8.0, n=8192, lam=4.0, picks=_WIDE_PICKS,
+         free=list(np.linspace(-1.0, 16.0, 35)))
+@example(p_lo=0.01, p_span=4.99, n=4096, lam=4.0, picks=_EXIT_PICKS, free=[1e-5, 13.0])
+@example(p_lo=-1.0, p_span=2.0, n=3, lam=1.0, picks=[],
+         free=[1.0 + 2.0**-49, 1.0 - 2.0**-49])  # u = -+ the snap width exactly
+def test_split_points_are_the_branch_masks(p_lo, p_span, n, lam, picks, free):
+    """[0:a) and [b:n) are the before_exit mask, [c:n) the approaching one,
+    and the snapped nodes exactly those with |u| <= 8 eps p^2."""
+    p = np.linspace(p_lo, p_lo + p_span, n)
+    p2 = p * p
+    snap = _REF_SNAP * p2
+    for tau in [_marked_tau(p, lam, pick) for pick in picks] + free:
+        a, b = K.exit_split(p, p2, tau, lam)
+        early = np.zeros(n, dtype=bool)
+        early[:a] = early[b:] = True
+        assert a <= b and np.array_equal(early, K.before_exit(p2, tau, lam)), tau
+
+        u = p2 - lam * tau
+        want, _ = _ref_branch(p2, tau, lam)
+        got, band = u.copy(), np.zeros(n, dtype=bool)
+        i, j = K.snap_band(got[b:], snap[b:])
+        band[b + i:b + j] = True
+        left, right = K.snap_band(got[:a][::-1], snap[:a][::-1])
+        band[a - right:a - left] = True
+        assert np.array_equal(band, np.abs(u) <= snap), tau
+        assert got[early].tobytes() == want[early].tobytes(), tau
+        approaching = np.zeros(n, dtype=bool)
+        approaching[b + i:] = True
+        assert np.array_equal(approaching, (want >= 0.0) & (p > 0.0)), tau
+
+
 def _not_power_of_two(x):
     return math.frexp(x)[0] != 0.5
 

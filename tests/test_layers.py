@@ -62,6 +62,43 @@ def test_per_tau_kernels_call_no_exp(function):
     assert set(every) == set(calls_outside("_kernels", function, {"exp"}))
 
 
+def reached(module: str, function: str) -> list[ast.AST]:
+    """The nodes of ``function`` and of every function of ``module`` it
+    calls by name, transitively."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    defs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    todo, seen, nodes = [function], set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            nodes.append(node)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                todo.append(node.func.id)
+    return nodes
+
+
+def masks(nodes) -> list[int]:
+    """Lines of calls with a ``where=`` select or to ``argmax`` or
+    ``before_exit``: the marks of a whole-grid branch mask."""
+    return [node.lineno for node in nodes if isinstance(node, ast.Call) and (
+        any(k.arg == "where" for k in node.keywords)
+        or getattr(node.func, "attr", getattr(node.func, "id", None))
+        in {"argmax", "before_exit"})]
+
+
+# the per-tau phase kernel and step find their branches as index ranges of
+# the ascending nodes; phase_profile, which keeps its masks, shows that the
+# guard would see one
+@pytest.mark.parametrize("function", ["phase_and_displacement", "phase_step"])
+def test_per_tau_phase_runs_on_ranges_not_masks(function):
+    assert len(masks(reached("_kernels", "phase_profile"))) == 3  # not vacuous
+    nodes = reached("_kernels", function)
+    assert nodes and masks(nodes) == []
+
+
 # one propagation: _kernels.advance carries amplitudes from start to tau;
 # only the tau loop of a series, which keeps Phi in its workspace, calls its
 # per-tau step itself
