@@ -96,8 +96,8 @@ class Workspace(NamedTuple):
     spun: np.ndarray | None = None      # spin of the initial amplitudes, once per series
     psi: np.ndarray | None = None       # the evolved amplitudes
     stencil: np.ndarray | None = None   # their derivative
-    work: np.ndarray | None = None      # the stencil's 8 v, then an integrand
-    real: np.ndarray | None = None      # the integrand of a real reduction
+    work: np.ndarray | None = None      # the stencil's 8 v, an integrand, squares
+    real: np.ndarray | None = None      # the integrand of the analytic mean
     order: np.ndarray | None = None     # the stable sort of nodes out of order
     ascending: Workspace | None = None  # the kernel's arrays on the sorted nodes
 
@@ -116,15 +116,24 @@ def _phase_arrays(p, lam):
     return p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, *np.empty((5, p.shape[0]))
 
 
+def _kernel_workspace(p, lam) -> Workspace:
+    """All of a workspace that ``phase_and_displacement`` touches: the first
+    ten fields and, for nodes out of ascending order, their stable sort and
+    the first ten fields on the sorted nodes."""
+    order = None if np.all(p[1:] >= p[:-1]) else np.argsort(p, kind="stable")
+    ascending = None if order is None else Workspace(*_phase_arrays(p[order], lam))
+    return Workspace(*_phase_arrays(p, lam), order=order, ascending=ascending)
+
+
 def workspace(p, lam) -> Workspace:
     """The invariants on nodes p and one array of every per-tau kind; for
     nodes out of ascending order also their stable sort and the kernel's
     arrays on the sorted nodes."""
     n = p.shape[0]
-    order = None if np.all(p[1:] >= p[:-1]) else np.argsort(p, kind="stable")
-    return Workspace(*_phase_arrays(p, lam), np.empty(n),
-                     *np.empty((4, n), dtype=np.complex128), np.empty(n), order,
-                     None if order is None else Workspace(*_phase_arrays(p[order], lam)))
+    spun, psi, stencil, work = np.empty((4, n), dtype=np.complex128)
+    return _kernel_workspace(p, lam)._replace(theta=np.empty(n), spun=spun, psi=psi,
+                                              stencil=stencil, work=work,
+                                              real=np.empty(n))
 
 
 def branch(p2, tau, lam):
@@ -211,16 +220,16 @@ def _turning(p, ws, lo, hi, c, tau, lam):
 def phase_and_displacement(p, tau, lam, ws=None):
     """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
 
-    ``ws`` is ``workspace(p, lam)``, built here for a single call; Phi and D
-    come back in ``ws.phi`` and ``ws.d``.  Each closed form runs on its own
-    index range of the ascending nodes, from ``exit_split`` and
-    ``snap_band``: the free-flight forms past the exit, on [a:b), the
-    turning-region phase on [0:a) and [b:n), D's direct form on [0:a) and
-    [b:c), and its approaching rewrite on [c:n).  Nodes out of order run
-    sorted, by ``ws.order``, and are scattered back.
+    ``ws`` is ``workspace(p, lam)``; a single call builds only the part it
+    touches.  Phi and D come back in ``ws.phi`` and ``ws.d``.  Each closed
+    form runs on its own index range of the ascending nodes, from
+    ``exit_split`` and ``snap_band``: the free-flight forms past the exit,
+    on [a:b), the turning-region phase on [0:a) and [b:n), D's direct form
+    on [0:a) and [b:c), and its approaching rewrite on [c:n).  Nodes out of
+    order run sorted, by ``ws.order``, and are scattered back.
     """
     if ws is None:
-        ws = workspace(p, lam)
+        ws = _kernel_workspace(p, lam)
     phi, d = ws.phi, ws.d
     if tau <= 0.0:
         d.fill(tau)

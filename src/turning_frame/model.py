@@ -8,6 +8,9 @@ Conventions used throughout the package:
 * Momentum-space states live on uniform grids; every quadrature is the
   node sum :func:`_integral`, ``sum(values) * h``, and a state is built
   normalized to ``sum(|amps|**2) * h == 1``; no consumer checks again.
+  A norm or a variance sums ``|z|**2`` as :func:`_abs2`, the squares of
+  the real and imaginary parts; the density ``|f|**2`` of the analytic
+  route and the moments keep NumPy's ``abs``.
 * ``hbar`` defaults to 1 (model units).
 """
 
@@ -33,15 +36,22 @@ def _integral(values: np.ndarray, h: float, factor=1.0):
     return factor * np.add.reduce(values) * h
 
 
+def _abs2(values: np.ndarray, out=None) -> np.ndarray:
+    """The squares of the float64 view of the 1-d complex128 ``values``: re^2
+    and im^2 of each value, two slots per value, whose sum is
+    sum |values|^2 without the hypot of a complex ``abs``.  ``out`` is a
+    float64 array of that length.  A strided ``values`` is copied first."""
+    return np.square(np.ascontiguousarray(values).view(np.float64), out=out)
+
+
 def _norm(amps: np.ndarray, h: float, out=None) -> float:
-    """sqrt(sum |amps|^2 h); ``out`` receives |amps|^2.
+    """sqrt(sum |amps|^2 h), summed over ``_abs2(amps, out)``.
 
     A huge amplitude overflows to an infinite norm, which ``_check_norm``
     refuses, so the overflow warning is silenced.
     """
     with np.errstate(over="ignore"):
-        square = np.square(np.abs(amps, out=out), out=out)
-        return float(np.sqrt(_integral(square, h)))
+        return float(np.sqrt(_integral(_abs2(amps, out), h)))
 
 
 def _check_norm(norm: float) -> None:

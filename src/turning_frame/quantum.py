@@ -42,6 +42,7 @@ from .model import (
     FrameModel,
     MomentumGrid,
     MomentumState,
+    _abs2,
     _check_norm,
     _evenly_spaced,
     _finite_floats,
@@ -155,10 +156,9 @@ def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float,
               out=None) -> float:
     """<q^2> - <q>^2 with <q^2> = hbar^2 sum |dpsi/dp|^2 h (symmetric form).
 
-    ``out`` receives |dpsi/dp|^2.
+    The sum runs over ``_abs2(d, out)``.
     """
-    square = np.square(np.abs(d, out=out), out=out)
-    mean_q2 = _square(hbar, "hbar") * float(_integral(square, h))
+    mean_q2 = _square(hbar, "hbar") * float(_integral(_abs2(d, out), h))
     var = mean_q2 - _square(mean_q, "mean position")
     if not var >= -1e-9:
         raise ConsistencyError(f"variance {var:.3e} is negative beyond tolerance")
@@ -311,6 +311,9 @@ def expectation_series(initial: MomentumState, taus,
     start = float(initial.tau)
     ws = _kernels.workspace(p, lam)
     _kernels.spin(initial.amps, ws.cubic, hbar, ws.spun)
+    # the 2n float64 slots of ws.work, free after phase_step and again after
+    # _fd_position_mean: the squares of the norm and of the variance
+    scratch = ws.work.view(np.float64)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
@@ -320,7 +323,7 @@ def expectation_series(initial: MomentumState, taus,
         q_mean[k] = _analytic_mean(ref, kernel, h, ws.real)
         amps = _kernels.phase_step(p, h, initial.amps, phase, tau, start, lam,
                                     hbar, ws)
-        norms[k] = _norm(amps, h, ws.real)
+        norms[k] = _norm(amps, h, scratch)
         _check_norm(norms[k])
         d = _kernels.derivative(amps, h, ws=ws)
         numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, ws.work)
@@ -334,5 +337,5 @@ def expectation_series(initial: MomentumState, taus,
                     f"{message}: the grid reaches p <= 0, and the phase law jumps "
                     f"at tau = 0+ for p < 0, so a finer grid may not help")
             raise ConsistencyError(message)
-        q_var[k] = _variance(d, numeric, h, hbar, ws.real)
+        q_var[k] = _variance(d, numeric, h, hbar, scratch)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

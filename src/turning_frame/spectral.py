@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
-from .model import (FrameModel, _finite_floats, _floats, _require_finite,
+from .model import (FrameModel, _abs2, _finite_floats, _floats, _require_finite,
                     _require_increasing)
 
 # Sum |c|^2 over a discrete spectrum is exact up to rounding, so it is held
@@ -27,7 +27,7 @@ _HERMITICITY_TOL = 1e-12
 
 
 def _require_normalized(coeffs: np.ndarray) -> None:
-    norm2 = float(np.sum(np.abs(coeffs) ** 2))
+    norm2 = float(np.add.reduce(_abs2(coeffs)))
     if not abs(norm2 - 1.0) <= _NORM_TOL:
         raise InvalidStateError(
             f"coefficient norm^2 {norm2:.12f} deviates from 1 beyond {_NORM_TOL}"
@@ -60,7 +60,11 @@ class SpectralState:
         _require_increasing(energies, "energies")
         if not np.all(energies > 0.0):
             raise DomainError("all energies must be positive")
-        _require_normalized(coeffs)
+        # a huge coefficient overflows to norm^2 = inf, which is refused, so
+        # the warning is silenced; coefficients propagated by ``_at`` are unit
+        # phases times checked ones and cannot overflow
+        with np.errstate(over="ignore"):
+            _require_normalized(coeffs)
         energies.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "energies", energies)

@@ -195,13 +195,13 @@ GOLDEN = {
         "shift_reference_report.json":
             "8d99fb03f986543d37499c82764c35fef6f3f46877c09e7f680b46778d085f24",
         "shift_reference_series.csv":
-            "719b9f88d2b283e53e5791597b1dfd8a96584ca2e23db3f726a5cf66cccef56d",
+            "2676d2894f7cbe1477192a0ba635814325ea222b396d2cb35e9bfa142feddfb8",
     },
     ("shift", "shift_reference.json", ("--hbar", "0.75")): {
         "shift_reference_report.json":
             "bcee9d5c2ad59f1997fac01ca90207605f945b991bc201eeb14cbc52b20462c5",
         "shift_reference_series.csv":
-            "e2a92fe176d9fd2e6f8233223120e27f6fed8db8ec3bae79f1eae56450585216",
+            "05b04f50ece07d1709fb6d3054d8e79f418cef5aa3048f20b7f50ed447bc618f",
     },
     ("evolve", "wavefunction_snapshots.json", ()): {
         "snapshots_momentum_00.csv":

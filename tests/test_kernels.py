@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,25 @@ def test_no_branch_work_past_every_exit():
     assert phase.tobytes() == (p * tau - ws.cubic).tobytes()
     assert kernel.tobytes() == (tau - ws.exit).tobytes()
     assert np.isnan(ws.u).all() and np.isnan(ws.s).all() and np.isnan(ws.t).all()
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_single_call_builds_only_the_kernel_arrays(shuffle):
+    """Without a workspace the kernel allocates the ten arrays it touches, and
+    on nodes out of order their sorted copies, not a whole workspace with its
+    four complex arrays, which would peak at 20 and 32 arrays of n floats."""
+    n = 4096
+    p = np.linspace(0.01, 5.0, n)
+    if shuffle:
+        p = np.random.default_rng(n).permutation(p)
+    K.phase_and_displacement(p, 4.0, 4.0)  # both branches run at tau = 4
+    tracemalloc.start()
+    try:
+        K.phase_and_displacement(p, 4.0, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (24 if shuffle else 12) * 8 * n
 
 
 def _marked_tau(p, lam, pick):
@@ -343,9 +363,10 @@ def test_evolve_is_the_direct_phase(hbar):
                       <= _phase_bound(state.amps, p, tau + 1.0, hbar)), tau
 
 
-# Digests of the free-flight step (``plane_wave`` and ``advance``) and of one
-# series whose state comes from a complex exp, which calls libm: a real
-# np.exp, as in make_gaussian's envelope, has other bits under AVX-512.
+# Digests of the free-flight step (``plane_wave`` and ``advance``) and of each
+# column of one series whose state comes from a complex exp, which calls
+# libm: a real np.exp, as in make_gaussian's envelope, has other bits under
+# AVX-512.
 _STEP_DIGEST = """
 import hashlib
 import numpy as np
@@ -361,9 +382,10 @@ digest = hashlib.sha256(K.plane_wave(amps, p[0], h, 17.0, 0.75).tobytes())
 for tau in (-0.5, 3.0, 8.0, 16.0):
     digest.update(K.advance(p, state.amps, -1.0, tau, 4.0, 1.0, h).tobytes())
 series = expectation_series(state, np.linspace(-1.0, 16.0, 35), FrameModel(4.0))
-for column in (series.q_mean, series.norm, series.q_var):
-    digest.update(column.tobytes())
-print(__cpu_features__["X86_V4"], digest.hexdigest())
+print("x86_v4", __cpu_features__["X86_V4"])
+print("step", digest.hexdigest())
+for name in ("q_mean", "norm", "q_var"):
+    print(name, hashlib.sha256(getattr(series, name).tobytes()).hexdigest())
 """
 
 
@@ -372,7 +394,7 @@ def _step_digest(**env):
     run = subprocess.run([sys.executable, "-c", _STEP_DIGEST], capture_output=True,
                          text=True, check=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": src, **env})
-    return run.stdout.split()
+    return dict(line.split() for line in run.stdout.splitlines())
 
 
 def _dispatches_x86_v4():
@@ -383,15 +405,31 @@ def _dispatches_x86_v4():
     return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4", False)
 
 
-@pytest.mark.skipif(not _dispatches_x86_v4(),
-                    reason="NumPy does not dispatch X86_V4 here")
-def test_free_flight_bits_do_not_depend_on_avx512():
+@pytest.fixture(scope="module")
+def dispatch_digests():
+    """The digests with AVX-512 dispatch on, and off in a fresh process."""
+    if not _dispatches_x86_v4():
+        pytest.skip("NumPy does not dispatch X86_V4 here")
+    wide = _step_digest()
+    narrow = _step_digest(NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+    assert (wide.pop("x86_v4"), narrow.pop("x86_v4")) == ("True", "False")  # it took
+    return wide, narrow
+
+
+def test_free_flight_bits_do_not_depend_on_avx512(dispatch_digests):
     """The tables take cos, sin and complex products, whose bits hold with
     AVX-512 dispatch disabled in a fresh process."""
-    wide, digest = _step_digest()
-    narrow, same = _step_digest(NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
-    assert (wide, narrow) == ("True", "False")  # the switch took effect
-    assert same == digest
+    wide, narrow = dispatch_digests
+    for key in ("step", "q_mean"):
+        assert narrow[key] == wide[key], key
+
+
+def test_norm_and_variance_bits_do_not_depend_on_avx512(dispatch_digests):
+    """The norm and variance sums square the float64 view and add in NumPy's
+    fixed order; their bits hold with AVX-512 dispatch disabled."""
+    wide, narrow = dispatch_digests
+    for key in ("norm", "q_var"):
+        assert narrow[key] == wide[key], key
 
 
 def test_derivative_zero_sign_beside_an_exact_zero():

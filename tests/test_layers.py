@@ -80,13 +80,17 @@ def reached(module: str, function: str) -> list[ast.AST]:
     return nodes
 
 
+def callee(node: ast.Call) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
 def masks(nodes) -> list[int]:
     """Lines of calls with a ``where=`` select or to ``argmax`` or
     ``before_exit``: the marks of a whole-grid branch mask."""
     return [node.lineno for node in nodes if isinstance(node, ast.Call) and (
         any(k.arg == "where" for k in node.keywords)
-        or getattr(node.func, "attr", getattr(node.func, "id", None))
-        in {"argmax", "before_exit"})]
+        or callee(node) in {"argmax", "before_exit"})]
 
 
 # the per-tau phase kernel and step find their branches as index ranges of
@@ -97,6 +101,23 @@ def test_per_tau_phase_runs_on_ranges_not_masks(function):
     assert len(masks(reached("_kernels", "phase_profile"))) == 3  # not vacuous
     nodes = reached("_kernels", function)
     assert nodes and masks(nodes) == []
+
+
+def moduli(nodes) -> list[int]:
+    """Lines of calls to ``abs``, ``absolute`` or ``hypot``: a complex modulus."""
+    return [node.lineno for node in nodes if isinstance(node, ast.Call)
+            and callee(node) in {"abs", "absolute", "hypot"}]
+
+
+# a norm or a variance sums |z|^2 as the squares of the float64 view, with no
+# hypot per tau; _reference, whose density and truncation term the golden
+# bytes read, shows that the guard would see NumPy's abs
+@pytest.mark.parametrize("module, function", [("model", "_norm"),
+                                              ("quantum", "_variance")])
+def test_norm_and_variance_take_no_modulus(module, function):
+    assert moduli(reached("quantum", "_reference"))  # not vacuous
+    nodes = reached(module, function)
+    assert nodes and moduli(nodes) == []
 
 
 # one propagation: _kernels.advance carries amplitudes from start to tau;

@@ -1,6 +1,7 @@
 """Tests for phase evolution, expectation routes, variance, and transforms."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from turning_frame import (
     unwind_phi,
 )
 from turning_frame import _kernels, quantum
+from turning_frame.model import _check_norm, _norm
 from turning_frame.quantum import position_plan, position_profile
 
 from conftest import REF_LAMBDA, REF_P0, REF_Q0, REF_SIGMA, riemann
@@ -310,6 +312,43 @@ def test_variance_grows_through_turning_region(wide_state, model):
     assert v_star > v0
     assert v_star < v_late
     assert v_star < REF_SIGMA**2 + tau_star**2 + 1e-2
+
+
+# components whose squares are subnormal, ordinary, and near the top of the
+# range, of either sign
+component = st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), st.one_of(
+    st.just(0.0), st.floats(1e-161, 1e-159), st.floats(0.1, 10.0),
+    st.floats(1e149, 1e151)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(component, component), min_size=1, max_size=64),
+       h=st.floats(1e-3, 1.0), scratch=st.booleans())
+@example(parts=[(1e-160, -1e-160)] * 5, h=0.5, scratch=False)
+@example(parts=[(1e150, 3.0), (1e-160, 0.0)], h=0.01, scratch=True)
+def test_norm_and_variance_sums_match_the_hypot_forms(parts, h, scratch):
+    """The squares of the float64 view sum to the old sqrt(sum |z|^2 h) and
+    hbar^2 sum |z|^2 h, from np.square(np.abs(z)), to a few eps n relative;
+    a subnormal square may round by one unit of 2^-1074 either way."""
+    z = np.array([complex(re, im) for re, im in parts])
+    n, eps = z.shape[0], np.finfo(float).eps
+    out = np.empty(2 * n) if scratch else None
+    old = np.add.reduce(np.square(np.abs(z))) * h
+    tiny = 4 * n * 2.0**-1074
+    assert abs(quantum._variance(z, 0.0, h, 1.0, out) - old) <= 4 * n * eps * old + tiny
+    assert abs(_norm(z, h, out) - math.sqrt(old)) <= (
+        (4 * n + 2) * eps * math.sqrt(old) + math.sqrt(tiny))
+
+
+@pytest.mark.parametrize("amps", [[1e155, 1.0], [complex(1e154, 1e154), 0.0]],
+                         ids=["square-overflows", "sum-overflows"])
+def test_overflowing_norm_is_infinite_and_refused(amps):
+    """An amplitude whose square, or the sum of two finite squares, overflows
+    gives an infinite norm and no RuntimeWarning; ``_check_norm`` refuses it."""
+    norm = _norm(np.array(amps, dtype=complex), 0.5)
+    assert norm == math.inf
+    with pytest.raises(InvalidStateError, match="inf"):
+        _check_norm(norm)
 
 
 def test_variance_with_overflowing_hbar_squared_is_a_domain_error(trunc_state):

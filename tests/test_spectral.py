@@ -89,6 +89,16 @@ def test_observable_must_be_hermitian():
     assert obs.dim == 2
 
 
+def test_strided_coefficients_are_checked_like_contiguous_ones():
+    """The norm check squares the float64 view, which a strided complex
+    array does not have; it reads a contiguous copy."""
+    coeffs = np.array([0.6, 9.0, 0.8j, 9.0])[::2]
+    assert not coeffs.flags.c_contiguous
+    assert np.array_equal(SpectralState([1.0, 2.0], coeffs).coeffs, [0.6, 0.8j])
+    with pytest.raises(InvalidStateError, match="coefficient norm"):
+        SpectralState([1.0, 2.0], 2.0 * coeffs)
+
+
 def test_propagate_identity_and_norm(two_level, model):
     same = propagate(two_level, 0.0, model)
     np.testing.assert_array_equal(same.coeffs, two_level.coeffs)
@@ -251,6 +261,8 @@ def test_crlf_files_load_like_the_new_writer_round_trip(tmp_path, kind):
                  id="spectral-descending"),
     pytest.param(load_spectral_csv, "E,re,im\n1,1,0\n2,1,0\n", "bad.csv",
                  id="spectral-unnormalized"),
+    pytest.param(load_spectral_csv, "E,re,im\n1,1e200,0\n2,0,0\n",
+                 "coefficient norm^2 inf", id="spectral-overflowing"),
     pytest.param(load_observable_csv, "", "bad.csv: file is empty", id="observable-empty"),
     pytest.param(load_observable_csv, "1:0,0:0\n0:0\n",
                  "bad.csv, line 2: malformed row ['0:0']", id="observable-short-row"),
