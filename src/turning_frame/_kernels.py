@@ -16,9 +16,10 @@ Numerical conventions:
   ``phase_and_displacement`` runs each closed form on its own ranges only:
   the free-flight forms ``p tau - (2/3) p^3/lam`` and ``tau - 2 p^2/lam``
   on the nodes past their exit, the turning-region forms on the rest.
-  ``workspace`` checks the node order once; nodes in any other order run
-  sorted by one stable permutation and are scattered back.
-  ``phase_profile``, which takes no workspace, keeps one whole-grid
+  Ascending nodes (repeats allowed) are the contract of ``workspace`` and
+  ``phase_and_displacement``: ``workspace`` checks the order once and
+  raises ``DomainError`` on nodes out of order.  ``phase_profile``, which
+  takes no workspace, takes nodes in any order: it keeps one whole-grid
   ``before_exit`` mask and runs ``branch`` from its first True on.
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import DomainError, ResolutionError
 
 _SNAP = 8.0 * float(np.finfo(np.float64).eps)
 
@@ -75,11 +76,9 @@ class Workspace(NamedTuple):
     eleven hold Phi, D, psi and the stencil from one tau to the next, the
     branch scratch ``u``, ``s`` and ``t`` only on the turning-region ranges.
     ``spun`` is the one of them a series writes once, before its first tau.
-    On nodes out of ascending order, ``order`` is the stable permutation
-    that sorts them and ``ascending`` the first ten on the sorted nodes, for
-    the kernel; else both are None.  ``workspace`` fills all of them.  A
-    kernel given the all-None ``_FRESH`` allocates its arrays, as a single
-    call does.
+    The nodes are ascending.  ``workspace`` fills all of them.  A kernel
+    given the all-None ``_FRESH`` allocates its arrays, as a single call
+    does.
     """
 
     p2: np.ndarray | None = None        # p^2
@@ -98,8 +97,6 @@ class Workspace(NamedTuple):
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, an integrand, squares
     real: np.ndarray | None = None      # the integrand of the analytic mean
-    order: np.ndarray | None = None     # the stable sort of nodes out of order
-    ascending: Workspace | None = None  # the kernel's arrays on the sorted nodes
 
 
 _FRESH = Workspace()
@@ -110,25 +107,18 @@ def _phase_terms(p, lam):
     return p2, p2 * p, (2.0 / 3.0) * p2 * p / lam
 
 
-def _phase_arrays(p, lam):
-    """The first ten fields of a workspace on nodes p."""
-    p2, p3, cubic = _phase_terms(p, lam)
-    return p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, *np.empty((5, p.shape[0]))
-
-
 def _kernel_workspace(p, lam) -> Workspace:
-    """All of a workspace that ``phase_and_displacement`` touches: the first
-    ten fields and, for nodes out of ascending order, their stable sort and
-    the first ten fields on the sorted nodes."""
-    order = None if np.all(p[1:] >= p[:-1]) else np.argsort(p, kind="stable")
-    ascending = None if order is None else Workspace(*_phase_arrays(p[order], lam))
-    return Workspace(*_phase_arrays(p, lam), order=order, ascending=ascending)
+    """The first ten fields of a workspace on the ascending nodes p, all that
+    ``phase_and_displacement`` touches."""
+    if not np.all(p[1:] >= p[:-1]):
+        raise DomainError("momentum nodes must be in ascending order")
+    p2, p3, cubic = _phase_terms(p, lam)
+    return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, *np.empty((5, p.shape[0])))
 
 
 def workspace(p, lam) -> Workspace:
-    """The invariants on nodes p and one array of every per-tau kind; for
-    nodes out of ascending order also their stable sort and the kernel's
-    arrays on the sorted nodes."""
+    """The invariants on the ascending nodes p and one array of every per-tau
+    kind; nodes out of order raise ``DomainError``."""
     n = p.shape[0]
     spun, psi, stencil, work = np.empty((4, n), dtype=np.complex128)
     return _kernel_workspace(p, lam)._replace(theta=np.empty(n), spun=spun, psi=psi,
@@ -220,13 +210,13 @@ def _turning(p, ws, lo, hi, c, tau, lam):
 def phase_and_displacement(p, tau, lam, ws=None):
     """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
 
-    ``ws`` is ``workspace(p, lam)``; a single call builds only the part it
-    touches.  Phi and D come back in ``ws.phi`` and ``ws.d``.  Each closed
-    form runs on its own index range of the ascending nodes, from
-    ``exit_split`` and ``snap_band``: the free-flight forms past the exit,
-    on [a:b), the turning-region phase on [0:a) and [b:n), D's direct form
-    on [0:a) and [b:c), and its approaching rewrite on [c:n).  Nodes out of
-    order run sorted, by ``ws.order``, and are scattered back.
+    The nodes p must be ascending; without ``ws`` nodes out of order raise
+    ``DomainError``.  ``ws`` is ``workspace(p, lam)``; a single call builds
+    only the part it touches.  Phi and D come back in ``ws.phi`` and
+    ``ws.d``.  Each closed form runs on its own index range of the nodes,
+    from ``exit_split`` and ``snap_band``: the free-flight forms past the
+    exit, on [a:b), the turning-region phase on [0:a) and [b:n), D's direct
+    form on [0:a) and [b:c), and its approaching rewrite on [c:n).
     """
     if ws is None:
         ws = _kernel_workspace(p, lam)
@@ -234,10 +224,6 @@ def phase_and_displacement(p, tau, lam, ws=None):
     if tau <= 0.0:
         d.fill(tau)
         return np.multiply(p, tau, out=phi), d
-    if ws.order is not None:
-        phi[ws.order], d[ws.order] = phase_and_displacement(p[ws.order], tau, lam,
-                                                            ws.ascending)
-        return phi, d
     n = p.shape[0]
     a, b = exit_split(p, ws.p2, tau, lam)
     np.multiply(p[a:b], tau, out=phi[a:b])
@@ -333,8 +319,8 @@ def _free_end(p, p2, tau, lam):
 
 
 def phase_step(p, h, amps, phase, tau, start, lam, hbar, ws):
-    """amps on the uniform nodes p (spacing h) at a scale start <= 0,
-    carried to tau, into ``ws.psi``.
+    """amps on the ascending uniform nodes p (spacing h, from ``p[0]``) at a
+    scale start <= 0, carried to tau, into ``ws.psi``.
 
     ``phase`` holds Phi(tau) and ``ws.p2`` p^2; Phi(start) is p start.  Past
     its exit a node has Phi(tau) - Phi(start) = p (tau - start) - (2/3) p^3
@@ -359,10 +345,12 @@ def phase_step(p, h, amps, phase, tau, start, lam, hbar, ws):
 def advance(x, amps, start, tau, lam, hbar, h=None):
     """Amplitudes on nodes x at scale start, carried to tau by the phase law.
 
-    Nodes of a uniform grid of spacing ``h`` from a start <= 0 take
+    Given ``h``, the nodes must be an ascending uniform grid of that
+    spacing, read from ``x[0]`` on: from a start <= 0 they take
     ``phase_step`` with fresh arrays, so a series, which runs that step in
-    its workspace, gets the same bits; other nodes (energies) and a
-    start > 0 take ``apply_phase`` of Phi(tau) - Phi(start).
+    its workspace, gets the same bits.  Without ``h`` (energies), and from
+    a start > 0, nodes in any order take ``apply_phase`` of Phi(tau) -
+    Phi(start).
     """
     phase = phase_profile(x, tau, lam)
     if h is None or start > 0.0:

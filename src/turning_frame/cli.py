@@ -314,8 +314,6 @@ def cmd_shift(cfg: dict) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    if args.mass_amu is None and args.mass_kg is None:
-        raise ConfigError("mass", "supply --mass-amu or --mass-kg")
     temp_k = _finite(args.temp_k, "temp_k")
     gravity = _finite(args.gravity, "gravity")
     if args.mass_amu is not None:
@@ -376,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--snapshots", help="comma-separated tau values")
 
     p_est = sub.add_parser("estimate", help="laboratory order-of-magnitude numbers")
-    p_est.add_argument("--mass-amu")
-    p_est.add_argument("--mass-kg")
+    mass = p_est.add_mutually_exclusive_group(required=True)
+    mass.add_argument("--mass-amu")
+    mass.add_argument("--mass-kg")
     p_est.add_argument("--temp-k")
     p_est.add_argument("--gravity", default=STANDARD_GRAVITY)
     return parser

@@ -338,9 +338,12 @@ def test_estimate_reference_numbers(capsys):
     assert payload["inputs"]["mass_amu"] == pytest.approx(100.0)
 
 
-def test_estimate_missing_arguments_exit_code():
+def test_estimate_missing_arguments_exit_code(capsys):
     assert main(["estimate", "--temp-k", "1.0"]) == 2
     assert main(["estimate", "--mass-amu", "100"]) == 2
+    # the two masses exclude each other
+    assert main(["estimate", "--mass-amu", "1", "--mass-kg", "2", "--temp-k", "1e-6"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_estimate_rejects_zero_gravity():

@@ -76,7 +76,8 @@ def ref_derivative(values, h):
 
 
 # Grids reach p <= 0, where the displacement takes its direct form, and tau
-# ranges over both sides of 0 and past the outer boundary 2 p^2 / lam.  A
+# ranges over both sides of 0 and past the outer boundary 2 p^2 / lam.  The
+# kernel takes ascending nodes only; phase_profile takes any order, and a
 # shuffled grid puts nodes past their exit after the first node before it
 # (in the second example, node 6, followed by 202 nodes past their exit).
 @settings(max_examples=200, deadline=None)
@@ -91,15 +92,32 @@ def ref_derivative(values, h):
 @example(p_lo=-1.0, p_span=2.0, n=9, tau=0.25, lam=4.0, shuffle=False)
 @example(p_lo=-2.5, p_span=8.0, n=256, tau=8.0, lam=4.0, shuffle=True)
 def test_phase_profile_is_the_fused_phase(p_lo, p_span, n, tau, lam, shuffle):
-    """Both entry points give the reference's bits, for nodes in any order."""
+    """Both entry points give the reference's bits: the kernel on ascending
+    nodes, phase_profile on nodes in any order."""
     p = np.linspace(p_lo, p_lo + p_span, n)
-    if shuffle:
-        p = np.random.default_rng(n).permutation(p)
     phase, kernel = K.phase_and_displacement(p, tau, lam)
     ref_phase, ref_kernel = ref_phase_and_displacement(p, tau, lam)
     assert phase.tobytes() == ref_phase.tobytes()
     assert kernel.tobytes() == ref_kernel.tobytes()
     assert K.phase_profile(p, tau, lam).tobytes() == phase.tobytes()
+    if shuffle:
+        p = np.random.default_rng(n).permutation(p)
+        ref_phase = ref_phase_and_displacement(p, tau, lam)[0]
+        assert K.phase_profile(p, tau, lam).tobytes() == ref_phase.tobytes()
+
+
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+def test_kernel_refuses_nodes_out_of_order(order):
+    """The kernel and its workspace take ascending nodes only; repeats pass."""
+    p = np.linspace(-1.0, 3.0, 16)
+    p = p[::-1] if order == "descending" else np.random.default_rng(16).permutation(p)
+    with pytest.raises(turning_frame.DomainError, match="ascending"):
+        K.phase_and_displacement(p, 0.5, 4.0)
+    with pytest.raises(turning_frame.DomainError, match="ascending"):
+        K.workspace(p, 4.0)
+    repeated = np.sort(np.concatenate((p, p[:4])))
+    assert K.phase_and_displacement(repeated, 0.5, 4.0)[1].tobytes() == \
+        ref_phase_and_displacement(repeated, 0.5, 4.0)[1].tobytes()
 
 
 def test_no_branch_work_past_every_exit():
@@ -114,15 +132,12 @@ def test_no_branch_work_past_every_exit():
     assert np.isnan(ws.u).all() and np.isnan(ws.s).all() and np.isnan(ws.t).all()
 
 
-@pytest.mark.parametrize("shuffle", [False, True])
-def test_single_call_builds_only_the_kernel_arrays(shuffle):
-    """Without a workspace the kernel allocates the ten arrays it touches, and
-    on nodes out of order their sorted copies, not a whole workspace with its
-    four complex arrays, which would peak at 20 and 32 arrays of n floats."""
+def test_single_call_builds_only_the_kernel_arrays():
+    """Without a workspace the kernel allocates the ten arrays it touches,
+    not a whole workspace with its four complex arrays, which would peak at
+    20 arrays of n floats."""
     n = 4096
     p = np.linspace(0.01, 5.0, n)
-    if shuffle:
-        p = np.random.default_rng(n).permutation(p)
     K.phase_and_displacement(p, 4.0, 4.0)  # both branches run at tau = 4
     tracemalloc.start()
     try:
@@ -130,7 +145,7 @@ def test_single_call_builds_only_the_kernel_arrays(shuffle):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (24 if shuffle else 12) * 8 * n
+    assert peak <= 12 * 8 * n
 
 
 def _marked_tau(p, lam, pick):
