@@ -13,14 +13,14 @@ Numerical conventions:
   branch is an index range.  ``exit_split`` finds the boundaries of
   ``before_exit`` by bisection, with its comparison, and ``snap_band`` the
   snapped nodes next to the sign change of u, with the snap of ``branch``.
-  ``phase_and_displacement`` runs each closed form on its own ranges only:
-  the free-flight forms ``p tau - (2/3) p^3/lam`` and ``tau - 2 p^2/lam``
-  on the nodes past their exit, the turning-region forms on the rest.
-  Ascending nodes (repeats allowed) are the contract of ``workspace`` and
-  ``phase_and_displacement``: ``workspace`` checks the order once and
-  raises ``DomainError`` on nodes out of order.  ``phase_profile``, which
-  takes no workspace, takes nodes in any order: it keeps one whole-grid
-  ``before_exit`` mask and runs ``branch`` from its first True on.
+  ``_phase``, the one Phi at tau > 0, runs the free-flight form ``p tau -
+  (2/3) p^3/lam`` on the nodes past their exit and the turning-region form
+  on the rest; ``phase_profile`` calls it on fresh arrays, and
+  ``phase_and_displacement`` on its workspace before it writes D on the
+  same ranges.  Ascending nodes (repeats allowed) are the contract of every
+  phase kernel: ``workspace`` checks the order once and raises
+  ``DomainError`` on nodes out of order; ``phase_profile``, whose callers
+  pass grid nodes, increasing energies or one node, checks none.
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
@@ -71,7 +71,7 @@ _SNAP = 8.0 * float(np.finfo(np.float64).eps)
 class Workspace(NamedTuple):
     """Every array the tau loop of a series reads or overwrites, on nodes p.
 
-    The first five are the tau-invariant subexpressions of
+    The first four are the tau-invariant subexpressions of
     ``phase_and_displacement``, so every tau gets the same bits; the next
     eleven hold Phi, D, psi and the stencil from one tau to the next, the
     branch scratch ``u``, ``s`` and ``t`` only on the turning-region ranges.
@@ -82,7 +82,6 @@ class Workspace(NamedTuple):
     """
 
     p2: np.ndarray | None = None        # p^2
-    snap: np.ndarray | None = None      # _SNAP p^2, the snap width of ``snap_band``
     p3: np.ndarray | None = None        # p^2 p of the turning-region phase
     cubic: np.ndarray | None = None     # (2/3) p^2 p / lam of the free-flight phase
     exit: np.ndarray | None = None      # 2 p^2 / lam of the free-flight displacement
@@ -108,12 +107,12 @@ def _phase_terms(p, lam):
 
 
 def _kernel_workspace(p, lam) -> Workspace:
-    """The first ten fields of a workspace on the ascending nodes p, all that
+    """The first nine fields of a workspace on the ascending nodes p, all that
     ``phase_and_displacement`` touches."""
     if not np.all(p[1:] >= p[:-1]):
         raise DomainError("momentum nodes must be in ascending order")
     p2, p3, cubic = _phase_terms(p, lam)
-    return Workspace(p2, _SNAP * p2, p3, cubic, 2.0 * p2 / lam, *np.empty((5, p.shape[0])))
+    return Workspace(p2, p3, cubic, 2.0 * p2 / lam, *np.empty((5, p.shape[0])))
 
 
 def workspace(p, lam) -> Workspace:
@@ -151,60 +150,57 @@ def exit_split(p, p2, tau, lam):
     return a, bisect.bisect_left(p2, edge, zero, p2.shape[0])      # first p2 >= edge
 
 
-def snap_band(u, snap):
-    """Snap the non-decreasing u to 0 where |u| <= snap, as ``branch`` does,
-    and return that band [i:j), the nodes next to the sign change of u;
-    from i on, u >= 0."""
+def snap_band(u, p2):
+    """Snap the non-decreasing u = p2 - lam tau to 0 where |u| <= 8 eps p2,
+    as ``branch`` does, on the nodes it reads, and return that band [i:j),
+    the nodes next to the sign change of u; from i on, u >= 0."""
     i = j = bisect.bisect_left(u, 0.0)
-    while i and -u[i - 1] <= snap[i - 1]:
+    while i and -u[i - 1] <= _SNAP * p2[i - 1]:
         i -= 1
-    while j < u.shape[0] and u[j] <= snap[j]:
+    while j < u.shape[0] and u[j] <= _SNAP * p2[j]:
         j += 1
     if i < j:
         u[i:j] = 0.0
     return i, j
 
 
-def _turning_phase(p3, u, s, lam, out=None):
-    """The turning-region phase from u and s = sqrt|u| of ``branch``."""
+def _phase(p, p2, p3, cubic, tau, lam, phi, u, s):
+    """Phi at tau > 0 on the ascending nodes p into ``phi``, given p2, p3 =
+    p^2 p and cubic = (2/3) p^2 p / lam: the free-flight form on [a:b), past
+    the exit, the turning-region form on [0:a) and [b:n), where ``u`` and
+    ``s`` get u and sqrt|u|.  Returns (a, b, c): u >= 0 and p > 0 on [c:n)."""
+    n = p.shape[0]
+    a, b = exit_split(p, p2, tau, lam)
+    if a < b:
+        free = np.multiply(p[a:b], tau, out=phi[a:b])
+        free -= cubic[a:b]
+    # u = p^2 - lam tau rises over [b:n), where p > 0, and falls over [0:a),
+    # where p <= 0, so its snapped nodes sit next to each sign change.
+    c = n
+    if b < n:
+        c = b + snap_band(np.subtract(p2[b:], lam * tau, out=u[b:]), p2[b:])[0]
+    if a:
+        snap_band(np.subtract(p2[:a], lam * tau, out=u[:a])[::-1], p2[:a][::-1])
     # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
-    mid = np.multiply(u, s, out=out)
-    np.subtract(p3, mid, out=mid)
-    np.multiply(2.0 / 3.0, mid, out=mid)
-    mid /= lam
-    return mid
+    for lo, hi in ((0, a), (b, n)):
+        if lo < hi:
+            v, root, mid = u[lo:hi], s[lo:hi], phi[lo:hi]
+            np.sqrt(np.abs(v, out=root), out=root)
+            np.multiply(v, root, out=mid)
+            np.subtract(p3[lo:hi], mid, out=mid)
+            mid *= 2.0 / 3.0
+            mid /= lam
+    return a, b, c
 
 
 def phase_profile(p, tau, lam):
-    """Accumulated evolution phase for every momentum node at scale tau."""
+    """Accumulated evolution phase on the ascending nodes p at scale tau."""
     if tau <= 0.0:
         return p * tau
-    p2, p3, cubic = _phase_terms(p, lam)
-    phase = p * tau
-    phase -= cubic
-    early = before_exit(p2, tau, lam)
-    lo = int(early.argmax())  # the first node before its exit, if any
-    if early[lo]:
-        u, s = branch(p2[lo:], tau, lam)
-        np.copyto(phase[lo:], _turning_phase(p3[lo:], u, s, lam), where=early[lo:])
-    return phase
-
-
-def _turning(p, ws, lo, hi, c, tau, lam):
-    """The turning-region forms on the nodes [lo:hi), whose snapped u is in
-    ``ws.u``: Phi, D's direct form on [lo:c) and its approaching rewrite
-    on [c:hi)."""
-    u, s = ws.u[lo:hi], ws.s[lo:hi]
-    np.sqrt(np.abs(u, out=s), out=s)
-    _turning_phase(ws.p3[lo:hi], u, s, lam, ws.phi[lo:hi])
-    if lo < c:
-        mid = np.multiply(p[lo:c], s[:c - lo], out=ws.d[lo:c])
-        np.subtract(ws.p2[lo:c], mid, out=mid)
-        np.multiply(2.0, mid, out=mid)
-        mid /= lam
-    if c < hi:
-        d = np.multiply(p[c:hi], 2.0 * tau, out=ws.d[c:hi])
-        d /= np.add(p[c:hi], s[c - lo:], out=ws.t[c:hi])
+    n = p.shape[0]
+    phi = np.empty(n)
+    _phase(p, *_phase_terms(p, lam), tau, lam, phi, np.empty(n), np.empty(n))
+    return phi
 
 
 def phase_and_displacement(p, tau, lam, ws=None):
@@ -213,10 +209,9 @@ def phase_and_displacement(p, tau, lam, ws=None):
     The nodes p must be ascending; without ``ws`` nodes out of order raise
     ``DomainError``.  ``ws`` is ``workspace(p, lam)``; a single call builds
     only the part it touches.  Phi and D come back in ``ws.phi`` and
-    ``ws.d``.  Each closed form runs on its own index range of the nodes,
-    from ``exit_split`` and ``snap_band``: the free-flight forms past the
-    exit, on [a:b), the turning-region phase on [0:a) and [b:n), D's direct
-    form on [0:a) and [b:c), and its approaching rewrite on [c:n).
+    ``ws.d``.  Phi comes from ``_phase``, and D runs on the same ranges: its
+    free-flight form on [a:b), its direct form on [0:a) and [b:c), and its
+    approaching rewrite on [c:n).
     """
     if ws is None:
         ws = _kernel_workspace(p, lam)
@@ -224,24 +219,20 @@ def phase_and_displacement(p, tau, lam, ws=None):
     if tau <= 0.0:
         d.fill(tau)
         return np.multiply(p, tau, out=phi), d
-    n = p.shape[0]
-    a, b = exit_split(p, ws.p2, tau, lam)
-    np.multiply(p[a:b], tau, out=phi[a:b])
-    phi[a:b] -= ws.cubic[a:b]
+    a, b, c = _phase(p, ws.p2, ws.p3, ws.cubic, tau, lam, phi, ws.u, ws.s)
     np.subtract(tau, ws.exit[a:b], out=d[a:b])
-    # The turning region: u = p^2 - lam tau rises over [b:n), where p > 0,
-    # and falls over [0:a), where p <= 0, so its snapped nodes sit next to
-    # each sign change.  The approaching branch 2(p^2 - p sqrt(u))/lam is
-    # rewritten as 2 p tau/(p + sqrt(u)) to avoid the cancellation near
-    # tau -> 0.  The rewrite needs p + sqrt(u) > 0, so it holds only where
-    # u >= 0 and p > 0: on [c:n), from the band's first node on.
-    if b < n:
-        u = np.subtract(ws.p2[b:], lam * tau, out=ws.u[b:])
-        _turning(p, ws, b, n, b + snap_band(u, ws.snap[b:])[0], tau, lam)
-    if a:
-        u = np.subtract(ws.p2[:a], lam * tau, out=ws.u[:a])
-        snap_band(u[::-1], ws.snap[:a][::-1])
-        _turning(p, ws, 0, a, a, tau, lam)
+    for lo, hi in ((0, a), (b, c)):
+        if lo < hi:
+            mid = np.multiply(p[lo:hi], ws.s[lo:hi], out=d[lo:hi])
+            np.subtract(ws.p2[lo:hi], mid, out=mid)
+            mid *= 2.0
+            mid /= lam
+    # The approaching branch 2(p^2 - p sqrt(u))/lam is rewritten as
+    # 2 p tau/(p + sqrt(u)) to avoid the cancellation near tau -> 0.  The
+    # rewrite needs p + sqrt(u) > 0, so it holds only where u >= 0 and p > 0.
+    if c < p.shape[0]:
+        late = np.multiply(p[c:], 2.0 * tau, out=d[c:])
+        late /= np.add(p[c:], ws.s[c:], out=ws.t[c:])
     return phi, d
 
 
@@ -349,7 +340,7 @@ def advance(x, amps, start, tau, lam, hbar, h=None):
     spacing, read from ``x[0]`` on: from a start <= 0 they take
     ``phase_step`` with fresh arrays, so a series, which runs that step in
     its workspace, gets the same bits.  Without ``h`` (energies), and from
-    a start > 0, nodes in any order take ``apply_phase`` of Phi(tau) -
+    a start > 0, the ascending nodes take ``apply_phase`` of Phi(tau) -
     Phi(start).
     """
     phase = phase_profile(x, tau, lam)

@@ -13,7 +13,8 @@ single fields and are typed by the same readers as config values
 (``--n 1e3`` reads like ``"n": 1e3``).  A command accepts only the flags
 of the fields it reads.  The default output directory
 comes from ``$TURNING_FRAME_OUTDIR`` when set.  Outputs are
-deterministic: identical configs produce byte-identical files.
+deterministic: identical configs produce byte-identical files on machines
+where NumPy picks the same SIMD loops.
 
 Exit codes: 0 success, 1 output pipe closed, 2 configuration or validation
 problem, 3 grid resolution failure (a ResolutionError or a ConsistencyError),
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     mass = p_est.add_mutually_exclusive_group(required=True)
     mass.add_argument("--mass-amu")
     mass.add_argument("--mass-kg")
-    p_est.add_argument("--temp-k")
+    p_est.add_argument("--temp-k", required=True)
     p_est.add_argument("--gravity", default=STANDARD_GRAVITY)
     return parser
 

@@ -205,6 +205,7 @@ class ClassicalState:
     def __post_init__(self):
         _require_finite(self.q0, "q0")
         _require_positive(self.p, "momentum")
+        _square(self.p, "momentum")
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ def phase_branch(tau: float, p: float, model: FrameModel) -> int:
     """
     _require_positive(p, "momentum")
     _require_finite(tau, "tau")
-    p2 = p * p
+    _square(p, "momentum")
+    p2 = p * p  # the kernel's bits; _square's p**2 goes through libm's pow
     if tau <= 0.0:
         return 1
     if not _kernels.before_exit(p2, tau, model.lam):
@@ -83,6 +84,7 @@ def phase_theta(phi: float, p: float, model: FrameModel) -> float:
     """
     _require_positive(p, "momentum")
     _require_finite(phi, "phi")
+    _square(p, "momentum")
     lam, p2 = model.lam, p * p
     if _kernels.branch(p2, phi, lam)[0] < 0.0:
         raise DomainError(
@@ -95,7 +97,10 @@ def total_phase(tau: float, p: float, model: FrameModel) -> float:
     """Accumulated evolution phase Phi(tau, p) along the monotonic scale."""
     _require_positive(p, "momentum")
     _require_finite(tau, "tau")
-    out = _kernels.phase_profile(np.array([float(p)]), float(tau), model.lam)
+    _square(p, "momentum")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        out = _kernels.phase_profile(np.array([float(p)]), float(tau), model.lam)
+    _require_finite(out[0], f"phase at tau={tau}, momentum={p}")
     return float(out[0])
 
 
@@ -106,6 +111,7 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
     """
     _require_positive(p, "momentum")
     _require_finite(tau, "tau")
+    _square(p, "momentum")
     p_arr = np.array([float(p)])
     _, out = _kernels.phase_and_displacement(p_arr, float(tau), model.lam)
     return float(out[0])

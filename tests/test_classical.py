@@ -10,11 +10,15 @@ from turning_frame import (
     DomainError,
     FrameModel,
     classical_shift,
+    displacement_kernel,
     gauge_solution,
+    phase_branch,
+    phase_theta,
     phi_of_q,
     q_of_phi,
     q_of_tau,
     q_rate,
+    total_phase,
     turning_point,
     unwind_phi,
 )
@@ -240,8 +244,18 @@ _SQUARE_OVERFLOWS = 1.3407807929942597e154
     lambda m: gauge_solution(_SQUARE_OVERFLOWS, m, 1e154),
     lambda m: phi_of_q(1.0, ClassicalState(q0=0.0, p=_SQUARE_OVERFLOWS), m),
     lambda m: gauge_solution(1.0, m, 0.0).constraint_residual(_SQUARE_OVERFLOWS, m),
+    # without the refusal p^2 = inf snaps u = inf to the turning point: q(tau)
+    # and q(phi) read 2.0 and D 2.0 where the true values are about 1.0
+    lambda m: q_of_tau(1.0, ClassicalState(q0=0.0, p=_SQUARE_OVERFLOWS), m),
+    lambda m: q_of_phi(1.0, Branch.BEFORE, ClassicalState(0.0, _SQUARE_OVERFLOWS), m),
+    lambda m: q_rate(1.0, ClassicalState(q0=0.0, p=_SQUARE_OVERFLOWS), m),
+    lambda m: displacement_kernel(1.0, _SQUARE_OVERFLOWS, m),
+    lambda m: total_phase(1.0, _SQUARE_OVERFLOWS, m),
+    lambda m: phase_theta(1.0, _SQUARE_OVERFLOWS, m),
+    lambda m: phase_branch(1.0, _SQUARE_OVERFLOWS, m),
 ], ids=["unwind-phi", "turning-point", "classical-shift", "gauge-solution",
-        "phi-of-q", "constraint-residual"])
+        "phi-of-q", "constraint-residual", "q-of-tau", "q-of-phi", "q-rate",
+        "displacement-kernel", "total-phase", "phase-theta", "phase-branch"])
 def test_overflowing_square_is_a_domain_error(lam4, call):
     with pytest.raises(DomainError, match="overflows"):
         call(lam4)

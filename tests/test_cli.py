@@ -341,6 +341,7 @@ def test_estimate_reference_numbers(capsys):
 def test_estimate_missing_arguments_exit_code(capsys):
     assert main(["estimate", "--temp-k", "1.0"]) == 2
     assert main(["estimate", "--mass-amu", "100"]) == 2
+    assert "the following arguments are required: --temp-k" in capsys.readouterr().err
     # the two masses exclude each other
     assert main(["estimate", "--mass-amu", "1", "--mass-kg", "2", "--temp-k", "1e-6"]) == 2
     assert capsys.readouterr().out == ""

@@ -93,12 +93,13 @@ def masks(nodes) -> list[int]:
         or callee(node) in {"argmax", "before_exit"})]
 
 
-# the per-tau phase kernel and step find their branches as index ranges of
-# the ascending nodes; phase_profile, which keeps its masks, shows that the
-# guard would see one
-@pytest.mark.parametrize("function", ["phase_and_displacement", "phase_step"])
+# every phase kernel and the step find their branches as index ranges of
+# the ascending nodes; classical_position_profile, which keeps its
+# before_exit mask, shows that the guard would see one
+@pytest.mark.parametrize("function", ["phase_profile", "phase_and_displacement",
+                                      "phase_step"])
 def test_per_tau_phase_runs_on_ranges_not_masks(function):
-    assert len(masks(reached("_kernels", "phase_profile"))) == 3  # not vacuous
+    assert masks(reached("_kernels", "classical_position_profile"))  # not vacuous
     nodes = reached("_kernels", function)
     assert nodes and masks(nodes) == []
 

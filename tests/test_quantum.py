@@ -573,7 +573,9 @@ def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
 _NAN_RESIDUAL = ("_fd_position_mean", lambda *args: (0.0, math.nan))
 _NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
 _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got nan$",
-                   "phase-theta-nan": r"^phi must be finite, got nan$"}
+                   "phase-theta-nan": r"^phi must be finite, got nan$",
+                   "total-phase-p-cubed-inf": r"^phase at tau=1.0, momentum=1e\+110 "
+                                              r"must be finite, got nan$"}
 
 
 @pytest.mark.parametrize("patch, call, error", [
@@ -641,6 +643,10 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
     (None, lambda s, m: evolve(s, np.array(0.5 + 1j), m), DomainError),
     (None, lambda s, m: SpectralState([1j, 10**400], [1.0, 0.0]), DomainError),
     (None, lambda s, m: phase_theta(math.nan, REF_P0, m), DomainError),
+    # p^3 overflows and the turning-region phase reads inf - inf
+    (None, lambda s, m: total_phase(1.0, 1e110, m), DomainError),
+    (None, lambda s, m: phase_theta(1.0, 1e110, m), DomainError),
+    (None, lambda s, m: total_phase(1e300, 1e10, m), DomainError),  # p tau overflows
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
@@ -656,7 +662,8 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
         "spectral-energies-complex", "series-tau-complex", "q-of-tau-complex",
         "unwind-phi-complex", "q-grid-complex", "lambda-complex", "lambda-complex64",
         "evolve-tau-complex", "evolve-tau-0d-complex",
-        "spectral-energies-complex-and-big-int", "phase-theta-nan"])
+        "spectral-energies-complex-and-big-int", "phase-theta-nan",
+        "total-phase-p-cubed-inf", "phase-theta-p-cubed-inf", "total-phase-p-tau-inf"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              request, patch, call, error):
     if patch is not None:
