@@ -73,8 +73,8 @@ class Workspace(NamedTuple):
 
     The first four are the tau-invariant subexpressions of
     ``phase_and_displacement``, so every tau gets the same bits; the next
-    eleven hold Phi, D, psi and the stencil from one tau to the next, the
-    branch scratch ``u``, ``s`` and ``t`` only on the turning-region ranges.
+    nine hold Phi, D, psi and the stencil from one tau to the next, the
+    branch scratch ``u`` and ``s`` only on the turning-region ranges.
     ``spun`` is the one of them a series writes once, before its first tau.
     The nodes are ascending.  ``workspace`` fills all of them.  A kernel
     given the all-None ``_FRESH`` allocates its arrays, as a single call
@@ -88,14 +88,12 @@ class Workspace(NamedTuple):
     phi: np.ndarray | None = None       # Phi
     d: np.ndarray | None = None         # D
     u: np.ndarray | None = None         # u, snapped
-    s: np.ndarray | None = None         # sqrt|u|
-    t: np.ndarray | None = None         # p + sqrt(u) of the approaching rewrite
+    s: np.ndarray | None = None         # sqrt|u|, then p + sqrt(u) of the approach
     theta: np.ndarray | None = None     # the angle -phase / hbar of apply_phase
     spun: np.ndarray | None = None      # spin of the initial amplitudes, once per series
     psi: np.ndarray | None = None       # the evolved amplitudes
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, an integrand, squares
-    real: np.ndarray | None = None      # the integrand of the analytic mean
 
 
 _FRESH = Workspace()
@@ -107,12 +105,12 @@ def _phase_terms(p, lam):
 
 
 def _kernel_workspace(p, lam) -> Workspace:
-    """The first nine fields of a workspace on the ascending nodes p, all that
-    ``phase_and_displacement`` touches."""
+    """The first eight fields of a workspace on the ascending nodes p, all
+    that ``phase_and_displacement`` touches."""
     if not np.all(p[1:] >= p[:-1]):
         raise DomainError("momentum nodes must be in ascending order")
     p2, p3, cubic = _phase_terms(p, lam)
-    return Workspace(p2, p3, cubic, 2.0 * p2 / lam, *np.empty((5, p.shape[0])))
+    return Workspace(p2, p3, cubic, 2.0 * p2 / lam, *np.empty((4, p.shape[0])))
 
 
 def workspace(p, lam) -> Workspace:
@@ -121,8 +119,7 @@ def workspace(p, lam) -> Workspace:
     n = p.shape[0]
     spun, psi, stencil, work = np.empty((4, n), dtype=np.complex128)
     return _kernel_workspace(p, lam)._replace(theta=np.empty(n), spun=spun, psi=psi,
-                                              stencil=stencil, work=work,
-                                              real=np.empty(n))
+                                              stencil=stencil, work=work)
 
 
 def branch(p2, tau, lam):
@@ -230,9 +227,10 @@ def phase_and_displacement(p, tau, lam, ws=None):
     # The approaching branch 2(p^2 - p sqrt(u))/lam is rewritten as
     # 2 p tau/(p + sqrt(u)) to avoid the cancellation near tau -> 0.  The
     # rewrite needs p + sqrt(u) > 0, so it holds only where u >= 0 and p > 0.
+    # Its denominator overwrites sqrt(u), which nothing reads after it.
     if c < p.shape[0]:
         late = np.multiply(p[c:], 2.0 * tau, out=d[c:])
-        late /= np.add(p[c:], ws.s[c:], out=ws.t[c:])
+        late /= np.add(p[c:], ws.s[c:], out=ws.s[c:])
     return phi, d
 
 

@@ -62,13 +62,19 @@ def _check_norm(norm: float) -> None:
 
 
 def _square(value: float, name: str) -> float:
-    """``value**2``, or DomainError when the square overflows."""
+    """``value**2``, or DomainError when the square overflows: a float raises,
+    a NumPy scalar gives inf, and ``isinf`` raises for an int's square."""
     try:
-        square = value**2
-    except OverflowError:  # a Python float; NumPy scalars give inf
-        square = math.inf
-    if math.isinf(square):
-        raise DomainError(f"{name}={value} is too large: its square overflows")
+        if isinstance(value, np.generic):  # errstate costs more than a square
+            with np.errstate(over="ignore"):
+                square = value**2
+        else:
+            square = value**2
+        overflows = math.isinf(square)
+    except OverflowError:
+        overflows = True
+    if overflows:
+        raise DomainError(f"{name}={_shown(value)} is too large: its square overflows")
     return square
 
 

@@ -11,12 +11,11 @@ expectations are computed by two deliberately independent routes:
   differences on the evolved state.
 
 The pair forms a self-validating oracle; they share nothing below the
-state container except the anchor definition.  :func:`expectation_series`
-runs both routes at every tau and checks one against the other, takes the
-variance from the numeric route's stencil, and carries the anchor, which
-the shift fit subtracts from its intercept.  It builds one kernel
-workspace and reuses it at every tau, with the same expressions as the
-single-tau functions.
+state container except the anchor definition.  ``_statistics`` is the one
+numeric route, for the anchor, every single state and every tau of
+:func:`expectation_series`, which runs both routes, checks one against
+the other, takes the variance from the numeric route's stencil, and
+carries the anchor, which the shift fit subtracts from its intercept.
 
 For states truncated at the grid edge, the inner product
 ``i hbar <psi, d psi/dp>`` acquires an exact imaginary boundary term
@@ -112,8 +111,10 @@ def displacement_kernel(tau: float, p: float, model: FrameModel) -> float:
     _require_positive(p, "momentum")
     _require_finite(tau, "tau")
     _square(p, "momentum")
-    p_arr = np.array([float(p)])
-    _, out = _kernels.phase_and_displacement(p_arr, float(tau), model.lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # Phi may overflow, unread
+        _, out = _kernels.phase_and_displacement(np.array([float(p)]), float(tau),
+                                                 model.lam)
+    _require_finite(out[0], f"displacement at tau={tau}, momentum={p}")
     return float(out[0])
 
 
@@ -135,19 +136,20 @@ def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
     return float(_integral(modulus * _kernels.derivative(modulus, h), h, hbar))
 
 
-def _fd_position_mean(
-    amps: np.ndarray, d: np.ndarray, h: float, hbar: float, boundary: float,
-    out=None,
-) -> tuple[float, float]:
-    """(mean, imaginary residual) of i hbar <psi, dpsi/dp> on the grid.
+def _statistics(
+    amps: np.ndarray, h: float, hbar: float, boundary: float, ws=_kernels._FRESH,
+) -> tuple[float, float, float, np.ndarray]:
+    """(norm, mean, imaginary residual, stencil d) of i hbar <psi, dpsi/dp>.
 
-    ``d`` is the stencil derivative of ``amps``; the truncation term
-    ``boundary`` is removed before the residual is reported.  ``out``
-    receives the integrand.
+    The norm's squares, the stencil's 8 v and conj(psi) d go in turn to
+    ``ws.work``, or fresh arrays without a workspace.  The truncation term
+    ``boundary`` is removed from the residual.  Each caller checks.
     """
-    integrand = np.multiply(np.conj(amps, out=out), d, out=out)
+    norm = _norm(amps, h, None if ws.work is None else ws.work.view(np.float64))
+    d = _kernels.derivative(amps, h, ws=ws)
+    integrand = np.multiply(np.conj(amps, out=ws.work), d, out=ws.work)
     raw = _integral(integrand, h, 1j * hbar)
-    return float(raw.real), float(abs(raw.imag - boundary))
+    return norm, float(raw.real), float(abs(raw.imag - boundary)), d
 
 
 def _check_residual(residual: float, where: str, *args) -> None:
@@ -174,7 +176,7 @@ def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float,
 def position_expectation_numeric(state: MomentumState, model: FrameModel) -> float:
     """Position expectation from finite differences of the evolved state."""
     amps, h, hbar = state.amps, state.grid.h, model.hbar
-    value, residual = _fd_position_mean(amps, _kernels.derivative(amps, h), h, hbar,
+    _, value, residual, _ = _statistics(amps, h, hbar,
                                         _boundary_term(np.abs(amps), h, hbar))
     _check_residual(residual, "; grid too coarse for the state's phase")
     return value
@@ -200,15 +202,14 @@ def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
         f = _kernels.advance(initial.grid.nodes, f, initial.tau, 0.0, model.lam, hbar, h)
     modulus = np.abs(f)
     boundary = _boundary_term(modulus, h, hbar)
-    anchor, residual = _fd_position_mean(f, _kernels.derivative(f, h), h, hbar, boundary)
+    _, anchor, residual, _ = _statistics(f, h, hbar, boundary)
     _check_residual(residual, " while extracting the position anchor")
     return _Reference(anchor, modulus**2, boundary)
 
 
-def _analytic_mean(ref: _Reference, kernel: np.ndarray, h: float,
-                   out=None) -> float:
-    """anchor + sum |f|^2 D h; ``out`` receives the integrand."""
-    integrand = np.multiply(ref.density, kernel, out=out)
+def _analytic_mean(ref: _Reference, kernel: np.ndarray, h: float) -> float:
+    """anchor + sum |f|^2 D h; the integrand overwrites ``kernel``."""
+    integrand = np.multiply(ref.density, kernel, out=kernel)
     return ref.anchor + float(_integral(integrand, h))
 
 
@@ -225,8 +226,7 @@ def position_expectation_analytic(
 def position_variance(state: MomentumState, model: FrameModel) -> float:
     """Position variance via the symmetric form hbar^2 sum |dpsi/dp|^2 h."""
     amps, h = state.amps, state.grid.h
-    d = _kernels.derivative(amps, h)
-    mean_q, _ = _fd_position_mean(amps, d, h, model.hbar, 0.0)
+    _, mean_q, _, d = _statistics(amps, h, model.hbar, 0.0)
     return _variance(d, mean_q, h, model.hbar)
 
 
@@ -302,11 +302,10 @@ def expectation_series(initial: MomentumState, taus,
     free-flight factor exp(+i (2/3) p^3 / (lam hbar)).  One
     :func:`_kernels.workspace` holds the kernel's tau-invariant arrays and
     every array a sample overwrites.
-    Each sample then runs one derivative stencil, which serves both the
-    numeric route and the variance, and writes into the workspace through
-    the same expressions as the single-tau functions, which allocate
-    instead, so every value equals theirs bit for bit.  Samples are
-    evaluated in order and summed in fixed order.
+    Each sample then runs ``_statistics`` in the workspace, where the
+    single-state functions allocate, so every value equals theirs bit for
+    bit; its one stencil serves both the numeric route and the variance.
+    Samples are evaluated in order and summed in fixed order.
     """
     taus = _finite_floats(taus, "tau samples")
     if taus.ndim != 1 or taus.shape[0] == 0:
@@ -317,22 +316,17 @@ def expectation_series(initial: MomentumState, taus,
     start = float(initial.tau)
     ws = _kernels.workspace(p, lam)
     _kernels.spin(initial.amps, ws.cubic, hbar, ws.spun)
-    # the 2n float64 slots of ws.work, free after phase_step and again after
-    # _fd_position_mean: the squares of the norm and of the variance
-    scratch = ws.work.view(np.float64)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
     q_var = np.empty_like(taus)
     for k, tau in enumerate(taus.tolist()):
         phase, kernel = _kernels.phase_and_displacement(p, tau, lam, ws)
-        q_mean[k] = _analytic_mean(ref, kernel, h, ws.real)
+        q_mean[k] = _analytic_mean(ref, kernel, h)
         amps = _kernels.phase_step(p, h, initial.amps, phase, tau, start, lam,
                                     hbar, ws)
-        norms[k] = _norm(amps, h, scratch)
+        norms[k], numeric, residual, d = _statistics(amps, h, hbar, ref.boundary, ws)
         _check_norm(norms[k])
-        d = _kernels.derivative(amps, h, ws=ws)
-        numeric, residual = _fd_position_mean(amps, d, h, hbar, ref.boundary, ws.work)
         _check_residual(residual, " at tau={}; grid too coarse for its phase", tau)
         gap = abs(numeric - q_mean[k])
         if not gap <= CROSS_CHECK_TOLERANCE:
@@ -343,5 +337,5 @@ def expectation_series(initial: MomentumState, taus,
                     f"{message}: the grid reaches p <= 0, and the phase law jumps "
                     f"at tau = 0+ for p < 0, so a finer grid may not help")
             raise ConsistencyError(message)
-        q_var[k] = _variance(d, numeric, h, hbar, scratch)
+        q_var[k] = _variance(d, numeric, h, hbar, ws.work.view(np.float64))
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

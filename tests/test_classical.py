@@ -253,9 +253,17 @@ _SQUARE_OVERFLOWS = 1.3407807929942597e154
     lambda m: total_phase(1.0, _SQUARE_OVERFLOWS, m),
     lambda m: phase_theta(1.0, _SQUARE_OVERFLOWS, m),
     lambda m: phase_branch(1.0, _SQUARE_OVERFLOWS, m),
+    # an int within float range whose exact square is not, and a NumPy
+    # scalar, whose square overflows to inf with a warning
+    lambda m: turning_point(10**200, m),
+    lambda m: classical_shift(10**200, m),
+    lambda m: phase_branch(1.0, 10**200, m),
+    lambda m: ClassicalState(0.0, np.float64(_SQUARE_OVERFLOWS)),
 ], ids=["unwind-phi", "turning-point", "classical-shift", "gauge-solution",
         "phi-of-q", "constraint-residual", "q-of-tau", "q-of-phi", "q-rate",
-        "displacement-kernel", "total-phase", "phase-theta", "phase-branch"])
+        "displacement-kernel", "total-phase", "phase-theta", "phase-branch",
+        "turning-point-int", "classical-shift-int", "phase-branch-int",
+        "classical-state-float64"])
 def test_overflowing_square_is_a_domain_error(lam4, call):
     with pytest.raises(DomainError, match="overflows"):
         call(lam4)

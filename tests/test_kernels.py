@@ -114,22 +114,22 @@ def test_no_branch_work_past_every_exit():
     """Past every exit the kernel returns the free-flight forms alone."""
     p, lam, tau = np.linspace(0.01, 5.0, 64), 4.0, 13.0  # every exit <= 12.5
     ws = K.workspace(p, lam)
-    for scratch in (ws.u, ws.s, ws.t):
+    for scratch in (ws.u, ws.s):
         scratch.fill(np.nan)
     phase, kernel = K.phase_and_displacement(p, tau, lam, ws)
     assert phase.tobytes() == (p * tau - ws.cubic).tobytes()
     assert kernel.tobytes() == (tau - ws.exit).tobytes()
-    assert np.isnan(ws.u).all() and np.isnan(ws.s).all() and np.isnan(ws.t).all()
+    assert np.isnan(ws.u).all() and np.isnan(ws.s).all()
 
 
 def test_single_call_builds_only_the_kernel_arrays():
-    """Without a workspace the kernel allocates the nine arrays it touches,
+    """Without a workspace the kernel allocates the eight arrays it touches,
     not a whole workspace with its four complex arrays, which would peak at
-    20 arrays of n floats; phase_profile holds Phi, its three invariants and
+    17 arrays of n floats; phase_profile holds Phi, its three invariants and
     two scratch arrays."""
     n = 4096
     p = np.linspace(0.01, 5.0, n)
-    for call, arrays in ((K.phase_and_displacement, 12), (K.phase_profile, 7)):
+    for call, arrays in ((K.phase_and_displacement, 9), (K.phase_profile, 7)):
         call(p, 4.0, 4.0)  # both branches run at tau = 4
         tracemalloc.start()
         try:

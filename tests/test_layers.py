@@ -133,6 +133,16 @@ def test_one_propagation_function():
     assert calls_outside("quantum", "expectation_series", {"phase_step"}) == []
 
 
+# one numeric route: quantum stencils a state only inside _statistics, and
+# the modulus of the truncation term only inside _boundary_term
+def test_one_numeric_route():
+    every = set(calls_outside("quantum", "", {"derivative"}))
+    inside = {name: every - set(calls_outside("quantum", name, {"derivative"}))
+              for name in ("_statistics", "_boundary_term")}
+    assert inside["_statistics"] and inside["_boundary_term"]  # not vacuous
+    assert every == inside["_statistics"] | inside["_boundary_term"]
+
+
 def test_one_finiteness_guard():
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())

@@ -154,6 +154,9 @@ def test_kernel_examples(model):
     assert v2 == pytest.approx(expected, abs=1e-14)
     assert displacement_kernel(0.5, 1.0, model) == pytest.approx(0.0, abs=1e-14)
     assert displacement_kernel(-3.0, 1.0, model) == -3.0
+    # the p^3 of the discarded phase overflows, a warning the suite turns
+    # into an error; D = 2 p tau / (p + sqrt u) is tau
+    assert displacement_kernel(1.0, 1e110, model) == 1.0
 
 
 def test_kernel_matches_test_side_oracle(model):
@@ -569,9 +572,10 @@ def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
 # -- non-finite input -------------------------------------------------------
 
 # every route (single-tau functions, the series' anchor and its samples)
-# reads the mean and the imaginary residual through quantum._fd_position_mean
-_NAN_RESIDUAL = ("_fd_position_mean", lambda *args: (0.0, math.nan))
-_NAN_MEAN = ("_fd_position_mean", lambda *args: (math.nan, 0.0))
+# reads the norm, the mean and the imaginary residual through
+# quantum._statistics; the stand-ins carry a passing norm
+_NAN_RESIDUAL = ("_statistics", lambda *args: (1.0, 0.0, math.nan, None))
+_NAN_MEAN = ("_statistics", lambda *args: (1.0, math.nan, 0.0, None))
 _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got nan$",
                    "phase-theta-nan": r"^phi must be finite, got nan$",
                    "total-phase-p-cubed-inf": r"^phase at tau=1.0, momentum=1e\+110 "
@@ -687,14 +691,14 @@ _TOO_COARSE = " at tau=0.5; grid too coarse for its phase$"
 def test_series_sample_nan_guards_raise(trunc_state, model, monkeypatch,
                                         mean, residual, error, message):
     """A NaN past the anchor, on a tau sample, trips that sample's guard."""
-    genuine = quantum._fd_position_mean
+    genuine = quantum._statistics
     calls = []
 
     def nan_after_anchor(*args):
         calls.append(args)
-        return genuine(*args) if len(calls) == 1 else (mean, residual)
+        return genuine(*args) if len(calls) == 1 else (1.0, mean, residual, None)
 
-    monkeypatch.setattr(quantum, "_fd_position_mean", nan_after_anchor)
+    monkeypatch.setattr(quantum, "_statistics", nan_after_anchor)
     with pytest.raises(error, match=message):
         expectation_series(trunc_state, [0.5, 1.0], model)
     assert len(calls) == 2
