@@ -25,10 +25,11 @@ Numerical conventions:
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
 * A series over tau builds one ``workspace``: the grid invariants and
-  every array a tau overwrites.  Each per-tau kernel takes it as ``ws``
-  and writes into it with the same expressions, in the same order, as a
-  single call, which allocates its arrays instead.  Results are
-  bit-identical either way.
+  every array a tau overwrites.  The two per-tau phase kernels take it as
+  ``ws``; ``apply_phase`` and ``derivative`` take the arrays they write,
+  as NumPy's ``out=``.  Each writes into what it is given with the same
+  expressions, in the same order, as a single call, which allocates its
+  arrays instead.  Results are bit-identical either way.
 * ``advance``, the product with exp(-i (Phi(tau) - Phi(start)) / hbar), is
   the one propagation outside the tau loop of a series.  On a uniform grid
   from a start <= 0 it runs ``phase_step``, the step that loop runs in its
@@ -76,9 +77,7 @@ class Workspace(NamedTuple):
     nine hold Phi, D, psi and the stencil from one tau to the next, the
     branch scratch ``u`` and ``s`` only on the turning-region ranges.
     ``spun`` is the one of them a series writes once, before its first tau.
-    The nodes are ascending.  ``workspace`` fills all of them.  A kernel
-    given the all-None ``_FRESH`` allocates its arrays, as a single call
-    does.
+    The nodes are ascending.  ``workspace`` fills all of them.
     """
 
     p2: np.ndarray | None = None        # p^2
@@ -94,9 +93,6 @@ class Workspace(NamedTuple):
     psi: np.ndarray | None = None       # the evolved amplitudes
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, an integrand, squares
-
-
-_FRESH = Workspace()
 
 
 def _phase_terms(p, lam):
@@ -123,10 +119,9 @@ def workspace(p, lam) -> Workspace:
 
 
 def branch(p2, tau, lam):
-    """(u, s): u = p2 - lam tau snapped to 0 at the turning point, s = sqrt|u|."""
+    """u = p2 - lam tau, snapped to 0 at the turning point."""
     u = np.subtract(p2, lam * tau)
-    u = np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
-    return u, np.sqrt(np.abs(u))
+    return np.where(np.abs(u) <= _SNAP * p2, 0.0, u)
 
 
 def before_exit(p2, tau, lam):
@@ -237,10 +232,11 @@ def phase_and_displacement(p, tau, lam, ws=None):
 def classical_position_profile(taus, q0, p, lam):
     """Closed-form relational trajectory q(tau) for conserved momentum p."""
     p2 = p * p
-    u, _ = branch(p2, taus, lam)
-    s = np.sqrt(np.abs(u) / p2)
-    rising = q0 + 2.0 * taus / (1.0 + s)          # 0 <= tau <= p^2/lam
-    returning = q0 + 2.0 * p2 * (1.0 + s) / lam   # p^2/lam <= tau <= 2 p^2/lam
+    u = branch(p2, taus, lam)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.sqrt(np.abs(u) / p2)  # inf or NaN at p^2 -> 0, only in dropped lanes
+        rising = q0 + 2.0 * taus / (1.0 + s)          # 0 <= tau <= p^2/lam
+        returning = q0 + 2.0 * p2 * (1.0 + s) / lam   # p^2/lam <= tau <= 2 p^2/lam
     out = np.where(u >= 0.0, rising, np.where(before_exit(p2, taus, lam), returning,
                                               q0 + taus + 2.0 * p2 / lam))
     return np.where(taus <= 0.0, q0 + taus, out)
@@ -255,21 +251,22 @@ def _unit(theta, out=None):
     return out
 
 
-def apply_phase(amps, phase, hbar, ws=_FRESH):
-    """Multiply amplitudes by exp(-i phase / hbar) into ``ws.psi``.
+def apply_phase(amps, phase, hbar, out=None, theta=None):
+    """Multiply amplitudes by exp(-i phase / hbar) into ``out``.
 
     The angle ``phase * (-1 / hbar)``, NumPy's bits of the imaginary part
-    of ``-1j * phase / hbar``, goes to ``ws.theta``; its cos and sin go to
-    the real and imaginary slots of ``ws.psi``.
+    of ``-1j * phase / hbar``, goes to ``theta``; its cos and sin go to
+    the real and imaginary slots of ``out``.  Either is allocated when not
+    given.
     """
-    psi = _unit(np.multiply(phase, -1.0 / hbar, out=ws.theta), ws.psi)
+    psi = _unit(np.multiply(phase, -1.0 / hbar, out=theta), out)
     return np.multiply(amps, psi, out=psi)
 
 
 def spin(amps, cubic, hbar, out=None):
     """amps exp(+i cubic / hbar) into ``out``: the tau-invariant factor of the
     free-flight phase p tau - cubic, with cubic = (2/3) p^3 / lam."""
-    return apply_phase(amps, -cubic, hbar, Workspace(psi=out))
+    return apply_phase(amps, -cubic, hbar, out)
 
 
 def plane_wave(amps, x0, h, t, hbar, out=None):
@@ -316,7 +313,7 @@ def phase_step(p, h, amps, phase, tau, start, lam, hbar, ws):
     / lam, so the nodes past their exit, a prefix, take ``ws.spun`` (``spin``
     of amps on at least that prefix), or amps itself when tau <= 0, times
     ``plane_wave`` of tau - start.  The other nodes take ``apply_phase`` of
-    Phi(tau) - p start, with ``ws.theta`` as scratch.
+    Phi(tau) - p start, which becomes the angle in place in ``ws.theta``.
     """
     n = p.shape[0]
     lo = _free_end(p, ws.p2, tau, lam)
@@ -327,7 +324,7 @@ def phase_step(p, h, amps, phase, tau, start, lam, hbar, ws):
     if lo < n:
         delta = np.multiply(p[lo:], start, out=ws.theta[lo:])
         np.subtract(phase[lo:], delta, out=delta)
-        apply_phase(amps[lo:], delta, hbar, Workspace(theta=delta, psi=psi[lo:]))
+        apply_phase(amps[lo:], delta, hbar, psi[lo:], delta)
     return psi
 
 
@@ -352,23 +349,23 @@ def advance(x, amps, start, tau, lam, hbar, h=None):
                                 psi=np.empty(n, dtype=np.complex128)))
 
 
-def derivative(values, h, ws=_FRESH):
+def derivative(values, h, out=None, work=None):
     """Fourth-order finite-difference derivative on a uniform grid (n >= 5).
 
-    The derivative goes to ``ws.stencil`` and the scratch 8 values of the
-    interior stencil to ``ws.work``, both shaped like ``values``.  The
-    interior runs on the float64 views, two slots per complex value, and
-    equals NumPy's complex arithmetic bit for bit, except that a zero can
-    take the other sign where a component of ``values`` is exactly +-0.
+    The derivative goes to ``out`` and the scratch 8 values of the interior
+    stencil to ``work``, both shaped like ``values`` and allocated when not
+    given.  The interior runs on the float64 views, two slots per complex
+    value, and equals NumPy's complex arithmetic bit for bit, except that a
+    zero can take the other sign where a component of ``values`` is +-0.
     A real ``values`` keeps the true division by 12 h.
     """
     if values.shape[0] < 5:
         raise ResolutionError("derivative stencils need at least 5 grid nodes")
-    d = np.empty_like(values) if ws.stencil is None else ws.stencil
+    d = np.empty_like(values) if out is None else out
     k = 2 if values.dtype.kind == "c" else 1
     v, dv = values.view(np.float64), d.view(np.float64)
     eight = np.multiply(8.0, v[k:-k],
-                        out=None if ws.work is None else ws.work.view(np.float64)[k:-k])
+                        out=None if work is None else work.view(np.float64)[k:-k])
     inner = np.subtract(v[:-4 * k], eight[:-2 * k], out=dv[2 * k:-2 * k])
     inner += eight[2 * k:]
     inner -= v[4 * k:]

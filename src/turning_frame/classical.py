@@ -78,7 +78,8 @@ def phi_of_q(q, state: ClassicalState, model: FrameModel):
     lam, p = model.lam, state.p
     p2 = _square(p, "p")
     span = 4.0 * p2 / lam
-    middle = dq * (1.0 - 0.25 * lam * dq / p2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        middle = dq * (1.0 - 0.25 * lam * dq / p2)  # inf or NaN at p^2 -> 0, dropped
     out = np.where(dq <= 0.0, dq, np.where(dq <= span, middle, span - dq))
     return float(out) if np.isscalar(q) else out
 
@@ -91,18 +92,16 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
     """
     phi_arr = _finite_floats(phi, "phi")
     lam, q0, p2 = model.lam, state.q0, state.p * state.p
-    u, _ = _kernels.branch(p2, phi_arr, lam)
+    u = _kernels.branch(p2, phi_arr, lam)
     if np.any(u < 0.0):
         raise DomainError("phi lies beyond the turning point p^2/lam")
-    s = np.sqrt(np.abs(u) / p2)
-    if branch is Branch.BEFORE:
-        out = np.where(phi_arr <= 0.0, q0 + phi_arr, q0 + 2.0 * phi_arr / (1.0 + s))
-    else:
-        out = np.where(
-            phi_arr <= 0.0,
-            q0 - phi_arr + 4.0 * p2 / lam,
-            q0 + 2.0 * p2 * (1.0 + s) / lam,
-        )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.sqrt(np.abs(u) / p2)  # inf or NaN at p^2 -> 0, only at phi <= 0
+        if branch is Branch.BEFORE:
+            out = np.where(phi_arr <= 0.0, q0 + phi_arr, q0 + 2.0 * phi_arr / (1.0 + s))
+        else:
+            out = np.where(phi_arr <= 0.0, q0 - phi_arr + 4.0 * p2 / lam,
+                           q0 + 2.0 * p2 * (1.0 + s) / lam)
     return float(out) if np.isscalar(phi) else out
 
 
@@ -128,7 +127,7 @@ def q_rate(tau: float, state: ClassicalState, model: FrameModel) -> float:
     lam, p2 = model.lam, state.p * state.p
     if tau <= 0.0 or not _kernels.before_exit(p2, tau, lam):
         return 1.0
-    u, _ = _kernels.branch(p2, tau, lam)
+    u = _kernels.branch(p2, tau, lam)
     if u == 0.0:
         return float("inf")
     return float(1.0 / np.sqrt(np.abs(u) / p2))

@@ -72,7 +72,7 @@ def phase_branch(tau: float, p: float, model: FrameModel) -> int:
         return 1
     if not _kernels.before_exit(p2, tau, model.lam):
         return 4
-    return 2 if _kernels.branch(p2, tau, model.lam)[0] >= 0.0 else 3
+    return 2 if _kernels.branch(p2, tau, model.lam) >= 0.0 else 3
 
 
 def phase_theta(phi: float, p: float, model: FrameModel) -> float:
@@ -85,7 +85,7 @@ def phase_theta(phi: float, p: float, model: FrameModel) -> float:
     _require_finite(phi, "phi")
     _square(p, "momentum")
     lam, p2 = model.lam, p * p
-    if _kernels.branch(p2, phi, lam)[0] < 0.0:
+    if _kernels.branch(p2, phi, lam) < 0.0:
         raise DomainError(
             f"phi={phi} lies beyond the turning point {p2 / lam} (forbidden region)"
         )
@@ -137,17 +137,18 @@ def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
 
 
 def _statistics(
-    amps: np.ndarray, h: float, hbar: float, boundary: float, ws=_kernels._FRESH,
+    amps: np.ndarray, h: float, hbar: float, boundary: float, stencil=None, work=None,
 ) -> tuple[float, float, float, np.ndarray]:
     """(norm, mean, imaginary residual, stencil d) of i hbar <psi, dpsi/dp>.
 
-    The norm's squares, the stencil's 8 v and conj(psi) d go in turn to
-    ``ws.work``, or fresh arrays without a workspace.  The truncation term
-    ``boundary`` is removed from the residual.  Each caller checks.
+    d goes to ``stencil``; the norm's squares, the stencil's 8 v and
+    conj(psi) d go in turn to ``work``; fresh arrays stand in for either
+    when not given.  The truncation term ``boundary`` is removed from the
+    residual.  Each caller checks.
     """
-    norm = _norm(amps, h, None if ws.work is None else ws.work.view(np.float64))
-    d = _kernels.derivative(amps, h, ws=ws)
-    integrand = np.multiply(np.conj(amps, out=ws.work), d, out=ws.work)
+    norm = _norm(amps, h, None if work is None else work.view(np.float64))
+    d = _kernels.derivative(amps, h, out=stencil, work=work)
+    integrand = np.multiply(np.conj(amps, out=work), d, out=work)
     raw = _integral(integrand, h, 1j * hbar)
     return norm, float(raw.real), float(abs(raw.imag - boundary)), d
 
@@ -325,7 +326,8 @@ def expectation_series(initial: MomentumState, taus,
         q_mean[k] = _analytic_mean(ref, kernel, h)
         amps = _kernels.phase_step(p, h, initial.amps, phase, tau, start, lam,
                                     hbar, ws)
-        norms[k], numeric, residual, d = _statistics(amps, h, hbar, ref.boundary, ws)
+        norms[k], numeric, residual, d = _statistics(amps, h, hbar, ref.boundary,
+                                                     ws.stencil, ws.work)
         _check_norm(norms[k])
         _check_residual(residual, " at tau={}; grid too coarse for its phase", tau)
         gap = abs(numeric - q_mean[k])

@@ -214,6 +214,28 @@ def test_q_rate_diverges_only_at_turning_scale(unit_state, lam4):
     assert q_rate(1.0, unit_state, lam4) == 1.0
 
 
+# tau = x p^2/lam with x kept 0.05 away from 0, the turning scale (x = 1) and
+# the exit (x = 2), where q'' jumps or q' diverges
+_MARGINED = (st.floats(-3.0, -0.05) | st.floats(0.05, 0.95) | st.floats(1.05, 1.95)
+             | st.floats(2.05, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=positive, lam=positive, x=_MARGINED, q0=st.floats(-10.0, 10.0))
+def test_q_rate_is_the_slope_of_q_of_tau(p, lam, x, q0):
+    """q_rate is the centred difference of q_of_tau with step delta = 1e-4
+    p^2/lam.  Its truncation error q''' delta^2 / 6 = (1/8) |1 - x|^{-5/2}
+    (1e-4)^2 is below 1/8 * 0.0499^{-5/2} * 1e-8 < 2.3e-6 within the margin;
+    the rest is the rounding of q over 2 delta."""
+    model, state = FrameModel(lam=lam), ClassicalState(q0=q0, p=p)
+    scale = p * p / lam
+    tau, delta = x * scale, 1e-4 * scale
+    q = q_of_tau(np.array([tau - delta, tau + delta]), state, model)
+    rounding = 64.0 * np.spacing(abs(q0) + abs(tau) + 4.0 * scale) / delta
+    assert abs((q[1] - q[0]) / (2.0 * delta) - q_rate(tau, state, model)) \
+        <= 2.3e-6 + rounding
+
+
 # -- classical shift --------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -267,3 +289,17 @@ _SQUARE_OVERFLOWS = 1.3407807929942597e154
 def test_overflowing_square_is_a_domain_error(lam4, call):
     with pytest.raises(DomainError, match="overflows"):
         call(lam4)
+
+
+# p^2 underflows to 0 at p = 1e-200 and to a subnormal at p = 1e-160: every
+# turning scale is 0 or below eps, so the values are those of free flight,
+# and the lanes np.where drops divide by p^2 without a warning
+@pytest.mark.parametrize("p", [1e-200, 1e-160])
+@pytest.mark.parametrize("call, want", [
+    (lambda s, m: q_of_tau(np.array([-1.5, 0.0, 2.0]), s, m), [-1.0, 0.5, 2.5]),
+    (lambda s, m: q_of_phi(np.array([-1.5, 0.0]), Branch.BEFORE, s, m), [-1.0, 0.5]),
+    (lambda s, m: q_of_phi(np.array([-1.5, 0.0]), Branch.AFTER, s, m), [2.0, 0.5]),
+    (lambda s, m: phi_of_q(np.array([-1.0, 0.5, 2.5]), s, m), [-1.5, 0.0, -2.0]),
+], ids=["q-of-tau", "q-of-phi-before", "q-of-phi-after", "phi-of-q"])
+def test_underflowing_square_keeps_free_flight(lam4, p, call, want):
+    assert call(ClassicalState(q0=0.5, p=p), lam4).tolist() == want

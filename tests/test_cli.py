@@ -627,6 +627,9 @@ def _base_with(section, key, value):
 # finite values whose squares overflow a double
 @example(doc=_base_with("model", "hbar", 1.3407807929942597e154))
 @example(doc=_base_with("state", "p0", 1e200))
+# momenta whose squares underflow to 0 and to a subnormal
+@example(doc=_base_with("state", "p0", 1e-200))
+@example(doc=_base_with("state", "p0", 1e-160))
 def test_any_config_document_exits_with_a_documented_code(doc):
     with tempfile.TemporaryDirectory() as work, \
             mock.patch.dict(os.environ), mock.patch("sys.stdout"), \

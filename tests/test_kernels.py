@@ -194,10 +194,11 @@ def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, h
             assert got[1].tobytes() == kernel.tobytes(), tau
         assert K.phase_profile(p, tau, lam).tobytes() == phase.tobytes(), tau
         evolved = ref_apply_phase(amps, phase, hbar)
-        assert K.apply_phase(amps, phase, hbar, ws).tobytes() == evolved.tobytes()
+        got = K.apply_phase(amps, phase, hbar, ws.psi, ws.theta)
+        assert got.tobytes() == evolved.tobytes()
         assert K.apply_phase(amps, phase, hbar).tobytes() == evolved.tobytes()
         d = ref_derivative(evolved, h)
-        assert K.derivative(evolved, h, ws).tobytes() == d.tobytes()
+        assert K.derivative(evolved, h, ws.stencil, ws.work).tobytes() == d.tobytes()
         assert K.derivative(evolved, h).tobytes() == d.tobytes()
 
 
@@ -232,6 +233,7 @@ def test_split_points_are_the_branch_masks(p_lo, p_span, n, lam, picks, free):
 
         u = p2 - lam * tau
         want, _ = _ref_branch(p2, tau, lam)
+        assert K.branch(p2, tau, lam).tobytes() == want.tobytes(), tau
         got, band = u.copy(), np.zeros(n, dtype=bool)
         i, j = K.snap_band(got[b:], p2[b:])
         band[b + i:b + j] = True
@@ -274,12 +276,13 @@ def test_real_view_kernels_equal_the_complex_expressions(n, h, hbar, zero_share,
     phase = floats(n)
     ws = K.workspace(np.linspace(0.01, 5.0, n), 4.0)
     evolved = ref_apply_phase(amps, phase, hbar)
-    for got in (K.apply_phase(amps, phase, hbar, ws), K.apply_phase(amps, phase, hbar)):
+    for got in (K.apply_phase(amps, phase, hbar, ws.psi, ws.theta),
+                K.apply_phase(amps, phase, hbar)):
         assert np.array_equal(got.view(np.uint64), evolved.view(np.uint64))
 
     values = floats(2 * n).view(np.complex128)
     want = ref_derivative(values, h).view(np.float64)
-    got = K.derivative(values, h, ws).view(np.float64)
+    got = K.derivative(values, h, ws.stencil, ws.work).view(np.float64)
     assert np.array_equal(K.derivative(values, h).view(np.uint64), got.view(np.uint64))
     # only the sign of a zero may differ, and only beside a component that is +-0
     differ = got.view(np.uint64) != want.view(np.uint64)
@@ -305,7 +308,8 @@ def test_apply_phase_at_exact_angles():
     for amps in (np.ones(theta.shape, dtype=np.complex128),
                  np.full(theta.shape, 1.5 - 0.25j)):
         want = ref_apply_phase(amps, phase, 1.0)
-        for got in (K.apply_phase(amps, phase, 1.0, ws), K.apply_phase(amps, phase, 1.0)):
+        for got in (K.apply_phase(amps, phase, 1.0, ws.psi, ws.theta),
+                    K.apply_phase(amps, phase, 1.0)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(ws.theta.view(np.uint64), theta.view(np.uint64))
 

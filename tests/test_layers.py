@@ -1,6 +1,7 @@
 """The package's module layering, read from each module's relative imports."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,43 @@ def test_one_numeric_route():
               for name in ("_statistics", "_boundary_term")}
     assert inside["_statistics"] and inside["_boundary_term"]  # not vacuous
     assert every == inside["_statistics"] | inside["_boundary_term"]
+
+
+def workspace_builders() -> set[tuple[str, str | None]]:
+    """(module, top-level function) of every ``Workspace(...)`` call in the
+    package; a call outside any function has the name None."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Call) and callee(node) == "Workspace"
+                   for node in ast.walk(top)):
+                found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+# the kernels write into the arrays they are given, as NumPy's out=: a
+# Workspace is the tau loop's set of arrays, or advance's one record for
+# phase_step, and no all-None record at module level stands for "allocate"
+def test_workspace_is_built_only_for_the_tau_loop():
+    builders = workspace_builders()
+    assert builders  # not vacuous
+    assert builders <= {("_kernels", "_kernel_workspace"), ("_kernels", "workspace"),
+                        ("_kernels", "advance")}
+    assert hasattr(turning_frame._kernels, "Workspace")
+    assert not hasattr(turning_frame._kernels, "_FRESH")
+
+
+def parameters(module: str, function: str) -> list[str]:
+    return list(inspect.signature(getattr(getattr(turning_frame, module),
+                                          function)).parameters)
+
+
+@pytest.mark.parametrize("module, function", [("_kernels", "apply_phase"),
+                                              ("_kernels", "derivative"),
+                                              ("quantum", "_statistics")])
+def test_array_kernels_take_their_arrays_not_a_workspace(module, function):
+    assert "ws" in parameters("_kernels", "phase_step")  # not vacuous
+    assert parameters(module, function) and "ws" not in parameters(module, function)
 
 
 def test_one_finiteness_guard():
