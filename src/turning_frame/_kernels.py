@@ -1,5 +1,6 @@
 """Hot numeric kernels: branchwise phase laws, displacement kernels, the one
-propagation step, stencils and the position transform.
+propagation, stencils, the free-flight range sums and the position
+transform.
 
 Every kernel is vectorised NumPy over grids or index ranges of them.
 Numerical conventions:
@@ -25,17 +26,22 @@ Numerical conventions:
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
 * A series over tau builds one ``workspace``: the grid invariants and
-  every array a tau overwrites.  The two per-tau phase kernels take it as
+  every array a tau overwrites.  The per-tau phase kernel takes it as
   ``ws``; ``apply_phase`` and ``derivative`` take the arrays they write,
   as NumPy's ``out=``.  Each writes into what it is given with the same
   expressions, in the same order, as a single call, which allocates its
   arrays instead.  Results are bit-identical either way.
 * ``advance``, the product with exp(-i (Phi(tau) - Phi(start)) / hbar), is
-  the one propagation outside the tau loop of a series.  On a uniform grid
-  from a start <= 0 it runs ``phase_step``, the step that loop runs in its
-  workspace, so the two give the same bits.  The step gives the nodes past
-  their exit the plane wave of ``plane_wave``, two tables of about sqrt(n)
-  unit phases, in place of a cos and sin per node.
+  the one propagation.  On a uniform grid from a start <= 0 it gives the
+  nodes past their exit the plane wave of ``plane_wave``, two tables of
+  about sqrt(n) unit phases, in place of a cos and sin per node.
+* A series evolves no node past its exit.  ``free_flight`` takes, for
+  every tau at once, the sums of |psi|^2, conj(psi) d and |d|^2 over the
+  stencil rows whose nodes are all past their exit: tau-invariant sums of
+  products of the spun amplitudes and their differences, in pairwise
+  blocks (``row_leaves``, ``block_sums``, ``prefix_sums``), weighted by
+  cos and sin of h (tau - start) / hbar and twice that.  These are node
+  sums like ``model._integral``'s: a change of quadrature rule edits both.
 * ``apply_phase`` writes exp(i theta), theta = -phase / hbar, as
   ``cos theta`` and ``sin theta`` into the two float64 slots of psi: the
   bits of NumPy's complex ``exp(+0 + i theta)``, which is ``(cos theta,
@@ -73,11 +79,10 @@ class Workspace(NamedTuple):
     """Every array the tau loop of a series reads or overwrites, on nodes p.
 
     The first four are the tau-invariant subexpressions of
-    ``phase_and_displacement``, so every tau gets the same bits; the next
-    nine hold Phi, D, psi and the stencil from one tau to the next, the
-    branch scratch ``u`` and ``s`` only on the turning-region ranges.
-    ``spun`` is the one of them a series writes once, before its first tau.
-    The nodes are ascending.  ``workspace`` fills all of them.
+    ``phase_and_displacement``, so every tau gets the same bits; the rest
+    hold Phi, D, psi and the stencil from one tau to the next, the branch
+    scratch ``u`` and ``s`` only on the turning-region ranges.  The nodes
+    are ascending.  ``workspace`` fills all of them.
     """
 
     p2: np.ndarray | None = None        # p^2
@@ -89,8 +94,7 @@ class Workspace(NamedTuple):
     u: np.ndarray | None = None         # u, snapped
     s: np.ndarray | None = None         # sqrt|u|, then p + sqrt(u) of the approach
     theta: np.ndarray | None = None     # the angle -phase / hbar of apply_phase
-    spun: np.ndarray | None = None      # spin of the initial amplitudes, once per series
-    psi: np.ndarray | None = None       # the evolved amplitudes
+    psi: np.ndarray | None = None       # the evolved amplitudes of the tail
     stencil: np.ndarray | None = None   # their derivative
     work: np.ndarray | None = None      # the stencil's 8 v, an integrand, squares
 
@@ -113,8 +117,8 @@ def workspace(p, lam) -> Workspace:
     """The invariants on the ascending nodes p and one array of every per-tau
     kind; nodes out of order raise ``DomainError``."""
     n = p.shape[0]
-    spun, psi, stencil, work = np.empty((4, n), dtype=np.complex128)
-    return _kernel_workspace(p, lam)._replace(theta=np.empty(n), spun=spun, psi=psi,
+    psi, stencil, work = np.empty((3, n), dtype=np.complex128)
+    return _kernel_workspace(p, lam)._replace(theta=np.empty(n), psi=psi,
                                               stencil=stencil, work=work)
 
 
@@ -295,58 +299,54 @@ def plane_wave(amps, x0, h, t, hbar, out=None):
 
 
 def _free_end(p, p2, tau, lam):
-    """The end of the prefix of the ascending nodes p past their exit: the
-    first node before its exit by ``exit_split``, or every node once
-    tau <= 0.  A first node before its exit leaves the prefix empty."""
-    if tau <= 0.0:
-        return p.shape[0]
-    a, b = exit_split(p, p2, tau, lam)
-    return 0 if a else b
-
-
-def phase_step(p, h, amps, phase, tau, start, lam, hbar, ws):
-    """amps on the ascending uniform nodes p (spacing h, from ``p[0]``) at a
-    scale start <= 0, carried to tau, into ``ws.psi``.
-
-    ``phase`` holds Phi(tau) and ``ws.p2`` p^2; Phi(start) is p start.  Past
-    its exit a node has Phi(tau) - Phi(start) = p (tau - start) - (2/3) p^3
-    / lam, so the nodes past their exit, a prefix, take ``ws.spun`` (``spin``
-    of amps on at least that prefix), or amps itself when tau <= 0, times
-    ``plane_wave`` of tau - start.  The other nodes take ``apply_phase`` of
-    Phi(tau) - p start, which becomes the angle in place in ``ws.theta``.
-    """
-    n = p.shape[0]
-    lo = _free_end(p, ws.p2, tau, lam)
-    psi = ws.psi
-    if lo:
-        plane_wave((amps if tau <= 0.0 else ws.spun)[:lo], p[0], h, tau - start,
-                   hbar, psi[:lo])
-    if lo < n:
-        delta = np.multiply(p[lo:], start, out=ws.theta[lo:])
-        np.subtract(phase[lo:], delta, out=delta)
-        apply_phase(amps[lo:], delta, hbar, psi[lo:], delta)
-    return psi
+    """For each tau (an array or a scalar), the end of the prefix of the
+    ascending nodes p past their exit: the first node before its exit, by
+    the comparisons of ``exit_split``, or every node once tau <= 0.  A
+    first node p <= 0 before its exit leaves the prefix empty."""
+    edge = 0.5 * lam * tau
+    zero = int(np.searchsorted(p, 0.0, side="right"))  # the nodes p <= 0
+    end = zero + np.searchsorted(p2[zero:], edge)     # the first p2 >= edge
+    end = np.where((zero > 0) & (p2[0] >= edge), 0, end)
+    return np.where(tau <= 0.0, p.shape[0], end)
 
 
 def advance(x, amps, start, tau, lam, hbar, h=None):
     """Amplitudes on nodes x at scale start, carried to tau by the phase law.
 
     Given ``h``, the nodes must be an ascending uniform grid of that
-    spacing, read from ``x[0]`` on: from a start <= 0 they take
-    ``phase_step`` with fresh arrays, so a series, which runs that step in
-    its workspace, gets the same bits.  Without ``h`` (energies), and from
-    a start > 0, the ascending nodes take ``apply_phase`` of Phi(tau) -
-    Phi(start).
+    spacing, read from ``x[0]`` on.  From a start <= 0 a node past its exit
+    has Phi(tau) - Phi(start) = p (tau - start) - (2/3) p^3 / lam, so these
+    nodes, a prefix, take ``spin`` of amps (amps itself when tau <= 0)
+    times ``plane_wave`` of tau - start, and the others ``apply_phase`` of
+    Phi(tau) - p start.  Without ``h`` (energies), and from a start > 0,
+    the ascending nodes take ``apply_phase`` of Phi(tau) - Phi(start).
     """
     phase = phase_profile(x, tau, lam)
     if h is None or start > 0.0:
         return apply_phase(amps, phase - phase_profile(x, start, lam), hbar)
-    n, p2 = x.shape[0], x * x
-    lo = _free_end(x, p2, tau, lam)
-    spun = spin(amps[:lo], _phase_terms(x[:lo], lam)[2], hbar) if tau > 0.0 else None
-    return phase_step(x, h, amps, phase, tau, start, lam, hbar,
-                      Workspace(p2=p2, spun=spun, theta=np.empty(n),
-                                psi=np.empty(n, dtype=np.complex128)))
+    n = x.shape[0]
+    lo = int(_free_end(x, x * x, tau, lam))
+    psi = np.empty(n, dtype=np.complex128)
+    if lo:
+        free = amps[:lo]
+        if tau > 0.0:
+            free = spin(free, _phase_terms(x[:lo], lam)[2], hbar)
+        plane_wave(free, x[0], h, tau - start, hbar, psi[:lo])
+    if lo < n:
+        delta = np.multiply(x[lo:], start)
+        np.subtract(phase[lo:], delta, out=delta)
+        apply_phase(amps[lo:], delta, hbar, psi[lo:], delta)
+    return psi
+
+
+def _edge_rows(values, h):
+    """Rows 0 and 1 of the one-sided stencil of ``derivative``, from
+    values[0:5] along the first axis; rows n-1 and n-2 are those of the
+    reversed values at -h."""
+    return ((-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
+             + 16.0 * values[3] - 3.0 * values[4]) / (12.0 * h),
+            (-3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
+             - 6.0 * values[3] + values[4]) / (12.0 * h))
 
 
 def derivative(values, h, out=None, work=None):
@@ -373,15 +373,137 @@ def derivative(values, h, out=None, work=None):
         inner *= 1.0 / (12.0 * h)
     else:
         inner /= 12.0 * h
-    d[0] = (-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
-            + 16.0 * values[3] - 3.0 * values[4]) / (12.0 * h)
-    d[1] = (-3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
-            - 6.0 * values[3] + values[4]) / (12.0 * h)
+    d[0], d[1] = _edge_rows(values, h)
     d[-2] = (3.0 * values[-1] + 10.0 * values[-2] - 18.0 * values[-3]
              + 6.0 * values[-4] - values[-5]) / (12.0 * h)
     d[-1] = (25.0 * values[-1] - 48.0 * values[-2] + 36.0 * values[-3]
              - 16.0 * values[-4] + 3.0 * values[-5]) / (12.0 * h)
     return d
+
+
+# The products conj(v_x) v_y, x <= y, whose sums over stencil rows make
+# the free part of a series' statistics, with v = (g, A1, A2, S1, S2) on row
+# j, A_k = g[j+k] - g[j-k] and S_k = g[j+k] + g[j-k]: |g|^2, conj(g) V_r
+# and the Hermitian conj(V_r) V_r' that |d|^2 reads.
+_PAIRS = tuple((x, y) for x in range(5) for y in range(x, 5))
+_LEAF = 8  # rows per leaf of the range sums; a free prefix is whole leaves
+
+
+def row_leaves(g):
+    """The products ``_PAIRS`` on the interior stencil rows 2 .. n-3 of g,
+    summed pairwise over aligned leaves of ``_LEAF`` rows (the last one
+    filled with zero rows), as a (15, ceil((n - 4) / _LEAF)) array.  The
+    differences and sums of g come before any product, so the products
+    keep the stencil's cancellation."""
+    rows = g.shape[0] - 4
+    v = np.zeros((5, -(-rows // _LEAF) * _LEAF), dtype=np.complex128)
+    v[0, :rows] = g[2:-2]
+    np.subtract(g[3:-1], g[1:-3], out=v[1, :rows])
+    np.subtract(g[4:], g[:-4], out=v[2, :rows])
+    np.add(g[3:-1], g[1:-3], out=v[3, :rows])
+    np.add(g[4:], g[:-4], out=v[4, :rows])
+    out = np.empty((len(_PAIRS), v.shape[1] // _LEAF), dtype=np.complex128)
+    conj, term = np.empty((2, v.shape[1]), dtype=np.complex128)
+    for row, (x, y) in zip(out, _PAIRS):
+        if x == y:
+            np.conj(v[x], out=conj)
+        level = np.multiply(conj, v[y], out=term)
+        while level.shape[0] > row.shape[0]:
+            level = level[0::2] + level[1::2]
+        row[:] = level
+    return out
+
+
+def block_sums(leaves):
+    """(table, offsets): the pairwise sums of ``row_leaves`` over the
+    aligned blocks of 2**l leaves, one block per row of the table, level l
+    from row offsets[l] on, behind a row of zeros."""
+    level, blocks = leaves, [np.zeros((leaves.shape[0], 1), dtype=np.complex128)]
+    while level.shape[1]:
+        blocks.append(level)
+        even = level.shape[1] // 2 * 2
+        level = level[:, 0:even:2] + level[:, 1:even:2]
+    return (np.concatenate(blocks, axis=1).T.copy(),
+            np.cumsum([block.shape[1] for block in blocks])[:-1])
+
+
+def prefix_sums(table, offsets, counts):
+    """The sums of the row products over their first ``counts * _LEAF``
+    rows, for each count in the int array ``counts``, from ``block_sums``:
+    one aligned block per set bit of the count, the smallest first; a
+    (15, n_counts) array."""
+    blocks = counts >> np.arange(offsets.shape[0])[:, None]
+    rows = np.where(blocks & 1, offsets[:, None] + blocks - 1, 0)
+    out = np.zeros((counts.shape[0], table.shape[1]), dtype=np.complex128)
+    for level in rows:
+        out += table[level]
+    return out.T
+
+
+def free_sums(g, h, lo, alpha):
+    """Per sample, the start e of the tail that the tau loop evolves itself
+    and the sums of |psi|^2, conj(psi) d and |d|^2 over the other stencil
+    rows, where d is the stencil of psi at spacing h and, on the nodes
+    [0:lo) before each sample's end lo, psi_j = g_j exp(-i j alpha) up to a
+    unit factor.
+
+    On a row whose five nodes all follow that law, 12 h d_j = exp(-i j
+    alpha) (8 cos alpha A1 - cos 2 alpha A2 - 8 i sin alpha S1 + i sin 2
+    alpha S2)_j, so a sum over such rows is a sum of ``row_leaves(g)``
+    (``prefix_sums``, or over every leaf) weighted by cos and sin of alpha
+    and 2 alpha.  The free rows are [2:e+2), with e the whole leaves below
+    lo - 4, and the edge rows 0 and 1 when e > 0; the tail is [e:n), the
+    first two rows of whose stencil are one-sided.  Once lo = n the tail is
+    empty (e = n): the free rows are [2:n-2), and the four edge rows take
+    their nodes as (5, n_samples) arrays.
+    """
+    n = g.shape[0]
+    past = lo == n
+    counts = np.where(past, 0, np.maximum(lo - 4, 0) // _LEAF)
+    starts = np.where(past, n, counts * _LEAF)
+    leaves = row_leaves(g)
+    table, offsets = block_sums(leaves[:, :counts.max(initial=0)])
+    sums = np.where(past, np.add.reduce(leaves, axis=1)[:, None],
+                    prefix_sums(table, offsets, counts))
+    a, b = 8.0 * np.cos(alpha), -np.cos(2.0 * alpha)
+    c, s = -8.0 * np.sin(alpha), np.sin(2.0 * alpha)
+    gram = dict(zip(_PAIRS, sums))  # sum conj(v_x) v_y at (x, y)
+    scale = 1.0 / (12.0 * h)
+    mean = scale * (a * gram[0, 1] + b * gram[0, 2]
+                    + 1j * (c * gram[0, 3] + s * gram[0, 4]))
+    q2 = (scale * scale) * (
+        a * a * gram[1, 1].real + b * b * gram[2, 2].real + c * c * gram[3, 3].real
+        + s * s * gram[4, 4].real
+        + 2.0 * (a * b * gram[1, 2].real + c * s * gram[3, 4].real
+                 - a * c * gram[1, 3].imag - a * s * gram[1, 4].imag
+                 - b * c * gram[2, 3].imag - b * s * gram[2, 4].imag))
+    turn = _unit(np.arange(5.0)[:, None] * -alpha)  # exp(-i k alpha), k = 0 .. 4
+    head, tail = g[:5, None] * turn, g[-5:, None] * turn
+    d = np.stack(_edge_rows(head, h) + _edge_rows(tail[::-1], -h))
+    psi = np.stack((head[0], head[1], tail[4], tail[3]))
+    edges = np.stack((starts > 0, starts > 0, past, past))
+    norm = gram[0, 0].real + np.add.reduce(edges * (psi.real ** 2 + psi.imag ** 2))
+    mean += np.add.reduce(edges * (np.conj(psi) * d))
+    q2 += np.add.reduce(edges * (d.real ** 2 + d.imag ** 2))
+    return starts, norm, mean, q2
+
+
+def free_flight(p, h, amps, cubic, p2, taus, start, lam, hbar):
+    """``free_sums`` of a series on the ascending uniform nodes p (spacing
+    h, squares p2) from amplitudes ``amps`` at a start <= 0, at the
+    increasing taus.
+
+    A node past its exit has psi = g exp(-i p (tau - start) / hbar), with g
+    the amplitudes themselves while tau <= 0 and their ``spin`` by
+    ``cubic`` = (2/3) p^3 / lam after; ``_free_end`` gives each tau's prefix
+    of such nodes.
+    """
+    lo = _free_end(p, p2, taus, lam)
+    alpha = (taus - start) * (h / hbar)
+    k = int(np.searchsorted(taus, 0.0, side="right"))
+    parts = (free_sums(amps, h, lo[:k], alpha[:k]),
+             free_sums(spin(amps, cubic, hbar), h, lo[k:], alpha[k:]))
+    return tuple(np.concatenate(pair) for pair in zip(*parts))
 
 
 def _chirp(n, c):

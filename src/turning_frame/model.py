@@ -8,10 +8,15 @@ Conventions used throughout the package:
 * Momentum-space states live on uniform grids; every quadrature is the
   node sum :func:`_integral`, ``sum(values) * h``, and a state is built
   normalized to ``sum(|amps|**2) * h == 1``; no consumer checks again.
+  A series' nodes past their exit enter that sum as ``free``, a sum taken
+  by ``_kernels.free_flight``, the second place a change of rule edits.
   A norm or a variance sums ``|z|**2`` as :func:`_abs2`, the squares of
   the real and imaginary parts; the density ``|f|**2`` of the analytic
   route and the moments keep NumPy's ``abs``.
 * ``hbar`` defaults to 1 (model units).
+* A real input, scalar or array, that is NaN, infinite, an int beyond
+  float range, complex or text (which NumPy would parse) raises
+  ``DomainError``.
 """
 
 from __future__ import annotations
@@ -31,27 +36,38 @@ from .errors import DomainError, InvalidStateError, ResolutionError
 NORM_TOLERANCE = 1e-6
 
 
-def _integral(values: np.ndarray, h: float, factor=1.0):
-    """``factor * sum(values) * h``, evaluated left to right: the one node sum."""
-    return factor * np.add.reduce(values) * h
+def _integral(values: np.ndarray | None, h: float, factor=1.0, free=-0.0):
+    """``factor * (free + sum(values)) * h``, evaluated left to right: the one
+    node sum.
+
+    ``free`` is the sum over the nodes outside ``values`` (a series' free
+    flight), added to theirs first; ``values`` is None when there are none.
+    The default -0.0 leaves a sum, and the sign of a zero, as it is; a
+    complex sum passes complex(-0.0, -0.0).
+    """
+    return factor * (free if values is None else free + np.add.reduce(values)) * h
 
 
-def _abs2(values: np.ndarray, out=None) -> np.ndarray:
+def _abs2(values: np.ndarray | None, out=None) -> np.ndarray | None:
     """The squares of the float64 view of the 1-d complex128 ``values``: re^2
     and im^2 of each value, two slots per value, whose sum is
     sum |values|^2 without the hypot of a complex ``abs``.  ``out`` is a
-    float64 array of that length.  A strided ``values`` is copied first."""
+    float64 array of that length.  A strided ``values`` is copied first; None,
+    no node, stays None."""
+    if values is None:
+        return None
     return np.square(np.ascontiguousarray(values).view(np.float64), out=out)
 
 
-def _norm(amps: np.ndarray, h: float, out=None) -> float:
-    """sqrt(sum |amps|^2 h), summed over ``_abs2(amps, out)``.
+def _norm(amps: np.ndarray | None, h: float, out=None, free=-0.0) -> float:
+    """sqrt(sum |amps|^2 h), summed over ``_abs2(amps, out)``, with the sum
+    ``free`` over other nodes as in ``_integral``.
 
     A huge amplitude overflows to an infinite norm, which ``_check_norm``
     refuses, so the overflow warning is silenced.
     """
     with np.errstate(over="ignore"):
-        return float(np.sqrt(_integral(_abs2(amps, out), h)))
+        return float(np.sqrt(_integral(_abs2(amps, out), h, free=free)))
 
 
 def _check_norm(norm: float) -> None:
@@ -88,10 +104,21 @@ def _is_complex(value) -> bool:
     return isinstance(value, (complex, np.complexfloating))
 
 
+def _is_text(value) -> bool:
+    """Whether ``value`` is a str or bytes scalar or an array holding one,
+    which NumPy would parse as a number; an object array is searched
+    element by element."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "SU" or (
+            value.dtype.kind == "O" and any(map(_is_text, value.flat)))
+    return isinstance(value, (str, bytes))
+
+
 def _is_finite(value) -> bool:
-    """``math.isfinite``, and False for a Python int beyond float range and
-    for a complex value, whose imaginary part a float conversion drops."""
-    if _is_complex(value):
+    """``math.isfinite``, and False for a Python int beyond float range, for
+    a complex value, whose imaginary part a float conversion drops, and for
+    text, which ``math.isfinite`` refuses with a bare ``TypeError``."""
+    if _is_complex(value) or _is_text(value):
         return False
     try:
         return math.isfinite(value)
@@ -100,8 +127,9 @@ def _is_finite(value) -> bool:
 
 
 def _shown(value) -> str:
-    """A refused scalar for a message; an int is cut to 40 characters."""
-    return reprlib.repr(value) if isinstance(value, int) else str(value)
+    """A refused scalar for a message; an int or text is cut to 40
+    characters, text in its quotes."""
+    return reprlib.repr(value) if isinstance(value, (int, str, bytes)) else str(value)
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -136,10 +164,13 @@ def _require_finite(value, name: str) -> None:
 def _floats(value, name: str, dtype=np.float64) -> np.ndarray:
     """``value`` as an array of ``dtype``, or DomainError for complex values
     when ``dtype`` is real (NumPy drops the imaginary part with a warning, or
-    raises a bare ``TypeError`` for an object array) and for a Python int
-    beyond float range (NumPy raises ``OverflowError``)."""
+    raises a bare ``TypeError`` for an object array), for text (NumPy parses
+    it) and for a Python int beyond float range (NumPy raises
+    ``OverflowError``)."""
     try:
         arr = np.asarray(value)
+        if _is_text(arr):
+            raise DomainError(f"{name} must be numbers, got text")
         if np.dtype(dtype).kind != "c" and _is_complex(arr):
             raise DomainError(f"{name} must be real, got complex values")
         return np.asarray(arr, dtype=dtype)

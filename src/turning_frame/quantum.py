@@ -15,7 +15,12 @@ state container except the anchor definition.  ``_statistics`` is the one
 numeric route, for the anchor, every single state and every tau of
 :func:`expectation_series`, which runs both routes, checks one against
 the other, takes the variance from the numeric route's stencil, and
-carries the anchor, which the shift fit subtracts from its intercept.
+carries the anchor, which the shift fit subtracts from its intercept.  A
+series evolves and stencils only the nodes not yet past their exit; the
+stencil rows past it enter ``_statistics`` as the free-flight range sums
+of ``_kernels.free_flight``, the same fourth-order stencil of the evolved
+state regrouped into tau-invariant sums, so the numeric route still
+never reads D.
 
 For states truncated at the grid edge, the inner product
 ``i hbar <psi, d psi/dp>`` acquires an exact imaginary boundary term
@@ -136,20 +141,37 @@ def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
     return float(_integral(modulus * _kernels.derivative(modulus, h), h, hbar))
 
 
+# the free part of a state given on every node: no dropped row, and sums of
+# -0.0, which add nothing to a sum, not even to the sign of a zero
+_WHOLE = (0, -0.0, complex(-0.0, -0.0))
+
+
 def _statistics(
     amps: np.ndarray, h: float, hbar: float, boundary: float, stencil=None, work=None,
+    free=_WHOLE,
 ) -> tuple[float, float, float, np.ndarray]:
     """(norm, mean, imaginary residual, stencil d) of i hbar <psi, dpsi/dp>.
 
-    d goes to ``stencil``; the norm's squares, the stencil's 8 v and
-    conj(psi) d go in turn to ``work``; fresh arrays stand in for either
-    when not given.  The truncation term ``boundary`` is removed from the
-    residual.  Each caller checks.
+    ``amps`` is psi on every node of a state.  A series sample passes psi on
+    its tail [e:n) only, and in ``free`` the number of one-sided rows at the
+    head of the tail's stencil to drop (2 when e > 0) and the sums of
+    |psi|^2 and conj(psi) d over every other row, from
+    ``_kernels.free_flight``; d is then the tail's rows, or None when the
+    tail is empty, every node being past its exit.  d goes to ``stencil``;
+    the norm's squares, the stencil's 8 v and conj(psi) d go in turn to
+    ``work``; fresh arrays stand in for either when not given.  The
+    truncation term ``boundary`` is removed from the residual.  Each caller
+    checks.
     """
-    norm = _norm(amps, h, None if work is None else work.view(np.float64))
-    d = _kernels.derivative(amps, h, out=stencil, work=work)
-    integrand = np.multiply(np.conj(amps, out=work), d, out=work)
-    raw = _integral(integrand, h, 1j * hbar)
+    skip, norm2, mean = free
+    if amps.shape[0]:
+        psi, w = amps[skip:], None if work is None else work[skip:]
+        norm = _norm(psi, h, None if w is None else w.view(np.float64), norm2)
+        d = _kernels.derivative(amps, h, out=stencil, work=work)[skip:]
+        integrand = np.multiply(np.conj(psi, out=w), d, out=w)
+    else:  # a series sample with every node past its exit: no node, no row
+        norm, d, integrand = _norm(None, h, free=norm2), None, None
+    raw = _integral(integrand, h, 1j * hbar, mean)
     return norm, float(raw.real), float(abs(raw.imag - boundary)), d
 
 
@@ -161,13 +183,15 @@ def _check_residual(residual: float, where: str, *args) -> None:
                               f"{IMAG_RESIDUAL_LIMIT}{where.format(*args)}")
 
 
-def _variance(d: np.ndarray, mean_q: float, h: float, hbar: float,
-              out=None) -> float:
+def _variance(d: np.ndarray | None, mean_q: float, h: float, hbar: float,
+              out=None, free=-0.0) -> float:
     """<q^2> - <q>^2 with <q^2> = hbar^2 sum |dpsi/dp|^2 h (symmetric form).
 
-    The sum runs over ``_abs2(d, out)``.
+    The sum runs over ``_abs2(d, out)``, plus the sum ``free`` over a series
+    sample's other rows; d is None for a sample with every node past its
+    exit.
     """
-    mean_q2 = _square(hbar, "hbar") * float(_integral(_abs2(d, out), h))
+    mean_q2 = _square(hbar, "hbar") * float(_integral(_abs2(d, out), h, free=free))
     var = mean_q2 - _square(mean_q, "mean position")
     if not var >= -1e-9:
         raise ConsistencyError(f"variance {var:.3e} is negative beyond tolerance")
@@ -299,14 +323,18 @@ def expectation_series(initial: MomentumState, taus,
     or :class:`DomainError` on a grid reaching p <= 0.
     The tau-invariant work is done once: the anchor, the density |f|^2,
     the truncation term, which depends on |psi| = |f| only because the
-    evolution is a unimodular phase, and the amplitudes spun by the
-    free-flight factor exp(+i (2/3) p^3 / (lam hbar)).  One
-    :func:`_kernels.workspace` holds the kernel's tau-invariant arrays and
-    every array a sample overwrites.
-    Each sample then runs ``_statistics`` in the workspace, where the
-    single-state functions allocate, so every value equals theirs bit for
-    bit; its one stencil serves both the numeric route and the variance.
-    Samples are evaluated in order and summed in fixed order.
+    evolution is a unimodular phase, and ``_kernels.free_flight``, the sums
+    over the stencil rows whose nodes are all past their exit, for every
+    tau at once.  One :func:`_kernels.workspace` holds the kernel's
+    tau-invariant arrays and every array a sample overwrites.  Each sample
+    evolves only its tail, the nodes before their exit and 4 to 11 beside
+    them, by ``apply_phase``, and runs ``_statistics`` on it with the free
+    sums: its one stencil serves both the numeric route and the variance.
+    A sample with every node past its exit runs no per-node numeric work.
+    ``q_mean`` equals the single-state analytic route bit for bit; ``norm``
+    and ``q_var`` equal ``evolve(...).norm()`` and ``position_variance`` to
+    rounding, since their sums are grouped otherwise.  Samples are
+    evaluated in order.
     """
     taus = _finite_floats(taus, "tau samples")
     if taus.ndim != 1 or taus.shape[0] == 0:
@@ -314,20 +342,26 @@ def expectation_series(initial: MomentumState, taus,
     _require_increasing(taus, "tau samples")
     ref = _reference(initial, model)
     p, h, hbar, lam = initial.grid.nodes, initial.grid.h, model.hbar, model.lam
-    start = float(initial.tau)
+    n, start = p.shape[0], float(initial.tau)
     ws = _kernels.workspace(p, lam)
-    _kernels.spin(initial.amps, ws.cubic, hbar, ws.spun)
+    free = _kernels.free_flight(p, h, initial.amps, ws.cubic, ws.p2, taus, start, lam,
+                                hbar)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
     q_var = np.empty_like(taus)
-    for k, tau in enumerate(taus.tolist()):
+    for k, (tau, e, norm2, mean, q2) in enumerate(zip(*(column.tolist()
+                                                        for column in (taus, *free)))):
         phase, kernel = _kernels.phase_and_displacement(p, tau, lam, ws)
         q_mean[k] = _analytic_mean(ref, kernel, h)
-        amps = _kernels.phase_step(p, h, initial.amps, phase, tau, start, lam,
-                                    hbar, ws)
-        norms[k], numeric, residual, d = _statistics(amps, h, hbar, ref.boundary,
-                                                     ws.stencil, ws.work)
+        if e < n:
+            delta = np.multiply(p[e:], start, out=ws.theta[e:])
+            np.subtract(phase[e:], delta, out=delta)
+            _kernels.apply_phase(initial.amps[e:], delta, hbar, ws.psi[e:], delta)
+        skip = 2 if e else 0
+        norms[k], numeric, residual, d = _statistics(
+            ws.psi[e:], h, hbar, ref.boundary, ws.stencil[e:], ws.work[e:],
+            (skip, norm2, mean))
         _check_norm(norms[k])
         _check_residual(residual, " at tau={}; grid too coarse for its phase", tau)
         gap = abs(numeric - q_mean[k])
@@ -339,5 +373,6 @@ def expectation_series(initial: MomentumState, taus,
                     f"{message}: the grid reaches p <= 0, and the phase law jumps "
                     f"at tau = 0+ for p < 0, so a finer grid may not help")
             raise ConsistencyError(message)
-        q_var[k] = _variance(d, numeric, h, hbar, ws.work.view(np.float64))
+        q_var[k] = _variance(d, numeric, h, hbar,
+                             ws.work[e + skip:].view(np.float64), q2)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

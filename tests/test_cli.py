@@ -195,13 +195,13 @@ GOLDEN = {
         "shift_reference_report.json":
             "8d99fb03f986543d37499c82764c35fef6f3f46877c09e7f680b46778d085f24",
         "shift_reference_series.csv":
-            "2676d2894f7cbe1477192a0ba635814325ea222b396d2cb35e9bfa142feddfb8",
+            "6a1f3d02c0686635212729531d4ae82f736a45ca46896e662bd224716760cd48",
     },
     ("shift", "shift_reference.json", ("--hbar", "0.75")): {
         "shift_reference_report.json":
             "bcee9d5c2ad59f1997fac01ca90207605f945b991bc201eeb14cbc52b20462c5",
         "shift_reference_series.csv":
-            "05b04f50ece07d1709fb6d3054d8e79f418cef5aa3048f20b7f50ed447bc618f",
+            "5026dfbc72484cd8e8b100a00a0c59886178b295d19e3f2171955d6eb84fef83",
     },
     ("evolve", "wavefunction_snapshots.json", ()): {
         "snapshots_momentum_00.csv":
@@ -282,6 +282,19 @@ def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expectation mismatch" in err
     assert "tau=0.45" in err and "n=1024" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_free_flight_resolution_gap_exits_3(tmp_path, capsys):
+    """At hbar = sigma = 1/8 the phase outruns the n = 4096 grid past the exits,
+    where the numeric route reads the free-flight range sums: the gap of about
+    1.3 (tau h / hbar)^4 still shows there."""
+    argv = ["shift", "--config", str(CONFIGS / "shift_reference.json"),
+            "--hbar", "0.125", "--sigma", "0.125", "--outdir", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip().endswith(
+        "analytic/numeric expectation mismatch 1.011e-04 at tau=9.600000000000001 "
+        "on the n=4096 grid")
     assert not any(tmp_path.iterdir())
 
 

@@ -374,10 +374,92 @@ def test_evolve_is_the_direct_phase(hbar):
                       <= _phase_bound(state.amps, p, tau + 1.0, hbar)), tau
 
 
+# The same grids and tau as the branch masks: the prefix past the exit that
+# the free-flight sums take for every tau at once is, tau by tau, the one
+# exit_split finds.
+@settings(max_examples=150, deadline=None)
+@given(
+    p_lo=st.floats(-3.0, 3.0),
+    p_span=st.floats(0.0, 6.0),
+    n=st.integers(1, 64),
+    lam=st.floats(1e-3, 1e3),
+    picks=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from([0.0, 1.0, 2.0]),
+                             st.integers(-1, 1)), max_size=12),
+    free=st.lists(st.floats(-5.0, 20.0), max_size=4),
+)
+@example(p_lo=-2.5, p_span=8.0, n=8192, lam=4.0, picks=_WIDE_PICKS,
+         free=list(np.linspace(-1.0, 16.0, 35)))
+@example(p_lo=0.01, p_span=4.99, n=4096, lam=4.0, picks=_EXIT_PICKS, free=[1e-5, 13.0])
+def test_free_end_of_every_tau_is_the_exit_split(p_lo, p_span, n, lam, picks, free):
+    p = np.linspace(p_lo, p_lo + p_span, n)
+    p2 = p * p
+    taus = [_marked_tau(p, lam, pick) for pick in picks] + free
+    want = []
+    for tau in taus:
+        a, b = K.exit_split(p, p2, tau, lam)
+        want.append(n if tau <= 0.0 else 0 if a else b)
+    assert K._free_end(p, p2, np.array(taus), lam).tolist() == want
+
+
+# The free-flight sums on random amplitudes g with psi_j = g_j exp(-i j alpha),
+# at every end lo of the nodes that follow that law: each sum equals the
+# direct stencil's over the rows it covers, [0:e+2) for a tail from e > 0 or
+# every row once lo = n, to a few eps of its scale (|psi|^2, |psi| c and c^2,
+# with c = 128 max|psi| / 12 h over a row's five nodes, the largest stencil
+# row weight): at most 2.9, 0.29 and 0.09 eps over 600 draws.  The block
+# sums behind them equal np.add.reduce over the same rows to 2 log2(n) eps of
+# the summed magnitudes, the two pairwise error bounds (at most 2.0 seen).
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    alpha=st.floats(-0.5, 0.5),
+    h=st.floats(1e-3, 1.0),
+    size=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, alpha=0.5, h=1.0, size=1.0, seed=0)  # one leaf of rows, no more
+@example(n=300, alpha=-0.5, h=1e-3, size=1e3, seed=1)
+def test_free_sums_are_the_direct_stencil_sums(n, alpha, h, size, seed):
+    rng = np.random.default_rng(seed)
+    g = size * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    eps = np.finfo(float).eps
+    lo = np.arange(n + 1)
+    starts, norm, mean, q2 = K.free_sums(g, h, lo, np.full(n + 1, alpha))
+    assert starts[-1] == n and starts[:5].tolist() == [0] * 5
+    psi = g * np.exp(-1j * alpha * np.arange(n))
+    d = K.derivative(psi, h)
+    mod = np.abs(psi)
+    near = np.pad(mod, 2, mode="edge")
+    c = 128.0 * np.max([near[k:k + n] for k in range(5)], axis=0) / (12.0 * h)
+    for end, e in zip(lo, starts):
+        assert e == n or (e % 8 == 0 and e <= max(end - 4, 0))
+        rows = slice(0, n if e == n else e + 2 if e else 0)
+        square = np.sum(mod[rows] ** 2)
+        assert abs(norm[end] - square) <= 16 * eps * square
+        assert abs(mean[end] - np.sum(np.conj(psi[rows]) * d[rows])) <= (
+            4 * eps * np.sum(mod[rows] * c[rows]))
+        assert abs(q2[end] - np.sum(np.abs(d[rows]) ** 2)) <= eps * np.sum(c[rows] ** 2)
+
+    v = np.stack([g[2:-2], g[3:-1] - g[1:-3], g[4:] - g[:-4], g[3:-1] + g[1:-3],
+                  g[4:] + g[:-4]])
+    terms = np.stack([np.conj(v[x]) * v[y] for x, y in K._PAIRS])
+    leaves = K.row_leaves(g)
+    counts = np.arange((n - 4) // 8 + 1)
+    got = np.concatenate([K.prefix_sums(*K.block_sums(leaves), counts),
+                          np.add.reduce(leaves, axis=1)[:, None]], axis=1)
+    for k, rows in enumerate([*(8 * counts), n - 4]):
+        want = np.add.reduce(terms[:, :rows], axis=1)
+        for part in ("real", "imag"):
+            size = np.sum(np.abs(getattr(terms[:, :rows], part)), axis=1)
+            miss = np.abs(getattr(got[:, k] - want, part))
+            assert np.all(miss <= 2 * math.log2(n) * eps * size), (rows, part)
+
+
 # Digests of the free-flight step (``plane_wave`` and ``advance``) and of each
-# column of one series whose state comes from a complex exp, which calls
-# libm: a real np.exp, as in make_gaussian's envelope, has other bits under
-# AVX-512.
+# column of two series, at hbar = 1 and 0.75, so that the free-flight range
+# sums run at two scales of alpha = h (tau - start) / hbar, on a state that
+# comes from a complex exp, which calls libm: a real np.exp, as in
+# make_gaussian's envelope, has other bits under AVX-512.
 _STEP_DIGEST = """
 import hashlib
 import numpy as np
@@ -392,11 +474,14 @@ state = MomentumState(grid, amps, -1.0)
 digest = hashlib.sha256(K.plane_wave(amps, p[0], h, 17.0, 0.75).tobytes())
 for tau in (-0.5, 3.0, 8.0, 16.0):
     digest.update(K.advance(p, state.amps, -1.0, tau, 4.0, 1.0, h).tobytes())
-series = expectation_series(state, np.linspace(-1.0, 16.0, 35), FrameModel(4.0))
+taus = np.linspace(-1.0, 16.0, 35)
+series = [expectation_series(state, taus, FrameModel(4.0, hbar))
+          for hbar in (1.0, 0.75)]
 print("x86_v4", __cpu_features__["X86_V4"])
 print("step", digest.hexdigest())
 for name in ("q_mean", "norm", "q_var"):
-    print(name, hashlib.sha256(getattr(series, name).tobytes()).hexdigest())
+    print(name, hashlib.sha256(b"".join(getattr(s, name).tobytes()
+                                         for s in series)).hexdigest())
 """
 
 

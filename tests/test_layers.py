@@ -94,11 +94,11 @@ def masks(nodes) -> list[int]:
         or callee(node) in {"argmax", "before_exit"})]
 
 
-# every phase kernel and the step find their branches as index ranges of
-# the ascending nodes; classical_position_profile, which keeps its
+# every phase kernel and the propagation find their branches as index
+# ranges of the ascending nodes; classical_position_profile, which keeps its
 # before_exit mask, shows that the guard would see one
 @pytest.mark.parametrize("function", ["phase_profile", "phase_and_displacement",
-                                      "phase_step"])
+                                      "advance"])
 def test_per_tau_phase_runs_on_ranges_not_masks(function):
     assert masks(reached("_kernels", "classical_position_profile"))  # not vacuous
     nodes = reached("_kernels", function)
@@ -122,16 +122,19 @@ def test_norm_and_variance_take_no_modulus(module, function):
     assert nodes and moduli(nodes) == []
 
 
-# one propagation: _kernels.advance carries amplitudes from start to tau;
-# only the tau loop of a series, which keeps Phi in its workspace, calls its
-# per-tau step itself
+# one propagation: _kernels.advance carries amplitudes from start to tau.
+# The tau loop of a series runs no per-tau step: it evolves only its tail,
+# by apply_phase of the Phi it keeps in its workspace, and takes the nodes
+# past their exit from the free-flight range sums.
 def test_one_propagation_function():
-    for module in ("model", "spectral"):
+    for module in ("model", "spectral", "quantum"):
         assert calls_outside(module, "", {"advance"}), module  # not vacuous
-        assert calls_outside(module, "", {"apply_phase", "phase_profile",
-                                          "phase_step"}) == [], module
-    assert calls_outside("quantum", "", {"phase_step"})  # not vacuous
-    assert calls_outside("quantum", "expectation_series", {"phase_step"}) == []
+        assert calls_outside(module, "", {"phase_step", "plane_wave"}) == [], module
+    for module in ("model", "spectral"):
+        assert calls_outside(module, "", {"apply_phase", "phase_profile"}) == [], module
+    assert calls_outside("quantum", "", {"apply_phase"})  # not vacuous
+    assert calls_outside("quantum", "expectation_series", {"apply_phase"}) == []
+    assert not hasattr(turning_frame._kernels, "phase_step")
 
 
 # one numeric route: quantum stencils a state only inside _statistics, and
@@ -157,13 +160,12 @@ def workspace_builders() -> set[tuple[str, str | None]]:
 
 
 # the kernels write into the arrays they are given, as NumPy's out=: a
-# Workspace is the tau loop's set of arrays, or advance's one record for
-# phase_step, and no all-None record at module level stands for "allocate"
+# Workspace is the tau loop's set of arrays and nothing else, and no all-None
+# record at module level stands for "allocate"
 def test_workspace_is_built_only_for_the_tau_loop():
     builders = workspace_builders()
     assert builders  # not vacuous
-    assert builders <= {("_kernels", "_kernel_workspace"), ("_kernels", "workspace"),
-                        ("_kernels", "advance")}
+    assert builders <= {("_kernels", "_kernel_workspace"), ("_kernels", "workspace")}
     assert hasattr(turning_frame._kernels, "Workspace")
     assert not hasattr(turning_frame._kernels, "_FRESH")
 
@@ -177,7 +179,7 @@ def parameters(module: str, function: str) -> list[str]:
                                               ("_kernels", "derivative"),
                                               ("quantum", "_statistics")])
 def test_array_kernels_take_their_arrays_not_a_workspace(module, function):
-    assert "ws" in parameters("_kernels", "phase_step")  # not vacuous
+    assert "ws" in parameters("_kernels", "phase_and_displacement")  # not vacuous
     assert parameters(module, function) and "ws" not in parameters(module, function)
 
 

@@ -18,11 +18,18 @@ from turning_frame import (
     MomentumState,
     ResolutionError,
     ShiftReport,
+    SpectralState,
+    evolve,
+    expectation_series,
     load_momentum_csv,
     make_gaussian,
     moments,
     position_variance,
+    propagate,
+    q_of_tau,
     save_momentum_csv,
+    total_phase,
+    unwind_phi,
 )
 
 from conftest import REF_P0, REF_SIGMA, riemann
@@ -69,6 +76,40 @@ def test_value_types_reject_non_finite_parameters(bad):
     ):
         with pytest.raises(DomainError, match="finite"):
             make()
+
+
+# Text is never a number: a scalar once ended in math.isfinite's bare
+# TypeError, and NumPy parsed a str or bytes array silently.  The CLI
+# converts its flags and config values to floats before any of these.
+@pytest.mark.parametrize("make, message", [
+    (lambda s, m: FrameModel(lam="4"), "potential slope must be positive and finite, "
+                                       "got '4'"),
+    (lambda s, m: FrameModel(lam=4.0, hbar=b"1"), "hbar must be positive and finite, "
+                                                  "got b'1'"),
+    (lambda s, m: MomentumGrid("0.01", 5.0, 512), "p_min must be finite, got '0.01'"),
+    (lambda s, m: GaussianSpec("4", 1.25, 1.0), "q0 must be finite, got '4'"),
+    (lambda s, m: ClassicalState(4.0, "1.25"), "momentum must be positive and finite"),
+    (lambda s, m: evolve(s, "1", m), "tau must be finite, got '1'"),
+    (lambda s, m: total_phase("1", 1.25, m), "tau must be finite, got '1'"),
+    (lambda s, m: propagate(SpectralState([1.0], [1.0]), "1", m), "tau must be finite"),
+    (lambda s, m: expectation_series(s, ["1", "2"], m), "tau samples must be numbers"),
+    (lambda s, m: expectation_series(s, [b"0.5"], m), "tau samples must be numbers"),
+    (lambda s, m: expectation_series(s, np.array([0.5, "1"], dtype=object), m),
+     "tau samples must be numbers"),
+    (lambda s, m: q_of_tau(["1"], ClassicalState(4.0, 1.25), m), "tau must be numbers"),
+    (lambda s, m: unwind_phi(["1"], 1.25, m), "tau must be numbers"),
+    (lambda s, m: MomentumState(s.grid, s.amps.astype(str), 0.0),
+     "amps must be numbers"),
+    (lambda s, m: SpectralState(["1.0"], [1.0]), "energies must be numbers"),
+    (lambda s, m: SpectralState([1.0], ["1.0"]), "coeffs must be numbers"),
+], ids=["lambda-str", "hbar-bytes", "grid-str", "gaussian-str", "classical-str",
+        "evolve-str", "total-phase-str", "propagate-str", "series-str-list",
+        "series-bytes-list", "series-object-array", "q-of-tau-str-list",
+        "unwind-phi-str-list", "momentum-state-str-array", "spectral-energies-str",
+        "spectral-coeffs-str"])
+def test_text_is_refused_as_a_domain_error(trunc_state, model, make, message):
+    with pytest.raises(DomainError, match=message):
+        make(trunc_state, model)
 
 
 def test_make_gaussian_is_normalized_to_1e12(trunc_state, wide_state):
