@@ -32,9 +32,7 @@ Numerical conventions:
   expressions, in the same order, as a single call, which allocates its
   arrays instead.  Results are bit-identical either way.
 * ``advance``, the product with exp(-i (Phi(tau) - Phi(start)) / hbar), is
-  the one propagation.  On a uniform grid from a start <= 0 it gives the
-  nodes past their exit the plane wave of ``plane_wave``, two tables of
-  about sqrt(n) unit phases, in place of a cos and sin per node.
+  the one propagation, on any ascending nodes: grid nodes or energies.
 * A series evolves no node past its exit.  ``free_flight`` takes, for
   every tau at once, the sums of |psi|^2, conj(psi) d and |d|^2 over the
   stencil rows whose nodes are all past their exit: tau-invariant sums of
@@ -45,8 +43,7 @@ Numerical conventions:
 * ``apply_phase`` writes exp(i theta), theta = -phase / hbar, as
   ``cos theta`` and ``sin theta`` into the two float64 slots of psi: the
   bits of NumPy's complex ``exp(+0 + i theta)``, which is ``(cos theta,
-  sin theta)``, without its complex loop.  The tables of ``plane_wave`` are
-  written the same way.
+  sin theta)``, without its complex loop.
 * Complex-by-real-scalar arithmetic (the interior of ``derivative``) runs
   on the float64 view of the complex array, as real ufuncs.  NumPy would
   cast the scalar x to ``x + 0j`` and run a complex loop, in which every
@@ -267,42 +264,11 @@ def apply_phase(amps, phase, hbar, out=None, theta=None):
     return np.multiply(amps, psi, out=psi)
 
 
-def spin(amps, cubic, hbar, out=None):
-    """amps exp(+i cubic / hbar) into ``out``: the tau-invariant factor of the
-    free-flight phase p tau - cubic, with cubic = (2/3) p^3 / lam."""
-    return apply_phase(amps, -cubic, hbar, out)
-
-
-def plane_wave(amps, x0, h, t, hbar, out=None):
-    """amps_j exp(-i x_j t / hbar) on the uniform nodes x_j = x0 + j h.
-
-    With m = ceil(sqrt(n)) and j = b m + r, the factor is the product of a
-    row table exp(-i (x0 + b m h) t / hbar) and a column table
-    exp(-i r h t / hbar), unit phases as ``_unit`` writes them: about
-    2 sqrt(n) cos and sin in place of n, and one complex multiply per node.
-    A table angle is off by a few eps (1 + |x| |t| / hbar), as the direct
-    angle x_j t / hbar is.
-    """
-    n = amps.shape[0]
-    m = math.isqrt(n - 1) + 1
-    full, rest = divmod(n, m)
-    c = t * (-1.0 / hbar)
-    k = np.arange(m, dtype=np.float64)
-    table = _unit(np.concatenate((x0 * c + k[:full + (rest > 0)] * (m * h * c),
-                                  k * (h * c))))
-    rows, cols = table[:-m], table[-m:]
-    wave = np.empty(n, dtype=np.complex128) if out is None else out
-    np.multiply(rows[:full, None], cols, out=wave[:full * m].reshape(full, m))
-    if rest:
-        np.multiply(rows[full], cols[:rest], out=wave[full * m:])
-    return np.multiply(amps, wave, out=wave)
-
-
 def _free_end(p, p2, tau, lam):
-    """For each tau (an array or a scalar), the end of the prefix of the
-    ascending nodes p past their exit: the first node before its exit, by
-    the comparisons of ``exit_split``, or every node once tau <= 0.  A
-    first node p <= 0 before its exit leaves the prefix empty."""
+    """For each tau, the end of the prefix of the ascending nodes p past
+    their exit: the first node before its exit, by the comparisons of
+    ``exit_split``, or every node once tau <= 0.  A first node p <= 0
+    before its exit leaves the prefix empty."""
     edge = 0.5 * lam * tau
     zero = int(np.searchsorted(p, 0.0, side="right"))  # the nodes p <= 0
     end = zero + np.searchsorted(p2[zero:], edge)     # the first p2 >= edge
@@ -310,33 +276,11 @@ def _free_end(p, p2, tau, lam):
     return np.where(tau <= 0.0, p.shape[0], end)
 
 
-def advance(x, amps, start, tau, lam, hbar, h=None):
-    """Amplitudes on nodes x at scale start, carried to tau by the phase law.
-
-    Given ``h``, the nodes must be an ascending uniform grid of that
-    spacing, read from ``x[0]`` on.  From a start <= 0 a node past its exit
-    has Phi(tau) - Phi(start) = p (tau - start) - (2/3) p^3 / lam, so these
-    nodes, a prefix, take ``spin`` of amps (amps itself when tau <= 0)
-    times ``plane_wave`` of tau - start, and the others ``apply_phase`` of
-    Phi(tau) - p start.  Without ``h`` (energies), and from a start > 0,
-    the ascending nodes take ``apply_phase`` of Phi(tau) - Phi(start).
-    """
-    phase = phase_profile(x, tau, lam)
-    if h is None or start > 0.0:
-        return apply_phase(amps, phase - phase_profile(x, start, lam), hbar)
-    n = x.shape[0]
-    lo = int(_free_end(x, x * x, tau, lam))
-    psi = np.empty(n, dtype=np.complex128)
-    if lo:
-        free = amps[:lo]
-        if tau > 0.0:
-            free = spin(free, _phase_terms(x[:lo], lam)[2], hbar)
-        plane_wave(free, x[0], h, tau - start, hbar, psi[:lo])
-    if lo < n:
-        delta = np.multiply(x[lo:], start)
-        np.subtract(phase[lo:], delta, out=delta)
-        apply_phase(amps[lo:], delta, hbar, psi[lo:], delta)
-    return psi
+def advance(x, amps, start, tau, lam, hbar):
+    """Amplitudes on the ascending nodes x at scale start, carried to tau by
+    the phase law: ``apply_phase`` of Phi(tau) - Phi(start)."""
+    return apply_phase(amps, phase_profile(x, tau, lam) - phase_profile(x, start, lam),
+                       hbar)
 
 
 def _edge_rows(values, h):
@@ -494,15 +438,15 @@ def free_flight(p, h, amps, cubic, p2, taus, start, lam, hbar):
     increasing taus.
 
     A node past its exit has psi = g exp(-i p (tau - start) / hbar), with g
-    the amplitudes themselves while tau <= 0 and their ``spin`` by
-    ``cubic`` = (2/3) p^3 / lam after; ``_free_end`` gives each tau's prefix
-    of such nodes.
+    the amplitudes themselves while tau <= 0 and amps exp(+i cubic / hbar)
+    after, where cubic = (2/3) p^3 / lam; ``_free_end`` gives each tau's
+    prefix of such nodes.
     """
     lo = _free_end(p, p2, taus, lam)
     alpha = (taus - start) * (h / hbar)
     k = int(np.searchsorted(taus, 0.0, side="right"))
     parts = (free_sums(amps, h, lo[:k], alpha[:k]),
-             free_sums(spin(amps, cubic, hbar), h, lo[k:], alpha[k:]))
+             free_sums(apply_phase(amps, -cubic, hbar), h, lo[k:], alpha[k:]))
     return tuple(np.concatenate(pair) for pair in zip(*parts))
 
 

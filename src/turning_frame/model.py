@@ -420,7 +420,7 @@ def make_gaussian(
         raise ResolutionError("state has no support on the supplied grid")
     amps = amps / norm
     if tau0 != 0.0:
-        amps = _kernels.advance(p, amps, 0.0, tau0, model.lam, model.hbar, grid.h)
+        amps = _kernels.advance(p, amps, 0.0, tau0, model.lam, model.hbar)
     return MomentumState(grid=grid, amps=amps, tau=tau0)
 
 

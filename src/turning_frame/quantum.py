@@ -128,7 +128,7 @@ def evolve(initial: MomentumState, tau: float, model: FrameModel) -> MomentumSta
     _require_finite(tau, "tau")
     grid = initial.grid
     amps = _kernels.advance(grid.nodes, initial.amps, float(initial.tau), float(tau),
-                            model.lam, model.hbar, grid.h)
+                            model.lam, model.hbar)
     return MomentumState(grid=grid, amps=amps, tau=float(tau))
 
 
@@ -224,7 +224,7 @@ def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
     h, hbar = initial.grid.h, model.hbar
     f = initial.amps
     if initial.tau != 0.0:
-        f = _kernels.advance(initial.grid.nodes, f, initial.tau, 0.0, model.lam, hbar, h)
+        f = _kernels.advance(initial.grid.nodes, f, initial.tau, 0.0, model.lam, hbar)
     modulus = np.abs(f)
     boundary = _boundary_term(modulus, h, hbar)
     _, anchor, residual, _ = _statistics(f, h, hbar, boundary)

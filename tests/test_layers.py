@@ -129,12 +129,12 @@ def test_norm_and_variance_take_no_modulus(module, function):
 def test_one_propagation_function():
     for module in ("model", "spectral", "quantum"):
         assert calls_outside(module, "", {"advance"}), module  # not vacuous
-        assert calls_outside(module, "", {"phase_step", "plane_wave"}) == [], module
     for module in ("model", "spectral"):
         assert calls_outside(module, "", {"apply_phase", "phase_profile"}) == [], module
     assert calls_outside("quantum", "", {"apply_phase"})  # not vacuous
     assert calls_outside("quantum", "expectation_series", {"apply_phase"}) == []
-    assert not hasattr(turning_frame._kernels, "phase_step")
+    for name in ("phase_step", "plane_wave", "spin"):
+        assert not hasattr(turning_frame._kernels, name), name
 
 
 # one numeric route: quantum stencils a state only inside _statistics, and

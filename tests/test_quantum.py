@@ -574,7 +574,7 @@ def test_entirely_free_samples_run_no_per_node_kernel(trunc_state, model, monkey
     evolve or stencil a state run as often for 41 such samples as for one,
     while a sample with a tail adds its one step and one stencil."""
     counts = {}
-    for name in ("derivative", "apply_phase", "plane_wave"):
+    for name in ("derivative", "apply_phase"):
         def counted(*args, _name=name, _genuine=getattr(_kernels, name), **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _genuine(*args, **kwargs)
