@@ -25,10 +25,10 @@ Numerical conventions:
 * Branch dispatch assigns boundary points to the earlier branch;
   continuity makes the choice unobservable.
 * Reductions run in NumPy's fixed order, so results are reproducible.
-* A series over tau builds one ``workspace``: the grid invariants and
-  every array a tau overwrites.  The per-tau phase kernel takes it as
-  ``ws``; ``apply_phase`` and ``derivative`` take the arrays they write,
-  as NumPy's ``out=``.  Each writes into what it is given with the same
+* A ``workspace`` holds the phase kernel's grid invariants and the four
+  arrays a tau overwrites; a series builds one and passes it as ``ws``.
+  ``apply_phase`` and ``derivative`` take the arrays they write, as
+  NumPy's ``out=``.  Each writes into what it is given with the same
   expressions, in the same order, as a single call, which allocates its
   arrays instead.  Results are bit-identical either way.
 * ``advance``, the product with exp(-i (Phi(tau) - Phi(start)) / hbar), is
@@ -38,8 +38,8 @@ Numerical conventions:
   stencil rows whose nodes are all past their exit: tau-invariant sums of
   products of the spun amplitudes and their differences, in pairwise
   blocks (``row_leaves``, ``block_sums``, ``prefix_sums``), weighted by
-  cos and sin of h (tau - start) / hbar and twice that.  These are node
-  sums like ``model._integral``'s: a change of quadrature rule edits both.
+  cos and sin of h tau / hbar and twice that.  These are node sums like
+  ``model._integral``'s: a change of quadrature rule edits both.
 * ``apply_phase`` writes exp(i theta), theta = -phase / hbar, as
   ``cos theta`` and ``sin theta`` into the two float64 slots of psi: the
   bits of NumPy's complex ``exp(+0 + i theta)``, which is ``(cos theta,
@@ -73,27 +73,22 @@ _SNAP = 8.0 * float(np.finfo(np.float64).eps)
 
 
 class Workspace(NamedTuple):
-    """Every array the tau loop of a series reads or overwrites, on nodes p.
+    """The arrays of ``phase_and_displacement`` on ascending nodes p.
 
-    The first four are the tau-invariant subexpressions of
-    ``phase_and_displacement``, so every tau gets the same bits; the rest
-    hold Phi, D, psi and the stencil from one tau to the next, the branch
-    scratch ``u`` and ``s`` only on the turning-region ranges.  The nodes
-    are ascending.  ``workspace`` fills all of them.
+    The first four are its tau-invariant subexpressions, so every tau gets
+    the same bits; the rest hold Phi and D, and the branch scratch ``u`` and
+    ``s`` on the turning-region ranges only.  ``workspace`` fills all of
+    them.
     """
 
-    p2: np.ndarray | None = None        # p^2
-    p3: np.ndarray | None = None        # p^2 p of the turning-region phase
-    cubic: np.ndarray | None = None     # (2/3) p^2 p / lam of the free-flight phase
-    exit: np.ndarray | None = None      # 2 p^2 / lam of the free-flight displacement
-    phi: np.ndarray | None = None       # Phi
-    d: np.ndarray | None = None         # D
-    u: np.ndarray | None = None         # u, snapped
-    s: np.ndarray | None = None         # sqrt|u|, then p + sqrt(u) of the approach
-    theta: np.ndarray | None = None     # the angle -phase / hbar of apply_phase
-    psi: np.ndarray | None = None       # the evolved amplitudes of the tail
-    stencil: np.ndarray | None = None   # their derivative
-    work: np.ndarray | None = None      # the stencil's 8 v, an integrand, squares
+    p2: np.ndarray        # p^2
+    p3: np.ndarray        # p^2 p of the turning-region phase
+    cubic: np.ndarray     # (2/3) p^2 p / lam of the free-flight phase
+    exit: np.ndarray      # 2 p^2 / lam of the free-flight displacement
+    phi: np.ndarray       # Phi
+    d: np.ndarray         # D
+    u: np.ndarray         # u, snapped
+    s: np.ndarray         # sqrt|u|, then p + sqrt(u) of the approach
 
 
 def _phase_terms(p, lam):
@@ -101,22 +96,13 @@ def _phase_terms(p, lam):
     return p2, p2 * p, (2.0 / 3.0) * p2 * p / lam
 
 
-def _kernel_workspace(p, lam) -> Workspace:
-    """The first eight fields of a workspace on the ascending nodes p, all
-    that ``phase_and_displacement`` touches."""
+def workspace(p, lam) -> Workspace:
+    """The invariants and the per-tau arrays of the phase kernel on the
+    ascending nodes p; nodes out of order raise ``DomainError``."""
     if not np.all(p[1:] >= p[:-1]):
         raise DomainError("momentum nodes must be in ascending order")
     p2, p3, cubic = _phase_terms(p, lam)
     return Workspace(p2, p3, cubic, 2.0 * p2 / lam, *np.empty((4, p.shape[0])))
-
-
-def workspace(p, lam) -> Workspace:
-    """The invariants on the ascending nodes p and one array of every per-tau
-    kind; nodes out of order raise ``DomainError``."""
-    n = p.shape[0]
-    psi, stencil, work = np.empty((3, n), dtype=np.complex128)
-    return _kernel_workspace(p, lam)._replace(theta=np.empty(n), psi=psi,
-                                              stencil=stencil, work=work)
 
 
 def branch(p2, tau, lam):
@@ -200,14 +186,14 @@ def phase_and_displacement(p, tau, lam, ws=None):
     """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
 
     The nodes p must be ascending; without ``ws`` nodes out of order raise
-    ``DomainError``.  ``ws`` is ``workspace(p, lam)``; a single call builds
-    only the part it touches.  Phi and D come back in ``ws.phi`` and
-    ``ws.d``.  Phi comes from ``_phase``, and D runs on the same ranges: its
-    free-flight form on [a:b), its direct form on [0:a) and [b:c), and its
-    approaching rewrite on [c:n).
+    ``DomainError``.  ``ws`` is ``workspace(p, lam)``, built here when not
+    given; Phi and D come back in ``ws.phi`` and ``ws.d``.  Phi comes from
+    ``_phase``, and D runs on the same ranges: its free-flight form on
+    [a:b), its direct form on [0:a) and [b:c), and its approaching rewrite
+    on [c:n).
     """
     if ws is None:
-        ws = _kernel_workspace(p, lam)
+        ws = workspace(p, lam)
     phi, d = ws.phi, ws.d
     if tau <= 0.0:
         d.fill(tau)
@@ -432,18 +418,18 @@ def free_sums(g, h, lo, alpha):
     return starts, norm, mean, q2
 
 
-def free_flight(p, h, amps, cubic, p2, taus, start, lam, hbar):
+def free_flight(p, h, amps, cubic, p2, taus, lam, hbar):
     """``free_sums`` of a series on the ascending uniform nodes p (spacing
-    h, squares p2) from amplitudes ``amps`` at a start <= 0, at the
+    h, squares p2) from the amplitudes ``amps`` at tau = 0, at the
     increasing taus.
 
-    A node past its exit has psi = g exp(-i p (tau - start) / hbar), with g
-    the amplitudes themselves while tau <= 0 and amps exp(+i cubic / hbar)
+    A node past its exit has psi = g exp(-i p tau / hbar), with g the
+    amplitudes themselves while tau <= 0 and amps exp(+i cubic / hbar)
     after, where cubic = (2/3) p^3 / lam; ``_free_end`` gives each tau's
     prefix of such nodes.
     """
     lo = _free_end(p, p2, taus, lam)
-    alpha = (taus - start) * (h / hbar)
+    alpha = taus * (h / hbar)
     k = int(np.searchsorted(taus, 0.0, side="right"))
     parts = (free_sums(amps, h, lo[:k], alpha[:k]),
              free_sums(apply_phase(amps, -cubic, hbar), h, lo[k:], alpha[k:]))

@@ -38,6 +38,10 @@ class GaugeSample:
     phi: float
     p_phi: float
 
+    def __post_init__(self):
+        for name in ("epsilon", "phi", "p_phi"):
+            _require_finite(getattr(self, name), name)
+
     def constraint_residual(self, H: float, model: FrameModel) -> float:
         """Value of -p_phi^2 - lam*phi*theta(phi) + H^2 (zero on shell)."""
         potential = model.lam * self.phi if self.phi > 0.0 else 0.0

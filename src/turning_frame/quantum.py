@@ -16,11 +16,11 @@ numeric route, for the anchor, every single state and every tau of
 :func:`expectation_series`, which runs both routes, checks one against
 the other, takes the variance from the numeric route's stencil, and
 carries the anchor, which the shift fit subtracts from its intercept.  A
-series evolves and stencils only the nodes not yet past their exit; the
-stencil rows past it enter ``_statistics`` as the free-flight range sums
-of ``_kernels.free_flight``, the same fourth-order stencil of the evolved
-state regrouped into tau-invariant sums, so the numeric route still
-never reads D.
+series evolves f, the state at tau = 0, and stencils it only on the nodes
+not yet past their exit; the stencil rows past it enter ``_statistics``
+as the free-flight range sums of ``_kernels.free_flight``, the same
+fourth-order stencil of the evolved state regrouped into tau-invariant
+sums, so the numeric route still never reads D.
 
 For states truncated at the grid edge, the inner product
 ``i hbar <psi, d psi/dp>`` acquires an exact imaginary boundary term
@@ -210,13 +210,14 @@ def position_expectation_numeric(state: MomentumState, model: FrameModel) -> flo
 class _Reference(NamedTuple):
     """The tau-invariant part of every position statistic of one state."""
 
+    amps: np.ndarray  # f(p), the amplitudes at tau = 0
     anchor: float  # <q> of f(p), from i hbar <f, df/dp>
     density: np.ndarray  # |f|^2, the same at every tau
     boundary: float  # truncation term of |f|, the same at every tau
 
 
 def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
-    """The statistics of f(p), the state carried back from tau <= 0 to 0."""
+    """f(p), the state carried from tau <= 0 to 0, and its statistics."""
     if initial.tau > 0.0:
         raise DomainError(
             f"initial state must be referenced at tau <= 0, got {initial.tau}"
@@ -229,7 +230,7 @@ def _reference(initial: MomentumState, model: FrameModel) -> _Reference:
     boundary = _boundary_term(modulus, h, hbar)
     _, anchor, residual, _ = _statistics(f, h, hbar, boundary)
     _check_residual(residual, " while extracting the position anchor")
-    return _Reference(anchor, modulus**2, boundary)
+    return _Reference(f, anchor, modulus**2, boundary)
 
 
 def _analytic_mean(ref: _Reference, kernel: np.ndarray, h: float) -> float:
@@ -321,20 +322,23 @@ def expectation_series(initial: MomentumState, taus,
     against the numeric route; disagreement beyond 1e-4 raises
     :class:`ConsistencyError` naming the offending tau and the grid's n,
     or :class:`DomainError` on a grid reaching p <= 0.
-    The tau-invariant work is done once: the anchor, the density |f|^2,
-    the truncation term, which depends on |psi| = |f| only because the
-    evolution is a unimodular phase, and ``_kernels.free_flight``, the sums
-    over the stencil rows whose nodes are all past their exit, for every
-    tau at once.  One :func:`_kernels.workspace` holds the kernel's
-    tau-invariant arrays and every array a sample overwrites.  Each sample
-    evolves only its tail, the nodes before their exit and 4 to 11 beside
-    them, by ``apply_phase``, and runs ``_statistics`` on it with the free
-    sums: its one stencil serves both the numeric route and the variance.
+    The tau-invariant work is done once: f, the state carried to tau = 0,
+    its anchor, the density |f|^2, the truncation term, which depends on
+    |psi| = |f| only because the evolution is a unimodular phase, and
+    ``_kernels.free_flight``, the sums over the stencil rows whose nodes
+    are all past their exit, for every tau at once.  One
+    :func:`_kernels.workspace` holds the phase kernel's arrays, and the
+    series allocates the angle, psi, the stencil and its scratch once.
+    Each sample evolves f on its tail only, the nodes before their exit and
+    4 to 11 beside them, by ``apply_phase`` of Phi(tau), and runs
+    ``_statistics`` on it with the free sums: its one stencil serves both
+    the numeric route and the variance.
     A sample with every node past its exit runs no per-node numeric work.
     ``q_mean`` equals the single-state analytic route bit for bit; ``norm``
     and ``q_var`` equal ``evolve(...).norm()`` and ``position_variance`` to
-    rounding, since their sums are grouped otherwise.  Samples are
-    evaluated in order.
+    rounding, since their sums are grouped otherwise.  A state at tau < 0
+    gives the bits of the series of ``evolve(initial, 0.0, model)``.
+    Samples are evaluated in order.
     """
     taus = _finite_floats(taus, "tau samples")
     if taus.ndim != 1 or taus.shape[0] == 0:
@@ -342,10 +346,11 @@ def expectation_series(initial: MomentumState, taus,
     _require_increasing(taus, "tau samples")
     ref = _reference(initial, model)
     p, h, hbar, lam = initial.grid.nodes, initial.grid.h, model.hbar, model.lam
-    n, start = p.shape[0], float(initial.tau)
+    n = p.shape[0]
     ws = _kernels.workspace(p, lam)
-    free = _kernels.free_flight(p, h, initial.amps, ws.cubic, ws.p2, taus, start, lam,
-                                hbar)
+    free = _kernels.free_flight(p, h, ref.amps, ws.cubic, ws.p2, taus, lam, hbar)
+    theta = np.empty(n)
+    psi, stencil, work = np.empty((3, n), dtype=np.complex128)
 
     q_mean = np.empty_like(taus)
     norms = np.empty_like(taus)
@@ -355,13 +360,10 @@ def expectation_series(initial: MomentumState, taus,
         phase, kernel = _kernels.phase_and_displacement(p, tau, lam, ws)
         q_mean[k] = _analytic_mean(ref, kernel, h)
         if e < n:
-            delta = np.multiply(p[e:], start, out=ws.theta[e:])
-            np.subtract(phase[e:], delta, out=delta)
-            _kernels.apply_phase(initial.amps[e:], delta, hbar, ws.psi[e:], delta)
+            _kernels.apply_phase(ref.amps[e:], phase[e:], hbar, psi[e:], theta[e:])
         skip = 2 if e else 0
         norms[k], numeric, residual, d = _statistics(
-            ws.psi[e:], h, hbar, ref.boundary, ws.stencil[e:], ws.work[e:],
-            (skip, norm2, mean))
+            psi[e:], h, hbar, ref.boundary, stencil[e:], work[e:], (skip, norm2, mean))
         _check_norm(norms[k])
         _check_residual(residual, " at tau={}; grid too coarse for its phase", tau)
         gap = abs(numeric - q_mean[k])
@@ -374,5 +376,5 @@ def expectation_series(initial: MomentumState, taus,
                     f"at tau = 0+ for p < 0, so a finer grid may not help")
             raise ConsistencyError(message)
         q_var[k] = _variance(d, numeric, h, hbar,
-                             ws.work[e + skip:].view(np.float64), q2)
+                             work[e + skip:].view(np.float64), q2)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

@@ -23,6 +23,7 @@ from .model import (
     ShiftReport,
     _require_finite,
     _require_positive,
+    _square,
     moments,
 )
 from .classical import classical_shift
@@ -34,7 +35,9 @@ MIN_FIT_SAMPLES = 3
 def quantum_shift_analytic(mean_p2: float, model: FrameModel) -> float:
     """Quantum displacement -2 <p^2> / lam (note the sign reversal)."""
     _require_positive(mean_p2, "mean square momentum")
-    return -2.0 * mean_p2 / model.lam
+    shift = -2.0 * mean_p2 / model.lam
+    _require_finite(shift, "quantum shift")
+    return shift
 
 
 def total_shift(mean_p: float, var_p: float, model: FrameModel) -> float:
@@ -47,15 +50,21 @@ def total_shift(mean_p: float, var_p: float, model: FrameModel) -> float:
     if not 0.0 <= var_p < math.inf:
         raise DomainError(
             f"momentum variance must be non-negative and finite, got {var_p}")
+    mean_p2 = _square(mean_p, "mean momentum")
     if model.shift_convention is ShiftConvention.MEAN_SQUARE_MOMENTUM:
-        return -4.0 * (mean_p**2 + var_p) / model.lam
-    return -4.0 * mean_p**2 / model.lam - 2.0 * var_p / model.lam
+        shift = -4.0 * (mean_p2 + var_p) / model.lam
+    else:
+        shift = -4.0 * mean_p2 / model.lam - 2.0 * var_p / model.lam
+    _require_finite(shift, "total shift")
+    return shift
 
 
 def asymptotic_tau_bound(grid_p_max: float, model: FrameModel) -> float:
     """Scale beyond which every grid component is past re-crossing."""
     _require_finite(grid_p_max, "grid p_max")
-    return 2.0 * grid_p_max**2 / model.lam
+    bound = 2.0 * _square(grid_p_max, "grid p_max") / model.lam
+    _require_finite(bound, "asymptotic tau bound")
+    return bound
 
 
 def extract_shift_numeric(

@@ -9,6 +9,7 @@ from turning_frame import (
     ClassicalState,
     DomainError,
     FrameModel,
+    asymptotic_tau_bound,
     classical_shift,
     displacement_kernel,
     gauge_solution,
@@ -19,6 +20,7 @@ from turning_frame import (
     q_of_tau,
     q_rate,
     total_phase,
+    total_shift,
     turning_point,
     unwind_phi,
 )
@@ -281,11 +283,14 @@ _SQUARE_OVERFLOWS = 1.3407807929942597e154
     lambda m: classical_shift(10**200, m),
     lambda m: phase_branch(1.0, 10**200, m),
     lambda m: ClassicalState(0.0, np.float64(_SQUARE_OVERFLOWS)),
+    # the shift formulas square through the same guard
+    lambda m: asymptotic_tau_bound(1e200, m),
+    lambda m: total_shift(1e200, 0.0, m),
 ], ids=["unwind-phi", "turning-point", "classical-shift", "gauge-solution",
         "phi-of-q", "constraint-residual", "q-of-tau", "q-of-phi", "q-rate",
         "displacement-kernel", "total-phase", "phase-theta", "phase-branch",
         "turning-point-int", "classical-shift-int", "phase-branch-int",
-        "classical-state-float64"])
+        "classical-state-float64", "tau-bound", "total-shift"])
 def test_overflowing_square_is_a_domain_error(lam4, call):
     with pytest.raises(DomainError, match="overflows"):
         call(lam4)

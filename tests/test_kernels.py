@@ -123,10 +123,9 @@ def test_no_branch_work_past_every_exit():
 
 
 def test_single_call_builds_only_the_kernel_arrays():
-    """Without a workspace the kernel allocates the eight arrays it touches,
-    not a whole workspace with its four complex arrays, which would peak at
-    17 arrays of n floats; phase_profile holds Phi, its three invariants and
-    two scratch arrays."""
+    """Without a workspace the kernel builds its own, the eight arrays it
+    touches, and nothing more; phase_profile holds Phi, its three invariants
+    and two scratch arrays."""
     n = 4096
     p = np.linspace(0.01, 5.0, n)
     for call, arrays in ((K.phase_and_displacement, 9), (K.phase_profile, 7)):
@@ -186,6 +185,8 @@ def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, h
     taus = [_marked_tau(p, lam, pick) for pick in picks] + free
     rng.shuffle(taus)
     ws = K.workspace(p, lam)
+    theta = np.empty(n)
+    psi, stencil, work = np.empty((3, n), dtype=np.complex128)
     for tau in taus:
         phase, kernel = ref_phase_and_displacement(p, tau, lam)
         for got in (K.phase_and_displacement(p, tau, lam, ws),
@@ -194,11 +195,11 @@ def test_buffered_kernels_equal_the_allocating_reference(p_lo, p_span, n, lam, h
             assert got[1].tobytes() == kernel.tobytes(), tau
         assert K.phase_profile(p, tau, lam).tobytes() == phase.tobytes(), tau
         evolved = ref_apply_phase(amps, phase, hbar)
-        got = K.apply_phase(amps, phase, hbar, ws.psi, ws.theta)
+        got = K.apply_phase(amps, phase, hbar, psi, theta)
         assert got.tobytes() == evolved.tobytes()
         assert K.apply_phase(amps, phase, hbar).tobytes() == evolved.tobytes()
         d = ref_derivative(evolved, h)
-        assert K.derivative(evolved, h, ws.stencil, ws.work).tobytes() == d.tobytes()
+        assert K.derivative(evolved, h, stencil, work).tobytes() == d.tobytes()
         assert K.derivative(evolved, h).tobytes() == d.tobytes()
 
 
@@ -274,15 +275,16 @@ def test_real_view_kernels_equal_the_complex_expressions(n, h, hbar, zero_share,
 
     amps = floats(2 * n).view(np.complex128)
     phase = floats(n)
-    ws = K.workspace(np.linspace(0.01, 5.0, n), 4.0)
+    theta = np.empty(n)
+    psi, stencil, work = np.empty((3, n), dtype=np.complex128)
     evolved = ref_apply_phase(amps, phase, hbar)
-    for got in (K.apply_phase(amps, phase, hbar, ws.psi, ws.theta),
+    for got in (K.apply_phase(amps, phase, hbar, psi, theta),
                 K.apply_phase(amps, phase, hbar)):
         assert np.array_equal(got.view(np.uint64), evolved.view(np.uint64))
 
     values = floats(2 * n).view(np.complex128)
     want = ref_derivative(values, h).view(np.float64)
-    got = K.derivative(values, h, ws.stencil, ws.work).view(np.float64)
+    got = K.derivative(values, h, stencil, work).view(np.float64)
     assert np.array_equal(K.derivative(values, h).view(np.uint64), got.view(np.uint64))
     # only the sign of a zero may differ, and only beside a component that is +-0
     differ = got.view(np.uint64) != want.view(np.uint64)
@@ -304,14 +306,14 @@ def test_apply_phase_at_exact_angles():
     """cos and sin of the angle are the bits of the complex exp it replaced."""
     theta = np.array(_EXACT_ANGLES)
     phase = -theta  # phase * (-1 / hbar) at hbar = 1 is the angle, sign of zero too
-    ws = K.workspace(np.linspace(0.01, 5.0, theta.shape[0]), 4.0)
+    angle, psi = np.empty(theta.shape), np.empty(theta.shape, dtype=np.complex128)
     for amps in (np.ones(theta.shape, dtype=np.complex128),
                  np.full(theta.shape, 1.5 - 0.25j)):
         want = ref_apply_phase(amps, phase, 1.0)
-        for got in (K.apply_phase(amps, phase, 1.0, ws.psi, ws.theta),
+        for got in (K.apply_phase(amps, phase, 1.0, psi, angle),
                     K.apply_phase(amps, phase, 1.0)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(ws.theta.view(np.uint64), theta.view(np.uint64))
+        assert np.array_equal(angle.view(np.uint64), theta.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -429,9 +431,9 @@ def test_free_sums_are_the_direct_stencil_sums(n, alpha, h, size, seed):
 
 # Digests of ``advance`` before, across and past every exit and of each
 # column of two series, at hbar = 1 and 0.75, so that the free-flight range
-# sums run at two scales of alpha = h (tau - start) / hbar, on a state that
-# comes from a complex exp, which calls libm: a real np.exp, as in
-# make_gaussian's envelope, has other bits under AVX-512.
+# sums run at two scales of alpha = h tau / hbar, on a state that comes
+# from a complex exp, which calls libm: a real np.exp, as in make_gaussian's
+# envelope, has other bits under AVX-512.
 _STEP_DIGEST = """
 import hashlib
 import numpy as np

@@ -52,8 +52,8 @@ def test_node_sums_go_through_integral():
 
 
 # no whole-grid complex exponential runs per tau: apply_phase takes cos and
-# sin of a real angle, and the free-flight nodes take a plane wave built from
-# tables of about 2 sqrt(n) unit phases
+# sin of a real angle, and the nodes past their exit enter a series as
+# tau-invariant range sums weighted by cos and sin of one angle per tau
 @pytest.mark.parametrize("function", ["phase_and_displacement", "apply_phase",
                                       "derivative"])
 def test_per_tau_kernels_call_no_exp(function):
@@ -160,13 +160,14 @@ def workspace_builders() -> set[tuple[str, str | None]]:
 
 
 # the kernels write into the arrays they are given, as NumPy's out=: a
-# Workspace is the tau loop's set of arrays and nothing else, and no all-None
-# record at module level stands for "allocate"
+# Workspace is the phase kernel's arrays and nothing else, with one builder,
+# and no all-None record stands for "allocate"; the series keeps its own
+# buffers
 def test_workspace_is_built_only_for_the_tau_loop():
-    builders = workspace_builders()
-    assert builders  # not vacuous
-    assert builders <= {("_kernels", "_kernel_workspace"), ("_kernels", "workspace")}
-    assert hasattr(turning_frame._kernels, "Workspace")
+    assert workspace_builders() == {("_kernels", "workspace")}
+    workspace = turning_frame._kernels.Workspace
+    assert workspace._fields == ("p2", "p3", "cubic", "exit", "phi", "d", "u", "s")
+    assert workspace._field_defaults == {}
     assert not hasattr(turning_frame._kernels, "_FRESH")
 
 
@@ -181,6 +182,14 @@ def parameters(module: str, function: str) -> list[str]:
 def test_array_kernels_take_their_arrays_not_a_workspace(module, function):
     assert "ws" in parameters("_kernels", "phase_and_displacement")  # not vacuous
     assert parameters(module, function) and "ws" not in parameters(module, function)
+
+
+# one start: a series runs from f, the amplitudes at tau = 0, so the
+# free-flight sums take no scale to start from
+def test_free_flight_takes_no_start():
+    assert "start" in parameters("_kernels", "advance")  # not vacuous
+    assert "taus" in parameters("_kernels", "free_flight")
+    assert "start" not in parameters("_kernels", "free_flight")
 
 
 def test_one_finiteness_guard():

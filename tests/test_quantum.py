@@ -513,9 +513,14 @@ def test_wide_series_equals_single_tau_functions(wide_state, model):
 # node by node, so those two agree to rounding: the norm to 4 eps, the
 # variance to 64 eps of <q^2> = q_var + q_mean^2, from which it cancels (at
 # most 7.8 eps over 120 draws of the shift domain).  The mean is the analytic
-# route either way.
+# route either way.  A series runs from the state carried to tau = 0, so a
+# state at tau < 0 gives the bits of the series of that carried state.
 def _assert_series_equals_single_tau_functions(state, taus, model):
     series = expectation_series(state, taus, model)
+    at_zero = expectation_series(evolve(state, 0.0, model), taus, model)
+    for name in ("taus", "q_mean", "norm", "q_var"):
+        assert getattr(at_zero, name).tobytes() == getattr(series, name).tobytes(), name
+    assert at_zero.anchor == series.anchor
     eps = np.finfo(float).eps
     # D(0, p) = 0, so the analytic route at tau = 0 is the anchor itself
     assert series.anchor == position_expectation_analytic(state, 0.0, model)
@@ -614,7 +619,12 @@ _NAN_MEAN = ("_statistics", lambda *args: (1.0, math.nan, 0.0, None))
 _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got nan$",
                    "phase-theta-nan": r"^phi must be finite, got nan$",
                    "total-phase-p-cubed-inf": r"^phase at tau=1.0, momentum=1e\+110 "
-                                              r"must be finite, got nan$"}
+                                              r"must be finite, got nan$",
+                   "total-shift-inf": r"^total shift must be finite, got -inf$",
+                   "shift-analytic-inf-result": r"^quantum shift must be finite, "
+                                                r"got -inf$",
+                   "gauge-phi-inf": r"^phi must be finite, got -inf$",
+                   "gauge-phi-nan": r"^phi must be finite, got nan$"}
 
 
 @pytest.mark.parametrize("patch, call, error", [
@@ -686,6 +696,13 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
     (None, lambda s, m: total_phase(1.0, 1e110, m), DomainError),
     (None, lambda s, m: phase_theta(1.0, 1e110, m), DomainError),
     (None, lambda s, m: total_phase(1e300, 1e10, m), DomainError),  # p tau overflows
+    # a finite input whose shift or gauge value overflows to inf, or reads
+    # inf - inf
+    (None, lambda s, m: total_shift(1.0, 1.7e308, FrameModel(1e-10)), DomainError),
+    (None, lambda s, m: quantum_shift_analytic(1.7e308, FrameModel(1e-10)),
+     DomainError),
+    (None, lambda s, m: gauge_solution(1e200, FrameModel(4.0), -1e200), DomainError),
+    (None, lambda s, m: gauge_solution(1e154, FrameModel(4.0), 1e154), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
         "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
@@ -702,7 +719,9 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
         "unwind-phi-complex", "q-grid-complex", "lambda-complex", "lambda-complex64",
         "evolve-tau-complex", "evolve-tau-0d-complex",
         "spectral-energies-complex-and-big-int", "phase-theta-nan",
-        "total-phase-p-cubed-inf", "phase-theta-p-cubed-inf", "total-phase-p-tau-inf"])
+        "total-phase-p-cubed-inf", "phase-theta-p-cubed-inf", "total-phase-p-tau-inf",
+        "total-shift-inf", "shift-analytic-inf-result", "gauge-phi-inf",
+        "gauge-phi-nan"])
 def test_non_finite_tau_and_nan_guards_raise(trunc_state, model, monkeypatch,
                                              request, patch, call, error):
     if patch is not None:
