@@ -18,7 +18,10 @@ Numerical conventions:
   (2/3) p^3/lam`` on the nodes past their exit and the turning-region form
   on the rest; ``phase_profile`` calls it on fresh arrays, and
   ``phase_and_displacement`` on its workspace before it writes D on the
-  same ranges.  Ascending nodes (repeats allowed) are the contract of every
+  same ranges.  Given a start index, the free-flight form (and p tau at
+  tau <= 0) skips the nodes before it: a series reads Phi on its tail
+  only, so a sample with no tail writes no Phi.  D is always whole.
+  Ascending nodes (repeats allowed) are the contract of every
   phase kernel: ``workspace`` checks the order once and raises
   ``DomainError`` on nodes out of order; ``phase_profile``, whose callers
   pass grid nodes, increasing energies or one node, checks none.
@@ -51,6 +54,14 @@ Numerical conventions:
   (Smith's algorithm) is a multiply by ``1 / x``; so the bits are the
   same.  Only the sign of a zero can differ, where a component is exactly
   +-0 and NumPy's extra ``+-0`` term flips it.
+* The four one-sided edge rows of ``derivative`` run on Python scalars
+  (``tolist``), cheaper than NumPy scalars or 4-wide arrays.  CPython
+  promotes a float operand to ``x + 0j`` as NumPy does (before CPython
+  3.14), and a complex row is scaled as NumPy divides by ``12 h + 0j``:
+  ``(re + im r, im - re r) * (1 / (12 h))`` with ``r = 0 / (12 h)``.  So
+  the rows are NumPy's bits, zeros' signs included.  A real row keeps the
+  true division.  A caller that drops rows 0 and 1, a series' tail
+  stencil, has them skipped.
 * The plane-wave sum onto a position grid is a chirp-z transform
   (Bluestein's algorithm), O((N_p + N_q) log(N_p + N_q)) instead of the
   direct O(N_p N_q) sum; both grids must be uniform.  ``chirp_plan``
@@ -143,16 +154,18 @@ def snap_band(u, p2):
     return i, j
 
 
-def _phase(p, p2, p3, cubic, tau, lam, phi, u, s):
+def _phase(p, p2, p3, cubic, tau, lam, phi, u, s, lo=0):
     """Phi at tau > 0 on the ascending nodes p into ``phi``, given p2, p3 =
     p^2 p and cubic = (2/3) p^2 p / lam: the free-flight form on [a:b), past
-    the exit, the turning-region form on [0:a) and [b:n), where ``u`` and
-    ``s`` get u and sqrt|u|.  Returns (a, b, c): u >= 0 and p > 0 on [c:n)."""
+    the exit, from node ``lo`` on, the turning-region form on [0:a) and
+    [b:n), where ``u`` and ``s`` get u and sqrt|u|.  Returns (a, b, c): u >=
+    0 and p > 0 on [c:n)."""
     n = p.shape[0]
     a, b = exit_split(p, p2, tau, lam)
-    if a < b:
-        free = np.multiply(p[a:b], tau, out=phi[a:b])
-        free -= cubic[a:b]
+    f = max(a, lo)
+    if f < b:
+        free = np.multiply(p[f:b], tau, out=phi[f:b])
+        free -= cubic[f:b]
     # u = p^2 - lam tau rises over [b:n), where p > 0, and falls over [0:a),
     # where p <= 0, so its snapped nodes sit next to each sign change.
     c = n
@@ -161,12 +174,12 @@ def _phase(p, p2, p3, cubic, tau, lam, phi, u, s):
     if a:
         snap_band(np.subtract(p2[:a], lam * tau, out=u[:a])[::-1], p2[:a][::-1])
     # u >= 0: (2/3)(p^3 - u^{3/2})/lam ; u < 0: (2/3)(p^3 + |u|^{3/2})/lam
-    for lo, hi in ((0, a), (b, n)):
-        if lo < hi:
-            v, root, mid = u[lo:hi], s[lo:hi], phi[lo:hi]
+    for i, j in ((0, a), (b, n)):
+        if i < j:
+            v, root, mid = u[i:j], s[i:j], phi[i:j]
             np.sqrt(np.abs(v, out=root), out=root)
             np.multiply(v, root, out=mid)
-            np.subtract(p3[lo:hi], mid, out=mid)
+            np.subtract(p3[i:j], mid, out=mid)
             mid *= 2.0 / 3.0
             mid /= lam
     return a, b, c
@@ -182,7 +195,7 @@ def phase_profile(p, tau, lam):
     return phi
 
 
-def phase_and_displacement(p, tau, lam, ws=None):
+def phase_and_displacement(p, tau, lam, ws=None, lo=0):
     """(Phi, D): the phase of ``phase_profile`` and its kernel D = dPhi/dp.
 
     The nodes p must be ascending; without ``ws`` nodes out of order raise
@@ -190,20 +203,23 @@ def phase_and_displacement(p, tau, lam, ws=None):
     given; Phi and D come back in ``ws.phi`` and ``ws.d``.  Phi comes from
     ``_phase``, and D runs on the same ranges: its free-flight form on
     [a:b), its direct form on [0:a) and [b:c), and its approaching rewrite
-    on [c:n).
+    on [c:n).  D is written on every node, Phi on [lo:n) at least: the
+    free-flight form, p tau at tau <= 0, skips the nodes before ``lo``.
     """
     if ws is None:
         ws = workspace(p, lam)
     phi, d = ws.phi, ws.d
     if tau <= 0.0:
         d.fill(tau)
-        return np.multiply(p, tau, out=phi), d
-    a, b, c = _phase(p, ws.p2, ws.p3, ws.cubic, tau, lam, phi, ws.u, ws.s)
+        if lo < p.shape[0]:
+            np.multiply(p[lo:], tau, out=phi[lo:])
+        return phi, d
+    a, b, c = _phase(p, ws.p2, ws.p3, ws.cubic, tau, lam, phi, ws.u, ws.s, lo)
     np.subtract(tau, ws.exit[a:b], out=d[a:b])
-    for lo, hi in ((0, a), (b, c)):
-        if lo < hi:
-            mid = np.multiply(p[lo:hi], ws.s[lo:hi], out=d[lo:hi])
-            np.subtract(ws.p2[lo:hi], mid, out=mid)
+    for i, j in ((0, a), (b, c)):
+        if i < j:
+            mid = np.multiply(p[i:j], ws.s[i:j], out=d[i:j])
+            np.subtract(ws.p2[i:j], mid, out=mid)
             mid *= 2.0
             mid /= lam
     # The approaching branch 2(p^2 - p sqrt(u))/lam is rewritten as
@@ -269,17 +285,17 @@ def advance(x, amps, start, tau, lam, hbar):
                        hbar)
 
 
-def _edge_rows(values, h):
-    """Rows 0 and 1 of the one-sided stencil of ``derivative``, from
-    values[0:5] along the first axis; rows n-1 and n-2 are those of the
-    reversed values at -h."""
-    return ((-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
-             + 16.0 * values[3] - 3.0 * values[4]) / (12.0 * h),
-            (-3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
-             - 6.0 * values[3] + values[4]) / (12.0 * h))
+def _edge_rows(values):
+    """12 h times rows 0 and 1 of the one-sided stencil of ``derivative``,
+    from values[0:5] along the first axis, arrays or Python scalars; rows
+    n-1 and n-2 are those of the reversed values at -h."""
+    return [-25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
+            + 16.0 * values[3] - 3.0 * values[4],
+            -3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
+            - 6.0 * values[3] + values[4]]
 
 
-def derivative(values, h, out=None, work=None):
+def derivative(values, h, out=None, work=None, _skip=0):
     """Fourth-order finite-difference derivative on a uniform grid (n >= 5).
 
     The derivative goes to ``out`` and the scratch 8 values of the interior
@@ -287,7 +303,9 @@ def derivative(values, h, out=None, work=None):
     given.  The interior runs on the float64 views, two slots per complex
     value, and equals NumPy's complex arithmetic bit for bit, except that a
     zero can take the other sign where a component of ``values`` is +-0.
-    A real ``values`` keeps the true division by 12 h.
+    The four one-sided edge rows run on Python scalars with NumPy's bits.
+    A real ``values`` keeps the true division by 12 h.  ``_skip`` = 2
+    leaves rows 0 and 1 unwritten, for a caller that drops them.
     """
     if values.shape[0] < 5:
         raise ResolutionError("derivative stencils need at least 5 grid nodes")
@@ -299,15 +317,28 @@ def derivative(values, h, out=None, work=None):
     inner = np.subtract(v[:-4 * k], eight[:-2 * k], out=dv[2 * k:-2 * k])
     inner += eight[2 * k:]
     inner -= v[4 * k:]
+    c = 12.0 * h
     if k == 2:  # NumPy divides a complex number by 12 h + 0j as * (1 / (12 h))
-        inner *= 1.0 / (12.0 * h)
+        inner *= 1.0 / c
     else:
-        inner /= 12.0 * h
-    d[0], d[1] = _edge_rows(values, h)
-    d[-2] = (3.0 * values[-1] + 10.0 * values[-2] - 18.0 * values[-3]
-             + 6.0 * values[-4] - values[-5]) / (12.0 * h)
-    d[-1] = (25.0 * values[-1] - 48.0 * values[-2] + 36.0 * values[-3]
-             - 16.0 * values[-4] + 3.0 * values[-5]) / (12.0 * h)
+        inner /= c
+    # 12 h times the edge rows n-2, n-1, then 0, 1, on Python scalars; rows
+    # n-2 and n-1 keep their own expressions, as the reversed rows 0 and 1
+    # at -h would flip the sign of a zero sum
+    x0, x1, x2, x3, x4 = values[-5:].tolist()
+    rows = [3.0 * x4 + 10.0 * x3 - 18.0 * x2 + 6.0 * x1 - x0,
+            25.0 * x4 - 48.0 * x3 + 36.0 * x2 - 16.0 * x1 + 3.0 * x0]
+    at = [-2, -1]
+    if not _skip:
+        rows += _edge_rows(values[:5].tolist())
+        at += [0, 1]
+    if k == 2:  # NumPy's z / (c + 0j): (re + im r, im - re r) * (1 / c), r = 0 / c
+        scale, r = 1.0 / c, 0.0 / c
+        for i, z in zip(at, rows):
+            d[i] = complex((z.real + z.imag * r) * scale, (z.imag - z.real * r) * scale)
+    else:
+        for i, x in zip(at, rows):
+            d[i] = x / c
     return d
 
 
@@ -409,7 +440,8 @@ def free_sums(g, h, lo, alpha):
                  - b * c * gram[2, 3].imag - b * s * gram[2, 4].imag))
     turn = _unit(np.arange(5.0)[:, None] * -alpha)  # exp(-i k alpha), k = 0 .. 4
     head, tail = g[:5, None] * turn, g[-5:, None] * turn
-    d = np.stack(_edge_rows(head, h) + _edge_rows(tail[::-1], -h))
+    (d0, d1), (d2, d3), twelve_h = _edge_rows(head), _edge_rows(tail[::-1]), 12.0 * h
+    d = np.stack((d0 / twelve_h, d1 / twelve_h, d2 / -twelve_h, d3 / -twelve_h))
     psi = np.stack((head[0], head[1], tail[4], tail[3]))
     edges = np.stack((starts > 0, starts > 0, past, past))
     norm = gram[0, 0].real + np.add.reduce(edges * (psi.real ** 2 + psi.imag ** 2))

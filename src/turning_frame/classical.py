@@ -45,7 +45,9 @@ class GaugeSample:
     def constraint_residual(self, H: float, model: FrameModel) -> float:
         """Value of -p_phi^2 - lam*phi*theta(phi) + H^2 (zero on shell)."""
         potential = model.lam * self.phi if self.phi > 0.0 else 0.0
-        return -_square(self.p_phi, "p_phi") - potential + _square(H, "H")
+        residual = -_square(self.p_phi, "p_phi") - potential + _square(H, "H")
+        _require_finite(residual, "constraint residual")
+        return residual
 
 
 def gauge_solution(H: float, model: FrameModel, epsilon: float) -> GaugeSample:
@@ -72,7 +74,9 @@ def gauge_solution(H: float, model: FrameModel, epsilon: float) -> GaugeSample:
 def turning_point(H: float, model: FrameModel) -> float:
     """Largest frame value reached by a solution of energy H: H^2/lam."""
     _require_positive(H, "H")
-    return _square(H, "H") / model.lam
+    phi_t = _square(H, "H") / model.lam
+    _require_finite(phi_t, "turning point")
+    return phi_t
 
 
 def phi_of_q(q, state: ClassicalState, model: FrameModel):
@@ -140,4 +144,6 @@ def q_rate(tau: float, state: ClassicalState, model: FrameModel) -> float:
 def classical_shift(p: float, model: FrameModel) -> float:
     """Late-scale displacement 2 p^2 / lam gained from the frame reversal."""
     _require_positive(p, "p")
-    return 2.0 * _square(p, "p") / model.lam
+    shift = 2.0 * _square(p, "p") / model.lam
+    _require_finite(shift, "classical shift")
+    return shift

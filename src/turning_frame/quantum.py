@@ -34,6 +34,7 @@ unimodular phase, so ``|psi(tau)| = |f|`` and a series takes the term from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,7 +53,6 @@ from .model import (
     _finite_floats,
     _floats,
     _integral,
-    _norm,
     _require_finite,
     _require_increasing,
     _require_positive,
@@ -154,23 +154,25 @@ def _statistics(
 
     ``amps`` is psi on every node of a state.  A series sample passes psi on
     its tail [e:n) only, and in ``free`` the number of one-sided rows at the
-    head of the tail's stencil to drop (2 when e > 0) and the sums of
-    |psi|^2 and conj(psi) d over every other row, from
-    ``_kernels.free_flight``; d is then the tail's rows, or None when the
-    tail is empty, every node being past its exit.  d goes to ``stencil``;
-    the norm's squares, the stencil's 8 v and conj(psi) d go in turn to
-    ``work``; fresh arrays stand in for either when not given.  The
+    head of the tail's stencil to drop (2 when e > 0), which are then not
+    computed, and the sums of |psi|^2 and conj(psi) d over every other row,
+    from ``_kernels.free_flight``; d is then the tail's rows, or None when
+    the tail is empty, every node being past its exit.  d goes to
+    ``stencil``; the norm's squares, the stencil's 8 v and conj(psi) d go in
+    turn to ``work``; fresh arrays stand in for either when not given.  The
     truncation term ``boundary`` is removed from the residual.  Each caller
-    checks.
+    checks.  The amplitudes come from a checked state, whose squares cannot
+    overflow, so the norm needs no ``errstate`` of ``_norm``.
     """
     skip, norm2, mean = free
     if amps.shape[0]:
         psi, w = amps[skip:], None if work is None else work[skip:]
-        norm = _norm(psi, h, None if w is None else w.view(np.float64), norm2)
-        d = _kernels.derivative(amps, h, out=stencil, work=work)[skip:]
+        norm = math.sqrt(_integral(_abs2(psi, None if w is None else w.view(np.float64)),
+                                   h, free=norm2))
+        d = _kernels.derivative(amps, h, out=stencil, work=work, _skip=skip)[skip:]
         integrand = np.multiply(np.conj(psi, out=w), d, out=w)
     else:  # a series sample with every node past its exit: no node, no row
-        norm, d, integrand = _norm(None, h, free=norm2), None, None
+        norm, d, integrand = math.sqrt(_integral(None, h, free=norm2)), None, None
     raw = _integral(integrand, h, 1j * hbar, mean)
     return norm, float(raw.real), float(abs(raw.imag - boundary)), d
 
@@ -183,15 +185,16 @@ def _check_residual(residual: float, where: str, *args) -> None:
                               f"{IMAG_RESIDUAL_LIMIT}{where.format(*args)}")
 
 
-def _variance(d: np.ndarray | None, mean_q: float, h: float, hbar: float,
+def _variance(d: np.ndarray | None, mean_q: float, h: float, hbar2: float,
               out=None, free=-0.0) -> float:
     """<q^2> - <q>^2 with <q^2> = hbar^2 sum |dpsi/dp|^2 h (symmetric form).
 
-    The sum runs over ``_abs2(d, out)``, plus the sum ``free`` over a series
+    ``hbar2`` is ``_square(hbar, "hbar")``, checked once by the caller.  The
+    sum runs over ``_abs2(d, out)``, plus the sum ``free`` over a series
     sample's other rows; d is None for a sample with every node past its
     exit.
     """
-    mean_q2 = _square(hbar, "hbar") * float(_integral(_abs2(d, out), h, free=free))
+    mean_q2 = hbar2 * float(_integral(_abs2(d, out), h, free=free))
     var = mean_q2 - _square(mean_q, "mean position")
     if not var >= -1e-9:
         raise ConsistencyError(f"variance {var:.3e} is negative beyond tolerance")
@@ -253,7 +256,7 @@ def position_variance(state: MomentumState, model: FrameModel) -> float:
     """Position variance via the symmetric form hbar^2 sum |dpsi/dp|^2 h."""
     amps, h = state.amps, state.grid.h
     _, mean_q, _, d = _statistics(amps, h, model.hbar, 0.0)
-    return _variance(d, mean_q, h, model.hbar)
+    return _variance(d, mean_q, h, _square(model.hbar, "hbar"))
 
 
 @dataclass(frozen=True)
@@ -324,13 +327,14 @@ def expectation_series(initial: MomentumState, taus,
     or :class:`DomainError` on a grid reaching p <= 0.
     The tau-invariant work is done once: f, the state carried to tau = 0,
     its anchor, the density |f|^2, the truncation term, which depends on
-    |psi| = |f| only because the evolution is a unimodular phase, and
-    ``_kernels.free_flight``, the sums over the stencil rows whose nodes
-    are all past their exit, for every tau at once.  One
+    |psi| = |f| only because the evolution is a unimodular phase, hbar^2,
+    checked once, and ``_kernels.free_flight``, the sums over the stencil
+    rows whose nodes are all past their exit, for every tau at once.  One
     :func:`_kernels.workspace` holds the phase kernel's arrays, and the
     series allocates the angle, psi, the stencil and its scratch once.
     Each sample evolves f on its tail only, the nodes before their exit and
-    4 to 11 beside them, by ``apply_phase`` of Phi(tau), and runs
+    4 to 11 beside them, by ``apply_phase`` of Phi(tau), which the phase
+    kernel writes on the tail only, and runs
     ``_statistics`` on it with the free sums: its one stencil serves both
     the numeric route and the variance.
     A sample with every node past its exit runs no per-node numeric work.
@@ -349,6 +353,7 @@ def expectation_series(initial: MomentumState, taus,
     n = p.shape[0]
     ws = _kernels.workspace(p, lam)
     free = _kernels.free_flight(p, h, ref.amps, ws.cubic, ws.p2, taus, lam, hbar)
+    hbar2 = _square(hbar, "hbar")
     theta = np.empty(n)
     psi, stencil, work = np.empty((3, n), dtype=np.complex128)
 
@@ -357,14 +362,15 @@ def expectation_series(initial: MomentumState, taus,
     q_var = np.empty_like(taus)
     for k, (tau, e, norm2, mean, q2) in enumerate(zip(*(column.tolist()
                                                         for column in (taus, *free)))):
-        phase, kernel = _kernels.phase_and_displacement(p, tau, lam, ws)
+        phase, kernel = _kernels.phase_and_displacement(p, tau, lam, ws, e)
         q_mean[k] = _analytic_mean(ref, kernel, h)
         if e < n:
             _kernels.apply_phase(ref.amps[e:], phase[e:], hbar, psi[e:], theta[e:])
         skip = 2 if e else 0
-        norms[k], numeric, residual, d = _statistics(
+        norm, numeric, residual, d = _statistics(
             psi[e:], h, hbar, ref.boundary, stencil[e:], work[e:], (skip, norm2, mean))
-        _check_norm(norms[k])
+        norms[k] = norm
+        _check_norm(norm)
         _check_residual(residual, " at tau={}; grid too coarse for its phase", tau)
         gap = abs(numeric - q_mean[k])
         if not gap <= CROSS_CHECK_TOLERANCE:
@@ -375,6 +381,6 @@ def expectation_series(initial: MomentumState, taus,
                     f"{message}: the grid reaches p <= 0, and the phase law jumps "
                     f"at tau = 0+ for p < 0, so a finer grid may not help")
             raise ConsistencyError(message)
-        q_var[k] = _variance(d, numeric, h, hbar,
+        q_var[k] = _variance(d, numeric, h, hbar2,
                              work[e + skip:].view(np.float64), q2)
     return ExpectationSeries(taus, q_mean, norms, q_var, ref.anchor)

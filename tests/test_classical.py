@@ -9,6 +9,7 @@ from turning_frame import (
     ClassicalState,
     DomainError,
     FrameModel,
+    GaugeSample,
     asymptotic_tau_bound,
     classical_shift,
     displacement_kernel,
@@ -294,6 +295,19 @@ _SQUARE_OVERFLOWS = 1.3407807929942597e154
 def test_overflowing_square_is_a_domain_error(lam4, call):
     with pytest.raises(DomainError, match="overflows"):
         call(lam4)
+
+
+# finite squares whose quotient by a tiny lambda, or whose product with lambda,
+# overflows: each result is refused by name instead of returned as +-inf
+@pytest.mark.parametrize("call, name", [
+    (lambda: turning_point(1e150, FrameModel(1e-10)), "turning point"),
+    (lambda: classical_shift(1e150, FrameModel(1e-10)), "classical shift"),
+    (lambda: GaugeSample(1.0, 1e308, 0.0).constraint_residual(1.0, FrameModel(4.0)),
+     "constraint residual"),
+], ids=["turning-point", "classical-shift", "constraint-residual"])
+def test_overflowing_classical_result_is_a_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got -?inf$"):
+        call()
 
 
 # p^2 underflows to 0 at p = 1e-200 and to a subnormal at p = 1e-160: every

@@ -122,6 +122,46 @@ def test_no_branch_work_past_every_exit():
     assert np.isnan(ws.u).all() and np.isnan(ws.s).all()
 
 
+# tau <= 0; free, returning and approaching nodes; past every exit; and a grid
+# reaching p <= 0, whose turning form runs on [0:a), with lo inside [0:a)
+@settings(max_examples=200, deadline=None)
+@given(
+    p_lo=st.floats(-3.0, 3.0),
+    p_span=st.floats(0.0, 6.0),
+    n=st.integers(1, 64),
+    tau=st.floats(-5.0, 20.0),
+    lam=st.floats(1e-3, 1e3),
+    share=st.floats(0.0, 1.0),
+)
+@example(p_lo=0.01, p_span=4.99, n=64, tau=-1.0, lam=4.0, share=0.5)
+@example(p_lo=0.01, p_span=4.99, n=64, tau=3.0, lam=4.0, share=0.25)
+@example(p_lo=0.01, p_span=4.99, n=64, tau=20.0, lam=4.0, share=0.5)
+@example(p_lo=-2.5, p_span=5.0, n=64, tau=1.0, lam=4.0, share=0.1)
+def test_phase_from_a_start_index_is_the_full_phase_there(p_lo, p_span, n, tau, lam,
+                                                          share):
+    """With a start index lo the kernel gives the full call's Phi on [lo:n)
+    and its D on every node, bit for bit."""
+    p = np.linspace(p_lo, p_lo + p_span, n)
+    lo = int(share * n)
+    phase, kernel = (x.copy() for x in K.phase_and_displacement(p, tau, lam))
+    ws = K.workspace(p, lam)
+    ws.phi.fill(np.nan)
+    got_phase, got_kernel = K.phase_and_displacement(p, tau, lam, ws, lo)
+    assert got_phase[lo:].tobytes() == phase[lo:].tobytes()
+    assert got_kernel.tobytes() == kernel.tobytes()
+
+
+@pytest.mark.parametrize("tau", [-1.0, 0.0, 13.0])  # every exit <= 12.5
+def test_no_phase_without_a_tail(tau):
+    """A sample with no tail, at tau <= 0 or past every exit, writes no Phi."""
+    p, lam = np.linspace(0.01, 5.0, 64), 4.0
+    ws = K.workspace(p, lam)
+    ws.phi.fill(np.nan)
+    _, kernel = K.phase_and_displacement(p, tau, lam, ws, p.shape[0])
+    assert np.isnan(ws.phi).all()
+    assert kernel.tobytes() == ref_phase_and_displacement(p, tau, lam)[1].tobytes()
+
+
 def test_single_call_builds_only_the_kernel_arrays():
     """Without a workspace the kernel builds its own, the eight arrays it
     touches, and nothing more; phase_profile holds Phi, its three invariants
@@ -510,6 +550,34 @@ def test_derivative_zero_sign_beside_an_exact_zero():
     assert got == want
     assert math.copysign(1.0, got.imag) == -1.0
     assert math.copysign(1.0, want.imag) == 1.0
+
+
+# Components of moderate size, a large share of them exactly +-0, where the
+# sign of a zero shows which arithmetic ran.
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(_COMPONENT, _COMPONENT), min_size=5, max_size=12),
+       h=st.floats(1e-4, 10.0), negative=st.booleans())
+@example(parts=[(0.0, -0.0), (-0.0, 0.0), (-0.0, 1.0), (0.0, 0.0), (-0.0, -0.0)],
+         h=0.3, negative=False)
+def test_derivative_edge_rows_are_the_complex_expressions(parts, h, negative):
+    """The four edge rows, on Python scalars, are the bits of NumPy's complex
+    (and real) scalar expressions, zeros' signs included, at either sign of
+    h; with rows 0 and 1 skipped those stay unwritten and the rest holds."""
+    h = -h if negative else h
+    values = np.array([complex(re, im) for re, im in parts])
+    edges = [0, 1, -2, -1]
+    for data in (values, values.real.copy()):
+        want = ref_derivative(data, h)[edges]
+        got = K.derivative(data, h)
+        assert np.array_equal(got[edges].view(np.uint64), want.view(np.uint64))
+        out = np.full_like(data, 7.0)
+        skipped = K.derivative(data, h, out=out, _skip=2)
+        assert skipped is out and np.all(out[:2] == 7.0)
+        assert np.array_equal(out[2:].view(np.uint64), got[2:].view(np.uint64))
 
 
 def test_derivative_is_fourth_order():

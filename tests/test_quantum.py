@@ -2,6 +2,7 @@
 
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -596,6 +597,33 @@ def test_entirely_free_samples_run_no_per_node_kernel(trunc_state, model, monkey
                                  np.linspace(past + 0.2, past + 4.0, 20)])) == once
     assert calls([0.0, 5.0]) == {**once, "derivative": once["derivative"] + 1,
                                  "apply_phase": once["apply_phase"] + 1}
+
+
+# The per-sample floor: Python calls and C calls (NumPy functions and
+# methods, builtins; ufuncs fire no profile event) per tau of the reference
+# series, its per-series work shared out over the samples.  It reads 40.1
+# on CPython 3.11 with NumPy 2.4, so per-sample overhead that creeps back
+# into the loop fails here, without any timing.
+CALLS_PER_TAU_CEILING = 41.0
+
+
+def test_series_calls_per_tau_stay_under_the_ceiling(trunc_state, model):
+    taus = np.linspace(-1.0, 16.0, 341)
+    expectation_series(trunc_state, taus, model)  # first-call work off the count
+    events = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in events:
+            events[event] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        expectation_series(trunc_state, taus, model)
+    finally:
+        sys.setprofile(previous)
+    per_tau = (events["call"] + events["c_call"]) / taus.size
+    assert 0.0 < per_tau <= CALLS_PER_TAU_CEILING, per_tau
 
 
 def test_series_cross_check_flags_inconsistent_routes(trunc_state, model):
