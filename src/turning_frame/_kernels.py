@@ -11,9 +11,10 @@ Numerical conventions:
   instead of picking up a ``sqrt(eps)`` spray from the infinite one-sided
   slope.  ``before_exit`` places tau against the outer boundary.
 * On ascending nodes p^2 falls over p <= 0 and rises over p > 0, so every
-  branch is an index range.  ``exit_split`` finds the boundaries of
-  ``before_exit`` by bisection, with its comparison, and ``snap_band`` the
-  snapped nodes next to the sign change of u, with the snap of ``branch``.
+  branch is an index range.  ``exit_split``, the one exit search, finds
+  the boundaries of ``before_exit`` with its comparison, for one tau or
+  every tau of a series at once, and ``snap_band`` the snapped nodes next
+  to the sign change of u, with the snap of ``branch``.
   ``_phase``, the one Phi at tau > 0, runs the free-flight form ``p tau -
   (2/3) p^3/lam`` on the nodes past their exit and the turning-region form
   on the rest; ``phase_profile`` calls it on fresh arrays, and
@@ -59,9 +60,8 @@ Numerical conventions:
   promotes a float operand to ``x + 0j`` as NumPy does (before CPython
   3.14), and a complex row is scaled as NumPy divides by ``12 h + 0j``:
   ``(re + im r, im - re r) * (1 / (12 h))`` with ``r = 0 / (12 h)``.  So
-  the rows are NumPy's bits, zeros' signs included.  A real row keeps the
-  true division.  A caller that drops rows 0 and 1, a series' tail
-  stencil, has them skipped.
+  the rows are NumPy's bits, zeros' signs included.  A caller that drops
+  rows 0 and 1, a series' tail stencil, has them skipped.
 * The plane-wave sum onto a position grid is a chirp-z transform
   (Bluestein's algorithm), O((N_p + N_q) log(N_p + N_q)) instead of the
   direct O(N_p N_q) sum; both grids must be uniform.  ``chirp_plan``
@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -129,15 +128,19 @@ def before_exit(p2, tau, lam):
 
 def exit_split(p, p2, tau, lam):
     """(a, b) on ascending nodes p with squares p2: ``before_exit(p2, tau,
-    lam)`` holds exactly on [0:a) and [b:n).
+    lam)`` holds exactly on [0:a) and [b:n).  For an array of tau, b is an
+    array of them, and so is a unless it is 0, with no node p <= 0.
 
     p2 falls over the nodes p <= 0 and rises over the rest, so each side has
-    one boundary, found by bisection with the comparison of ``before_exit``.
+    one boundary, found by ``searchsorted`` with the comparison of
+    ``before_exit``.
     """
     edge = 0.5 * lam * tau
-    zero = bisect.bisect_right(p, 0.0) if p[0] <= 0.0 else 0
-    a = bisect.bisect_right(p2, -edge, 0, zero, key=operator.neg)  # first p2 < edge
-    return a, bisect.bisect_left(p2, edge, zero, p2.shape[0])      # first p2 >= edge
+    if p[0] > 0.0:  # p2 rises over every node
+        return 0, p2.searchsorted(edge)  # first p2 >= edge
+    zero = p.searchsorted(0.0, "right")  # the nodes p <= 0
+    return (zero - p2[zero - 1::-1].searchsorted(edge),  # first p2 < edge
+            zero + p2[zero:].searchsorted(edge))
 
 
 def snap_band(u, p2):
@@ -266,18 +269,6 @@ def apply_phase(amps, phase, hbar, out=None, theta=None):
     return np.multiply(amps, psi, out=psi)
 
 
-def _free_end(p, p2, tau, lam):
-    """For each tau, the end of the prefix of the ascending nodes p past
-    their exit: the first node before its exit, by the comparisons of
-    ``exit_split``, or every node once tau <= 0.  A first node p <= 0
-    before its exit leaves the prefix empty."""
-    edge = 0.5 * lam * tau
-    zero = int(np.searchsorted(p, 0.0, side="right"))  # the nodes p <= 0
-    end = zero + np.searchsorted(p2[zero:], edge)     # the first p2 >= edge
-    end = np.where((zero > 0) & (p2[0] >= edge), 0, end)
-    return np.where(tau <= 0.0, p.shape[0], end)
-
-
 def advance(x, amps, start, tau, lam, hbar):
     """Amplitudes on the ascending nodes x at scale start, carried to tau by
     the phase law: ``apply_phase`` of Phi(tau) - Phi(start)."""
@@ -296,32 +287,31 @@ def _edge_rows(values):
 
 
 def derivative(values, h, out=None, work=None, _skip=0):
-    """Fourth-order finite-difference derivative on a uniform grid (n >= 5).
+    """Fourth-order finite-difference derivative of the complex128 ``values``
+    on a uniform grid (n >= 5).
 
     The derivative goes to ``out`` and the scratch 8 values of the interior
     stencil to ``work``, both shaped like ``values`` and allocated when not
-    given.  The interior runs on the float64 views, two slots per complex
-    value, and equals NumPy's complex arithmetic bit for bit, except that a
-    zero can take the other sign where a component of ``values`` is +-0.
-    The four one-sided edge rows run on Python scalars with NumPy's bits.
-    A real ``values`` keeps the true division by 12 h.  ``_skip`` = 2
-    leaves rows 0 and 1 unwritten, for a caller that drops them.
+    given.  The interior runs on the float64 views, two slots per value, and
+    equals NumPy's complex arithmetic bit for bit, except that a zero can
+    take the other sign where a component of ``values`` is +-0.  The four
+    one-sided edge rows run on Python scalars with NumPy's bits.  ``_skip``
+    = 2 leaves rows 0 and 1 unwritten, for a caller that drops them.
     """
     if values.shape[0] < 5:
         raise ResolutionError("derivative stencils need at least 5 grid nodes")
     d = np.empty_like(values) if out is None else out
-    k = 2 if values.dtype.kind == "c" else 1
     v, dv = values.view(np.float64), d.view(np.float64)
-    eight = np.multiply(8.0, v[k:-k],
-                        out=None if work is None else work.view(np.float64)[k:-k])
-    inner = np.subtract(v[:-4 * k], eight[:-2 * k], out=dv[2 * k:-2 * k])
-    inner += eight[2 * k:]
-    inner -= v[4 * k:]
+    eight = np.multiply(8.0, v[2:-2],
+                        out=None if work is None else work.view(np.float64)[2:-2])
+    inner = np.subtract(v[:-8], eight[:-4], out=dv[4:-4])
+    inner += eight[4:]
+    inner -= v[8:]
+    # NumPy divides a complex array by c = 12 h + 0j as * (1 / c), and a
+    # complex scalar z as (re + im r, im - re r) * (1 / c) with r = 0 / c
     c = 12.0 * h
-    if k == 2:  # NumPy divides a complex number by 12 h + 0j as * (1 / (12 h))
-        inner *= 1.0 / c
-    else:
-        inner /= c
+    scale, r = 1.0 / c, 0.0 / c
+    inner *= scale
     # 12 h times the edge rows n-2, n-1, then 0, 1, on Python scalars; rows
     # n-2 and n-1 keep their own expressions, as the reversed rows 0 and 1
     # at -h would flip the sign of a zero sum
@@ -332,13 +322,8 @@ def derivative(values, h, out=None, work=None, _skip=0):
     if not _skip:
         rows += _edge_rows(values[:5].tolist())
         at += [0, 1]
-    if k == 2:  # NumPy's z / (c + 0j): (re + im r, im - re r) * (1 / c), r = 0 / c
-        scale, r = 1.0 / c, 0.0 / c
-        for i, z in zip(at, rows):
-            d[i] = complex((z.real + z.imag * r) * scale, (z.imag - z.real * r) * scale)
-    else:
-        for i, x in zip(at, rows):
-            d[i] = x / c
+    for i, z in zip(at, rows):
+        d[i] = complex((z.real + z.imag * r) * scale, (z.imag - z.real * r) * scale)
     return d
 
 
@@ -457,10 +442,12 @@ def free_flight(p, h, amps, cubic, p2, taus, lam, hbar):
 
     A node past its exit has psi = g exp(-i p tau / hbar), with g the
     amplitudes themselves while tau <= 0 and amps exp(+i cubic / hbar)
-    after, where cubic = (2/3) p^3 / lam; ``_free_end`` gives each tau's
-    prefix of such nodes.
+    after, where cubic = (2/3) p^3 / lam.  Each tau's prefix of such nodes,
+    from ``exit_split``, is empty when the first node is before its exit,
+    and every node once tau <= 0.
     """
-    lo = _free_end(p, p2, taus, lam)
+    a, b = exit_split(p, p2, taus, lam)
+    lo = np.where(taus <= 0.0, p.shape[0], np.where(a > 0, 0, b))
     alpha = taus * (h / hbar)
     k = int(np.searchsorted(taus, 0.0, side="right"))
     parts = (free_sums(amps, h, lo[:k], alpha[:k]),

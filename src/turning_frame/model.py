@@ -52,22 +52,21 @@ def _abs2(values: np.ndarray | None, out=None) -> np.ndarray | None:
     """The squares of the float64 view of the 1-d complex128 ``values``: re^2
     and im^2 of each value, two slots per value, whose sum is
     sum |values|^2 without the hypot of a complex ``abs``.  ``out`` is a
-    float64 array of that length.  A strided ``values`` is copied first; None,
-    no node, stays None."""
+    float64 array of that length.  ``values`` is contiguous, as every array
+    of a state is; None, no node, stays None."""
     if values is None:
         return None
-    return np.square(np.ascontiguousarray(values).view(np.float64), out=out)
+    return np.square(values.view(np.float64), out=out)
 
 
-def _norm(amps: np.ndarray | None, h: float, out=None, free=-0.0) -> float:
-    """sqrt(sum |amps|^2 h), summed over ``_abs2(amps, out)``, with the sum
-    ``free`` over other nodes as in ``_integral``.
+def _norm(amps: np.ndarray, h: float) -> float:
+    """sqrt(sum |amps|^2 h), summed over ``_abs2(amps)``.
 
     A huge amplitude overflows to an infinite norm, which ``_check_norm``
     refuses, so the overflow warning is silenced.
     """
     with np.errstate(over="ignore"):
-        return float(np.sqrt(_integral(_abs2(amps, out), h, free=free)))
+        return float(np.sqrt(_integral(_abs2(amps), h)))
 
 
 def _check_norm(norm: float) -> None:

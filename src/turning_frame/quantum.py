@@ -138,7 +138,8 @@ def _boundary_term(modulus: np.ndarray, h: float, hbar: float) -> float:
     It depends on the modulus only, so it is the same for every state that
     differs by a pointwise unimodular phase.
     """
-    return float(_integral(modulus * _kernels.derivative(modulus, h), h, hbar))
+    d = _kernels.derivative(modulus.astype(np.complex128), h).real
+    return float(_integral(modulus * d, h, hbar))
 
 
 # the free part of a state given on every node: no dropped row, and sums of

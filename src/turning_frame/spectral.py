@@ -45,7 +45,8 @@ def _hermiticity_gap(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Normalized coefficients over a discrete positive energy spectrum."""
+    """Normalized coefficients over a discrete positive energy spectrum,
+    copied from the caller's arrays and frozen when built."""
 
     energies: np.ndarray
     coeffs: np.ndarray
@@ -53,8 +54,8 @@ class SpectralState:
 
     def __post_init__(self):
         _require_finite(self.tau, "tau")
-        energies = _finite_floats(self.energies, "energies")
-        coeffs = _floats(self.coeffs, "coeffs", np.complex128)
+        energies = _finite_floats(self.energies, "energies").copy()
+        coeffs = _floats(self.coeffs, "coeffs", np.complex128).copy()
         if energies.ndim != 1 or energies.shape != coeffs.shape:
             raise InvalidStateError("energies and coeffs must be matching 1-d arrays")
         _require_increasing(energies, "energies")
@@ -88,7 +89,9 @@ class SpectralState:
 
 @dataclass(frozen=True)
 class ObservableMatrix:
-    """Hermitian matrix in the energy eigenbasis."""
+    """Hermitian matrix in the energy eigenbasis.  A complex128 array is
+    kept as given, not copied, and frozen: the caller's array turns
+    read-only, and a write to an array it views reaches the matrix."""
 
     matrix: np.ndarray
 

@@ -340,7 +340,7 @@ def test_norm_and_variance_sums_match_the_hypot_forms(parts, h, scratch):
     old = np.add.reduce(np.square(np.abs(z))) * h
     tiny = 4 * n * 2.0**-1074
     assert abs(quantum._variance(z, 0.0, h, 1.0, out) - old) <= 4 * n * eps * old + tiny
-    assert abs(_norm(z, h, out) - math.sqrt(old)) <= (
+    assert abs(_norm(z, h) - math.sqrt(old)) <= (
         (4 * n + 2) * eps * math.sqrt(old) + math.sqrt(tiny))
 
 
@@ -601,10 +601,10 @@ def test_entirely_free_samples_run_no_per_node_kernel(trunc_state, model, monkey
 
 # The per-sample floor: Python calls and C calls (NumPy functions and
 # methods, builtins; ufuncs fire no profile event) per tau of the reference
-# series, its per-series work shared out over the samples.  It reads 40.1
+# series, its per-series work shared out over the samples.  It reads 37.7
 # on CPython 3.11 with NumPy 2.4, so per-sample overhead that creeps back
 # into the loop fails here, without any timing.
-CALLS_PER_TAU_CEILING = 41.0
+CALLS_PER_TAU_CEILING = 39.0
 
 
 def test_series_calls_per_tau_stay_under_the_ceiling(trunc_state, model):

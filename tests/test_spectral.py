@@ -91,12 +91,28 @@ def test_observable_must_be_hermitian():
 
 def test_strided_coefficients_are_checked_like_contiguous_ones():
     """The norm check squares the float64 view, which a strided complex
-    array does not have; it reads a contiguous copy."""
+    array does not have; it reads the state's contiguous copy."""
     coeffs = np.array([0.6, 9.0, 0.8j, 9.0])[::2]
     assert not coeffs.flags.c_contiguous
     assert np.array_equal(SpectralState([1.0, 2.0], coeffs).coeffs, [0.6, 0.8j])
     with pytest.raises(InvalidStateError, match="coefficient norm"):
         SpectralState([1.0, 2.0], 2.0 * coeffs)
+
+
+def test_spectral_state_copies_the_callers_arrays():
+    """A state keeps copies of its arrays: a later write to the caller's
+    arrays, or to the arrays its views come from, reaches no state, and the
+    caller's own arrays stay writeable."""
+    base, cb = np.array([1.0, 0.25, 2.0, 0.75]), np.array([0.6, 0.0, 0.8j, 0.0])
+    state = SpectralState(base[::2], cb[::2])
+    base[2], cb[0] = 0.5, 5.0
+    assert state.energies.tolist() == [1.0, 2.0]
+    assert state.coeffs.tolist() == [0.6, 0.8j]
+    e, c = np.array([1.0, 2.0]), np.array([0.6, 0.8j])
+    state = SpectralState(e, c)
+    assert state.energies is not e and state.coeffs is not c
+    assert e.flags.writeable and c.flags.writeable and base.flags.writeable
+    assert not (state.energies.flags.writeable or state.coeffs.flags.writeable)
 
 
 def test_propagate_identity_and_norm(two_level, model):
