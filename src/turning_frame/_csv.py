@@ -1,9 +1,30 @@
 """The package's one CSV format: a header row, then rows of numbers written
 to 17 significant digits (enough to round-trip every float64), joined by
-``,`` and ended by ``\\n``.  A column written many times can be formatted
-once by ``cells``.  Observable matrices have no header and write each
-entry as one ``re:im`` cell.  Readers also accept ``\\r\\n`` line ends and
-raise InvalidStateError, naming the file and line, on a malformed file.
+``,`` and ended by ``\\n``.  Observable matrices have no header and write
+each entry as one ``re:im`` cell.  Readers also accept ``\\r\\n`` line ends
+and raise InvalidStateError, naming the file and line, on a malformed file.
+
+Every number is written as ``'%.17g' % x`` writes it, by one of two paths
+chosen by the size of the table:
+
+* under ``DIGITS_MIN_VALUES`` values, one ``%`` pass over the whole table;
+* from ``DIGITS_MIN_VALUES`` values on, ``_digit_text``: one NumPy pass that
+  computes each number's 17 digits and lays out the ``%g`` text.  It scales
+  ``|x|`` by ``10**(16 - E)`` in double-double arithmetic (Dekker's exact
+  product against ``10**k`` held as hi + lo), whose error stays below 1e-14
+  of the last digit, corrects the guess ``E = floor(log10|x|)`` on that
+  unrounded product, and rounds it half-even to the integer ``N`` with
+  ``10**16 <= N < 10**17`` (a carry to ``10**17`` moves E up).  A cell
+  whose fraction lies within 1e-6 of one half, a magnitude outside
+  [1e-270, 1e280] and a non-finite value are formatted by ``%`` instead.
+
+So every cell holds the bytes of ``%``, and a file's bytes do not depend on
+which path wrote it.  On a 2-core x86-64 VM the digit path takes about
+0.2 µs per value at 16k values, against 0.5 µs for ``%``, but inside a
+running benchmark pass it has a fixed cost of about 0.5 ms per table:
+timed there, ``%`` won at 768 and 855 values (0.44 and 0.58 ms against 0.47
+and 0.72) and lost at 1705 (1.24 ms against 0.96), a break-even near 1100
+values, hence the cut-over at 1200.
 """
 
 from __future__ import annotations
@@ -16,13 +37,165 @@ import numpy as np
 from .errors import InvalidStateError
 
 _NUMBER = "%.17g"
+DIGITS_MIN_VALUES = 1200
+
+# magnitudes the digit path formats; outside, the scaled products or the
+# low parts of the power table would leave the normal range
+_TINY, _HUGE = 1e-270, 1e280
+# Dekker's splitting constant 2**27 + 1 cuts hi into two halves of at most
+# 26 significant bits, so each of their products with the high 26 and low 27
+# bits of |x| is exact
+_SPLIT = 134217729.0
+_K_MIN, _K_MAX = -270, 290
 
 
-def _dump(path, head: str, values: np.ndarray, row: str) -> None:
-    """Write ``head``, then every row of ``values`` through one ``%`` pass."""
-    body = ((row + "\n") * values.shape[0]) % tuple(values.ravel().tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(head + body)
+def _power_table() -> np.ndarray:
+    """Rows hi, hi's high and low halves, and lo of ``10**k`` for k in
+    [_K_MIN, _K_MAX]: hi is ``10**k`` correctly rounded and lo the rounded
+    remainder, both from exact integer arithmetic."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            h = float(10**k)
+            rest = 10**k - int(h), 1
+        else:
+            h = 1 / 10**-k
+            num, den = h.as_integer_ratio()
+            rest = den - num * 10**-k, den * 10**-k
+        hi.append(h)
+        lo.append(rest[0] / rest[1])
+    hi = np.array(hi)
+    t = _SPLIT * hi
+    hi_high = t - (t - hi)
+    return np.stack([hi, hi_high, hi - hi_high, np.array(lo)])
+
+
+_POWERS = _power_table()
+
+
+# row j of the digit block holds digit j - 1 of N: row 0 is a zero above
+# N's 17 digits and row 18 a blank below them
+_ROWS19 = np.arange(19, dtype=np.uint8)[:, None]
+_ROWS18 = _ROWS19[:18]
+# "0.000" before the digits of a fixed E < 0: char i shows for -E > _LEAD[i]
+_LEAD_CHARS = np.frombuffer(b"0.000", np.uint8)[:, None]
+_LEAD = np.array([0, 0, 1, 2, 3], np.uint8)[:, None]
+# clears the low 27 bits of a float64's 52-bit fraction
+_HIGH_BITS = np.uint64(2**64 - 2**27)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - e)`` as a normalised double-double ``s + r``, for
+    normal ``a``: Dekker's exact product of ``a``, cut to its high 26 and
+    low 27 bits, and hi, plus ``a * lo``."""
+    hi, hi_high, hi_low, lo = np.take(_POWERS, 16 - e - _K_MIN, axis=1)
+    a_high = (a.view(np.uint64) & _HIGH_BITS).view(np.float64)
+    a_low = a - a_high
+    p = a * hi
+    r = a_high * hi_high
+    r -= p
+    for u, v in ((a_high, hi_low), (a_low, hi_high), (a_low, hi_low), (a, lo)):
+        np.multiply(u, v, out=hi)
+        r += hi
+    s = p + r
+    p -= s
+    p += r
+    return s, p
+
+
+def _digit_text(values: np.ndarray, seps: bytes) -> bytes:
+    """The rows of ``values``, each value written as ``'%.17g' % x`` and
+    followed by its separator in ``seps``, in one NumPy pass."""
+    x = values.ravel()
+    m = x.size
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= _TINY) & (a <= _HUGE)
+    a[~fast] = 1.0
+
+    # the decimal exponent E and N = |x| * 10**(16 - E) unrounded, with E
+    # corrected before rounding so that 10**16 <= N < 10**17
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, r = _scaled(a, e)
+    low = (s < 1e16) | ((s == 1e16) & (r < 0.0))
+    high = (s > 1e17) | ((s == 1e17) & (r >= 0.0))
+    wrong = np.flatnonzero(low | high)
+    if wrong.size:
+        e[wrong] += np.where(high[wrong], 1, -1)
+        s[wrong], r[wrong] = _scaled(a[wrong], e[wrong])
+
+    # round half-even; a near tie goes to %, as do magnitudes outside the
+    # range and non-finite values
+    whole = np.rint(r)
+    n = s.astype(np.int64)
+    n += whole.astype(np.int64)
+    r -= whole
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(r) > 0.5 - 1e-6))
+    n[zero] = 0
+    carry = n == 10**17
+    n[carry] = 10**16
+    e = e.astype(np.int16)
+    e += carry
+    e[zero] = 0
+
+    # the 17 digits of N, from two uint32 halves
+    halves = np.empty((2, m), np.uint32)
+    np.floor_divide(n, 10**9, out=halves[0], casting="unsafe")
+    np.subtract(n, halves[0] * np.int64(10**9), out=halves[1], casting="unsafe")
+    block = np.zeros((19, m), np.uint8)
+    digits = block[:18].reshape(2, 9, m)
+    for k in range(8, -1, -1):
+        rest = halves // 10
+        np.subtract(halves, rest * 10, out=digits[:, k], casting="unsafe")
+        halves = rest
+    # the digits up to the last nonzero one; 0 for N = 0
+    used = np.max(_ROWS19 * (block != 0), axis=0)
+
+    # %g: fixed notation for -4 <= E < 17, else exponential; trailing zeros
+    # and a point with nothing after it are dropped.  keep is the number of
+    # digits shown, point the row of the "." among the 18 rows they share
+    # with it (after digit point - 1), 18 for none
+    sci = (e < -4) | (e >= 17)
+    lead = ~sci & (e < 0)
+    keep = np.where(sci, used, np.maximum(used, e + 1)).astype(np.uint8)
+    point = np.where(sci, 1, e + 1)
+    point[(used <= point) | lead] = 18
+    point = point.astype(np.uint8)
+
+    # each value's 30 bytes, NUL where no character goes: the sign, "0.000",
+    # the digits with the point among them, "e+XXX" and the separator
+    text = np.empty((30, m), np.uint8)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=text[0])
+    np.multiply(_LEAD_CHARS, _LEAD < (-e * lead).astype(np.uint8), out=text[1:6])
+    block += np.uint8(ord("0"))
+    block *= _ROWS19 <= keep
+    np.multiply(block[1:], _ROWS18 < point, out=text[6:24])
+    text[6:24] += block[:18] * (_ROWS18 > point)
+    text[6:24] += (_ROWS18 == point) * np.uint8(ord("."))
+    ae = np.abs(e)
+    np.multiply(sci, np.uint8(ord("e")), out=text[24])
+    np.multiply(sci, (e < 0) * np.uint8(2) + np.uint8(ord("+")), out=text[25])
+    np.multiply(sci & (ae >= 100), ae // 100 + ord("0"), out=text[26], casting="unsafe")
+    np.multiply(sci, ae // 10 % 10 + ord("0"), out=text[27], casting="unsafe")
+    np.multiply(sci, ae % 10 + ord("0"), out=text[28], casting="unsafe")
+    text[29].reshape(-1, len(seps))[:] = np.frombuffer(seps, np.uint8)
+
+    if slow.size:
+        cells = [(_NUMBER % v).encode() for v in x[slow].tolist()]
+        text[:29, slow] = np.array(cells, dtype="S29").view(np.uint8).reshape(-1, 29).T
+    return text.T.tobytes().translate(None, b"\0")
+
+
+def _dump(path, head: str, values: np.ndarray, seps: str) -> None:
+    """Write ``head``, then every row of ``values``: each value to 17
+    significant digits and followed by its separator in ``seps``."""
+    if values.size < DIGITS_MIN_VALUES:
+        row = "".join(_NUMBER + sep for sep in seps)
+        body = ((row * values.shape[0]) % tuple(values.ravel().tolist())).encode()
+    else:
+        body = _digit_text(values, seps.encode())
+    with open(path, "wb") as fh:
+        fh.write(head.encode() + body)
 
 
 def _parse(path, head: int, parts: int) -> tuple[list, np.ndarray]:
@@ -59,22 +232,10 @@ def _first_bad_row(path, rows: list, head: int, width: int, parts: int) -> Inval
             return InvalidStateError(f"{path}, line {line}: {exc}")
 
 
-def cells(values) -> np.ndarray:
-    """Float values as their 17-digit cells: an object array of strings that
-    ``write`` takes as a column, so a column written many times is
-    formatted once."""
-    text = ((_NUMBER + "\n") * len(values)) % tuple(values.tolist())
-    return np.array(text.split("\n")[:-1], dtype=object)
-
-
 def write(path, header: list[str], columns) -> None:
-    """Write equal-length columns under a header row: float columns to 17
-    significant digits, ``cells`` columns as the strings they hold."""
-    table = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for j, column in enumerate(columns):
-        table[:, j] = column
-    _dump(path, ",".join(header) + "\n", table,
-          ",".join(["%s" if column.dtype == object else _NUMBER for column in columns]))
+    """Write equal-length float columns under a header row."""
+    _dump(path, ",".join(header) + "\n", np.column_stack(columns).astype(np.float64, copy=False),
+          "," * (len(columns) - 1) + "\n")
 
 
 def read(path, names: list[str]) -> list[np.ndarray]:
@@ -87,8 +248,8 @@ def read(path, names: list[str]) -> list[np.ndarray]:
 
 def write_matrix(path, matrix: np.ndarray) -> None:
     """Write a complex matrix as rows of ``re:im`` cells."""
-    pairs = np.stack([matrix.real, matrix.imag], axis=-1)
-    _dump(path, "", pairs, ",".join([f"{_NUMBER}:{_NUMBER}"] * matrix.shape[1]))
+    pairs = np.stack([matrix.real, matrix.imag], axis=-1).reshape(matrix.shape[0], -1)
+    _dump(path, "", pairs, ":," * (matrix.shape[1] - 1) + ":\n")
 
 
 def read_matrix(path) -> np.ndarray:

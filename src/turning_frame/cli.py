@@ -209,9 +209,9 @@ def _taus_from(cfg: dict) -> np.ndarray:
     return _linspace(cfg, "tau.start", "tau.stop", "tau.num")
 
 
-def _write_amplitudes(path: Path, axis: str, cells: np.ndarray, amps: np.ndarray) -> None:
+def _write_amplitudes(path: Path, axis: str, nodes: np.ndarray, amps: np.ndarray) -> None:
     _csv.write(path, [axis, "re", "im", "abs2"],
-               [cells, amps.real, amps.imag, np.abs(amps) ** 2])
+               [nodes, amps.real, amps.imag, np.abs(amps) ** 2])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -250,8 +250,6 @@ def cmd_evolve(cfg: dict) -> int:
     if _get(cfg, "q_grid", None) is not None:
         q_grid = _linspace(cfg, "q_grid.q_min", "q_grid.q_max", "q_grid.n")
         plan = position_plan(grid, q_grid, model)
-        q_cells = _csv.cells(plan.q)
-    p_cells = _csv.cells(grid.nodes)
 
     outdir = _outdir(cfg)
     prefix = _text(cfg, "output.prefix", "evolve")
@@ -260,13 +258,13 @@ def cmd_evolve(cfg: dict) -> int:
     for k, tau in enumerate(snapshots):
         evolved = evolve(state, tau, model)
         p_path = outdir / f"{prefix}_momentum_{k:02d}.csv"
-        _write_amplitudes(p_path, "p", p_cells, evolved.amps)
+        _write_amplitudes(p_path, "p", grid.nodes, evolved.amps)
         entry = {"tau": tau, "norm_p": evolved.norm() ** 2,
                  "momentum_csv": p_path.name}
         if plan is not None:
             profile = position_profile(evolved, plan)
             q_path = outdir / f"{prefix}_position_{k:02d}.csv"
-            _write_amplitudes(q_path, "q", q_cells, profile.amps)
+            _write_amplitudes(q_path, "q", plan.q, profile.amps)
             entry.update(
                 norm_q=profile.norm,
                 coverage_ok=profile.coverage_ok,

@@ -89,14 +89,18 @@ class SpectralState:
 
 @dataclass(frozen=True)
 class ObservableMatrix:
-    """Hermitian matrix in the energy eigenbasis.  A complex128 array is
-    kept as given, not copied, and frozen: the caller's array turns
-    read-only, and a write to an array it views reaches the matrix."""
+    """Hermitian matrix in the energy eigenbasis.  A complex128 array that
+    owns its data is kept as given, not copied, and frozen: the caller's
+    array turns read-only (a view of it taken before still writes to it).
+    An array that does not own its data, such as a slice, is copied, so a
+    later write to the array it views cannot reach the checked matrix."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _floats(self.matrix, "matrix", np.complex128)
+        if not m.flags.owndata:
+            m = m.copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidStateError("observable must be a non-empty square matrix")
         if not (np.all(np.isfinite(m)) and _hermiticity_gap(m) <= _HERMITICITY_TOL):

@@ -254,24 +254,41 @@ def test_one_process_runs_successive_commands(tmp_path, capsys):
 
 
 def test_evolve_does_its_snapshot_invariant_work_once(tmp_path, monkeypatch, capsys):
-    """One chirp-z plan and one formatting of each grid column per command,
-    whatever the number of snapshots."""
-    calls = {"_chirp": 0, "cells": 0}
-    for module, name in ((_kernels, "_chirp"), (_csv, "cells")):
-        def counted(*args, _original=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(module, name, counted)
+    """One chirp-z plan per command, whatever the number of snapshots."""
+    calls = []
+
+    def counted(*args, _original=_kernels._chirp):
+        calls.append(args)
+        return _original(*args)
+    monkeypatch.setattr(_kernels, "_chirp", counted)
     counts = []
     for snapshots in ([0.5], [0.25, 0.5, 0.75, 1.0]):
         cfg = write_config(tmp_path, state={"mode": "raw"},
                            grid={"p_min": -2.5, "p_max": 5.5, "n": 512},
                            snapshots=snapshots,
                            q_grid={"q_min": -2.0, "q_max": 12.0, "n": 101})
-        calls.update(_chirp=0, cells=0)
+        calls.clear()
         assert main(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
-        counts.append(dict(calls))
-    assert counts[0] == counts[1] == {"_chirp": 3, "cells": 2}
+        counts.append(len(calls))
+    assert counts == [3, 3]
+
+
+def test_recorded_evolve_tables_take_the_digit_path(tmp_path, monkeypatch):
+    """Every table of the recorded evolve files (8192 x 4 and 1401 x 4
+    values) is formatted by the digit path, so their sha256 values test it
+    wherever the cut-over lies."""
+    sizes = []
+
+    def counted(values, seps, _original=_csv._digit_text):
+        sizes.append(values.size)
+        return _original(values, seps)
+    monkeypatch.setattr(_csv, "_digit_text", counted)
+    key = ("evolve", "wavefunction_snapshots.json", ())
+    assert main(["evolve", "--config", str(CONFIGS / key[1]), "--outdir", str(tmp_path)]) == 0
+    assert sorted(sizes) == [1401 * 4] * 4 + [8192 * 4] * 4
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == GOLDEN[key]
 
 
 def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):

@@ -1,4 +1,8 @@
-"""The one CSV table format: exact round trips and the 17-digit layout."""
+"""The one CSV table format: exact round trips and the 17-digit layout, by
+both of the writer's paths."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -11,10 +15,63 @@ from turning_frame import _csv
 finite = st.floats(allow_nan=False, allow_infinity=False)
 EDGES = [-0.0, 5e-324, -2.2250738585072014e-308,
          1.7976931348623157e308, -1.7976931348623157e308]
-tables = arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 5)),
-                elements=finite)
-matrices = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
-                  elements=finite)
+
+
+def neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# where the digit path can go wrong: a log10 guess of the exponent that is
+# one off and %g's switches of notation (1e-5, 1e-4, 1e16, 1e17), an exact
+# tie (2**-25 has 18 significant digits ending in 5), a carry into the next
+# decade, and the magnitudes it leaves to %
+DECADES = [v for x in (1e-12, 1e-5, 1e-4, 1e16, 1e17) for v in neighbours(x)]
+CARRIES = [9.9999999999999998e-13, 0.99999999999999989, np.nextafter(1.0, 0.0)]
+HARD = DECADES + CARRIES + [2.0**-25, -(2.0**-25), 0.0] + EDGES
+
+
+def reference(rows, seps):
+    """``format(x, ".17g")`` of every value, each followed by its separator."""
+    return "".join(format(x, ".17g") + sep
+                   for row in rows for x, sep in zip(row, seps)).encode()
+
+
+def mixed_values(drawn, seed, size):
+    """``size`` values: random bit patterns, normal values, short decimals
+    and the hard cases, with ``drawn`` scattered through them."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    choices = [np.where(np.isfinite(bits), bits, 0.0),
+               rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size),
+               np.round(rng.normal(size=size) * 100, int(rng.integers(0, 6))),
+               rng.choice(np.array(HARD), size)]
+    values = np.choose(rng.integers(0, len(choices), size), choices)
+    values[rng.choice(size, drawn.size, replace=False)] = drawn
+    return values
+
+
+def big_table(drawn, seed, width):
+    """A table of at least ``DIGITS_MIN_VALUES`` values, which ``write``
+    formats by the digit path."""
+    rows = -(-_csv.DIGITS_MIN_VALUES // width) + seed % 64
+    return mixed_values(drawn, seed, rows * width).reshape(rows, width)
+
+
+def big_matrix(drawn, seed, n):
+    return mixed_values(drawn, seed, 2 * n * n).reshape(n, n, 2)
+
+
+drawn = arrays(np.float64, st.integers(1, 40), elements=finite)
+seeds = st.integers(0, 2**32 - 1)
+# the smallest n with an n x n complex matrix over the cut-over
+BIG_N = math.isqrt(_csv.DIGITS_MIN_VALUES // 2) + 1
+tables = st.one_of(
+    arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 5)), elements=finite),
+    st.builds(big_table, drawn, seeds, st.integers(1, 5)))
+matrices = st.one_of(
+    arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+           elements=finite),
+    st.builds(big_matrix, drawn, seeds, st.integers(BIG_N, BIG_N + 6)))
 file_settings = settings(max_examples=200, deadline=None,
                          suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -27,16 +84,15 @@ def same_bits(a, b):
 @given(table=tables)
 @example(table=np.array([EDGES]))
 @example(table=np.array(EDGES)[:, None])
+@example(table=np.resize(np.array(HARD), (_csv.DIGITS_MIN_VALUES, 3)))
 def test_table_round_trip_is_exact(tmp_path, table):
     header = [f"c{j}" for j in range(table.shape[1])]
     path = tmp_path / "table.csv"
     _csv.write(path, header, list(table.T))
 
-    reference = "".join(
-        ",".join(row) + "\n"
-        for row in [header] + [[format(x, ".17g") for x in r] for r in table.tolist()]
-    )
-    assert path.read_bytes() == reference.encode()
+    head = (",".join(header) + "\n").encode()
+    seps = [","] * (table.shape[1] - 1) + ["\n"]
+    assert path.read_bytes() == head + reference(table.tolist(), seps)
     columns = _csv.read(path, header)
     assert len(columns) == table.shape[1]
     for got, want in zip(columns, table.T):
@@ -59,14 +115,58 @@ def test_matrix_round_trip_is_exact(tmp_path, pairs):
     assert same_bits(_csv.read_matrix(path), matrix)
 
 
-@file_settings
-@given(values=arrays(np.float64, st.integers(0, 12), elements=finite),
-       other=st.floats(allow_nan=False, allow_infinity=False))
-@example(values=np.array(EDGES), other=EDGES[1])
-def test_cells_write_the_bytes_of_their_floats(tmp_path, values, other):
-    """A ``cells`` column, formatted once, writes what its floats write."""
-    rest = np.full_like(values, other)
-    floats, cells = tmp_path / "floats.csv", tmp_path / "cells.csv"
-    _csv.write(floats, ["x", "y", "z"], [values, rest, values])
-    _csv.write(cells, ["x", "y", "z"], [_csv.cells(values), rest, _csv.cells(values)])
-    assert cells.read_bytes() == floats.read_bytes()
+@settings(max_examples=500, deadline=None)
+@given(values=arrays(np.float64, st.integers(1, 64), elements=finite))
+@example(values=np.array(HARD))
+@example(values=np.array(DECADES))
+@example(values=np.array([2.0**-25, -(2.0**-25)]))
+@example(values=np.array(CARRIES))
+@example(values=np.array(EDGES))
+@example(values=np.array([0.0, -0.0]))
+@example(values=np.array([np.inf, -np.inf, np.nan, 1.0]))
+def test_digit_path_writes_the_bytes_of_percent(values):
+    """The digit path, called on any size of column, writes what
+    ``format(x, ".17g")`` writes."""
+    assert _csv._digit_text(values[:, None], b"\n") == reference(values[:, None].tolist(), "\n")
+
+
+def test_digit_path_on_every_power_of_ten_and_two():
+    """Every 10**k for k in -300..300 with both neighbours, and every 2**k
+    for k in -1074..1023, of either sign."""
+    tens = np.array([10.0**k for k in range(-300, 301)])
+    values = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf),
+                             np.ldexp(1.0, np.arange(-1074, 1024))])
+    values = np.concatenate([values, -values])
+    assert _csv._digit_text(values[:, None], b"\n") == reference(values[:, None].tolist(), "\n")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=st.builds(big_table, drawn, seeds, st.integers(1, 5)))
+def test_a_table_writes_the_bytes_of_its_slices(tmp_path, table):
+    """A table over the cut-over (digit path) writes the bytes of its slices
+    under it (``%`` path), row for row."""
+    header = [f"c{j}" for j in range(table.shape[1])]
+    whole = tmp_path / "whole.csv"
+    _csv.write(whole, header, list(table.T))
+    rows = (_csv.DIGITS_MIN_VALUES - 1) // table.shape[1]
+    bodies = []
+    for start in range(0, table.shape[0], rows):
+        part = tmp_path / f"part{start}.csv"
+        _csv.write(part, header, list(table[start:start + rows].T))
+        bodies.append(part.read_bytes().split(b"\n", 1)[1])
+    assert table.size >= _csv.DIGITS_MIN_VALUES > rows * table.shape[1]
+    assert whole.read_bytes().split(b"\n", 1)[1] == b"".join(bodies)
+
+
+def test_power_table_is_exact():
+    """Each hi is 10**k correctly rounded, its halves add up to it with 26
+    significant bits each, and hi + lo is within 2**-100 of 10**k."""
+    hi, hi_high, hi_low, lo = _csv._POWERS
+    for k, h, hh, hl, low in zip(range(_csv._K_MIN, _csv._K_MAX + 1),
+                                 hi.tolist(), hi_high.tolist(), hi_low.tolist(), lo.tolist()):
+        exact = Fraction(10) ** k
+        assert h == float(exact)
+        assert hh + hl == h
+        assert all(x == 0.0 or math.frexp(x)[0] * 2**26 % 1 == 0 for x in (hh, hl))
+        assert abs(Fraction(h) + Fraction(low) - exact) <= exact / 2**100

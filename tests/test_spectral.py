@@ -115,6 +115,20 @@ def test_spectral_state_copies_the_callers_arrays():
     assert not (state.energies.flags.writeable or state.coeffs.flags.writeable)
 
 
+def test_observable_copies_a_view_and_keeps_an_owned_array():
+    """A matrix that views another array is copied, so a later write to the
+    base reaches no observable; an array that owns its data is kept and
+    frozen."""
+    big = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 4.0]], dtype=np.complex128)
+    obs = ObservableMatrix(big[:2, :2])
+    big[0, 1] = 5.0
+    assert obs.matrix.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+    assert big.flags.writeable and not obs.matrix.flags.writeable
+    owned = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=np.complex128)
+    obs = ObservableMatrix(owned)
+    assert obs.matrix is owned and not owned.flags.writeable
+
+
 def test_propagate_identity_and_norm(two_level, model):
     same = propagate(two_level, 0.0, model)
     np.testing.assert_array_equal(same.coeffs, two_level.coeffs)
