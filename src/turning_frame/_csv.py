@@ -25,11 +25,26 @@ running benchmark pass it has a fixed cost of about 0.5 ms per table:
 timed there, ``%`` won at 768 and 855 values (0.44 and 0.58 ms against 0.47
 and 0.72) and lost at 1705 (1.24 ms against 0.96), a break-even near 1100
 values, hence the cut-over at 1200.
+
+Every output file of the package, each CSV here and the CLI's JSON, is
+opened by ``rewrite``: without ``O_TRUNC`` (its opener clears that flag and
+keeps mode ``0o666``, so a new file gets what ``open`` gives under the
+umask), written over its old bytes, then cut at the end of what was written,
+also when the write raises part-way, so no old tail survives.  Only a
+regular file is cut, so a name linked to ``/dev/null`` still works.  The
+file's bytes are those of a fresh write.  On a 2-core x86-64 VM whose ext4
+root is mounted with ``discard``, truncating a 250 KB file to zero in
+``open`` took 160-230 µs and its ``close`` 20-40 µs, against 2-30 µs and
+1-4 µs in place; a new file gains nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import os
+import stat
 from itertools import chain, repeat
 
 import numpy as np
@@ -49,10 +64,12 @@ _SPLIT = 134217729.0
 _K_MIN, _K_MAX = -270, 290
 
 
+@functools.cache
 def _power_table() -> np.ndarray:
     """Rows hi, hi's high and low halves, and lo of ``10**k`` for k in
     [_K_MIN, _K_MAX]: hi is ``10**k`` correctly rounded and lo the rounded
-    remainder, both from exact integer arithmetic."""
+    remainder, both from exact integer arithmetic.  Built on the first call
+    (about 1.5 ms), not at import."""
     hi, lo = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k >= 0:
@@ -70,9 +87,6 @@ def _power_table() -> np.ndarray:
     return np.stack([hi, hi_high, hi - hi_high, np.array(lo)])
 
 
-_POWERS = _power_table()
-
-
 # row j of the digit block holds digit j - 1 of N: row 0 is a zero above
 # N's 17 digits and row 18 a blank below them
 _ROWS19 = np.arange(19, dtype=np.uint8)[:, None]
@@ -88,7 +102,7 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``a * 10**(16 - e)`` as a normalised double-double ``s + r``, for
     normal ``a``: Dekker's exact product of ``a``, cut to its high 26 and
     low 27 bits, and hi, plus ``a * lo``."""
-    hi, hi_high, hi_low, lo = np.take(_POWERS, 16 - e - _K_MIN, axis=1)
+    hi, hi_high, hi_low, lo = np.take(_power_table(), 16 - e - _K_MIN, axis=1)
     a_high = (a.view(np.uint64) & _HIGH_BITS).view(np.float64)
     a_low = a - a_high
     p = a * hi
@@ -186,6 +200,23 @@ def _digit_text(values: np.ndarray, seps: bytes) -> bytes:
     return text.T.tobytes().translate(None, b"\0")
 
 
+def _keep_old_bytes(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def rewrite(path, mode: str, **kwargs):
+    """``open(path, mode, **kwargs)`` for writing over the file's old bytes
+    instead of truncating it first; on leaving, also by an exception, a
+    regular file is cut at the end of what was written."""
+    with open(path, mode, opener=_keep_old_bytes, **kwargs) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _dump(path, head: str, values: np.ndarray, seps: str) -> None:
     """Write ``head``, then every row of ``values``: each value to 17
     significant digits and followed by its separator in ``seps``."""
@@ -194,7 +225,7 @@ def _dump(path, head: str, values: np.ndarray, seps: str) -> None:
         body = ((row * values.shape[0]) % tuple(values.ravel().tolist())).encode()
     else:
         body = _digit_text(values, seps.encode())
-    with open(path, "wb") as fh:
+    with rewrite(path, "wb") as fh:
         fh.write(head.encode() + body)
 
 

@@ -215,7 +215,7 @@ def _write_amplitudes(path: Path, axis: str, nodes: np.ndarray, amps: np.ndarray
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
+    with _csv.rewrite(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

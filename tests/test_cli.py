@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from turning_frame import ClassicalState, FrameModel, _csv, _kernels, q_of_tau
-from turning_frame.cli import FLAGS, main
+from turning_frame.cli import FLAGS, _write_json, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BASE_CONFIG = {
@@ -226,15 +227,57 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command, config, flags", GOLDEN, ids=[
-    "-".join([command, config, *(flag.lstrip("-") for flag in flags)])
-    for command, config, flags in GOLDEN])
+GOLDEN_IDS = ["-".join([command, config, *(flag.lstrip("-") for flag in flags)])
+              for command, config, flags in GOLDEN]
+
+
+@pytest.mark.parametrize("command, config, flags", GOLDEN, ids=GOLDEN_IDS)
 def test_checked_in_configs_give_the_recorded_bytes(tmp_path, command, config, flags):
     assert main([command, "--config", str(CONFIGS / config),
                  "--outdir", str(tmp_path), *flags]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == GOLDEN[command, config, flags]
+
+
+@pytest.mark.parametrize("junk", [2**21, 1], ids=["2MB", "1B"])
+@pytest.mark.parametrize("command, config, flags", GOLDEN, ids=GOLDEN_IDS)
+def test_existing_outputs_are_rewritten_to_the_recorded_bytes(tmp_path, command, config,
+                                                              flags, junk):
+    """Every output file already exists, far longer or far shorter than
+    what the run writes; the run leaves exactly the recorded bytes."""
+    for name in GOLDEN[command, config, flags]:
+        (tmp_path / name).write_bytes((b"junk\n" * junk)[:junk])
+    assert main([command, "--config", str(CONFIGS / config),
+                 "--outdir", str(tmp_path), *flags]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == GOLDEN[command, config, flags]
+
+
+def test_outputs_linked_to_dev_null_are_written_there(tmp_path):
+    """A device is written over but never cut: the CSV and the JSON of a
+    ``shift`` both go to ``/dev/null`` and the run exits 0."""
+    names = GOLDEN["shift", "shift_reference.json", ()]
+    for name in names:
+        (tmp_path / name).symlink_to(os.devnull)
+    assert main(["shift", "--config", str(CONFIGS / "shift_reference.json"),
+                 "--outdir", str(tmp_path)]) == 0
+    assert all((tmp_path / name).is_symlink() for name in names)
+
+
+def test_a_json_write_that_fails_part_way_leaves_no_old_tail(tmp_path):
+    """A NaN deep in a payload stops the dump part-way (``allow_nan=False``);
+    over a longer file, what is left is a prefix of the new text."""
+    path = tmp_path / "report.json"
+    path.write_bytes(b"#" * 2**20)
+    rows = [0.5] * 20000
+    with pytest.raises(ValueError):
+        _write_json(path, {"rows": rows, "tail": [1.0, math.nan]})
+    left = path.read_text()
+    assert left and "#" not in left
+    assert json.dumps({"rows": rows, "tail": [1.0, 0.0]}, indent=2,
+                      sort_keys=True).startswith(left)
 
 
 def test_one_process_runs_successive_commands(tmp_path, capsys):

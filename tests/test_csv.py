@@ -2,9 +2,15 @@
 both of the writer's paths."""
 
 import math
+import os
+import stat
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -162,7 +168,7 @@ def test_a_table_writes_the_bytes_of_its_slices(tmp_path, table):
 def test_power_table_is_exact():
     """Each hi is 10**k correctly rounded, its halves add up to it with 26
     significant bits each, and hi + lo is within 2**-100 of 10**k."""
-    hi, hi_high, hi_low, lo = _csv._POWERS
+    hi, hi_high, hi_low, lo = _csv._power_table()
     for k, h, hh, hl, low in zip(range(_csv._K_MIN, _csv._K_MAX + 1),
                                  hi.tolist(), hi_high.tolist(), hi_low.tolist(), lo.tolist()):
         exact = Fraction(10) ** k
@@ -170,3 +176,50 @@ def test_power_table_is_exact():
         assert hh + hl == h
         assert all(x == 0.0 or math.frexp(x)[0] * 2**26 % 1 == 0 for x in (hh, hl))
         assert abs(Fraction(h) + Fraction(low) - exact) <= exact / 2**100
+
+
+# the % path and the digit path, over a file far longer and one far shorter
+@pytest.mark.parametrize("rows", [10, 1000])
+@pytest.mark.parametrize("old", [2**21, 1])
+def test_writing_over_a_file_gives_the_bytes_of_a_fresh_one(tmp_path, rows, old):
+    """An existing file is rewritten in place: same inode, no old tail."""
+    columns = list(np.random.default_rng(rows).standard_normal((3, rows)))
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    _csv.write(fresh, ["a", "b", "c"], columns)
+    reused.write_bytes((b"junk\n" * old)[:old])
+    inode = reused.stat().st_ino
+    _csv.write(reused, ["a", "b", "c"], columns)
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.stat().st_ino == inode
+
+
+def test_a_new_file_gets_the_mode_open_gives_under_the_umask(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        _csv.write(tmp_path / "new.csv", ["a"], [np.zeros(2)])
+        open(tmp_path / "plain.csv", "wb").close()
+    finally:
+        os.umask(umask)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("new.csv", "plain.csv")}
+    assert modes == {0o640}
+
+
+_POWER_TABLE_BUILDS = """
+import os
+import numpy as np
+import turning_frame.cli
+from turning_frame import _csv
+print(_csv._power_table.cache_info().currsize)
+_csv.write(os.devnull, ["x"], [np.ones(_csv.DIGITS_MIN_VALUES)])
+print(_csv._power_table.cache_info().currsize)
+"""
+
+
+def test_importing_the_cli_builds_no_power_table():
+    """The digit path's power table is built on its first table, not at
+    import, so a run that writes only smaller tables never pays for it."""
+    src = str(Path(_csv.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", _POWER_TABLE_BUILDS], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.split() == ["0", "1"]
