@@ -71,7 +71,6 @@ Numerical conventions:
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import NamedTuple
 
@@ -147,7 +146,7 @@ def snap_band(u, p2):
     """Snap the non-decreasing u = p2 - lam tau to 0 where |u| <= 8 eps p2,
     as ``branch`` does, on the nodes it reads, and return that band [i:j),
     the nodes next to the sign change of u; from i on, u >= 0."""
-    i = j = bisect.bisect_left(u, 0.0)
+    i = j = u.searchsorted(0.0)  # first u >= 0
     while i and -u[i - 1] <= _SNAP * p2[i - 1]:
         i -= 1
     while j < u.shape[0] and u[j] <= _SNAP * p2[j]:
@@ -238,6 +237,8 @@ def phase_and_displacement(p, tau, lam, ws=None, lo=0):
 def classical_position_profile(taus, q0, p, lam):
     """Closed-form relational trajectory q(tau) for conserved momentum p."""
     p2 = p * p
+    if p2 == 0.0:  # free flight; a subnormal lam tau would round to u = 0 and 0/0
+        return q0 + taus
     u = branch(p2, taus, lam)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = np.sqrt(np.abs(u) / p2)  # inf or NaN at p^2 -> 0, only in dropped lanes

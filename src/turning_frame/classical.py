@@ -6,8 +6,8 @@ here are exact piecewise expressions: gauge-parameter solutions, the
 frame-position correlations phi(q) and q(phi), the unwound monotonic
 scale tau, and the relational trajectory q(tau).
 
-Scalar arguments return floats; ndarray arguments broadcast elementwise
-(the hot q(tau) path is kernel-backed).
+Scalar arguments return floats; ndarray arguments broadcast elementwise.
+q(tau) and both sheets of q(phi) are one kernel-backed trajectory.
 """
 
 from __future__ import annotations
@@ -96,20 +96,15 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
     """System position on one sheet of the double-valued correlation q(phi).
 
     BEFORE covers the approach to the turning point, AFTER the return;
-    the sheets meet at phi = p^2/lam.
+    the sheets meet at phi = p^2/lam.  Each is q(tau) at the tau that
+    unwinds phi on it: phi before, 2 p^2/lam - phi after.
     """
     phi_arr = _finite_floats(phi, "phi")
-    lam, q0, p2 = model.lam, state.q0, state.p * state.p
-    u = _kernels.branch(p2, phi_arr, lam)
-    if np.any(u < 0.0):
+    lam, p2 = model.lam, state.p * state.p
+    if np.any(_kernels.branch(p2, phi_arr, lam) < 0.0):
         raise DomainError("phi lies beyond the turning point p^2/lam")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = np.sqrt(np.abs(u) / p2)  # inf or NaN at p^2 -> 0, only at phi <= 0
-        if branch is Branch.BEFORE:
-            out = np.where(phi_arr <= 0.0, q0 + phi_arr, q0 + 2.0 * phi_arr / (1.0 + s))
-        else:
-            out = np.where(phi_arr <= 0.0, q0 - phi_arr + 4.0 * p2 / lam,
-                           q0 + 2.0 * p2 * (1.0 + s) / lam)
+    tau = phi_arr if branch is Branch.BEFORE else 2.0 * p2 / lam - phi_arr
+    out = _kernels.classical_position_profile(tau, state.q0, state.p, lam)
     return float(out) if np.isscalar(phi) else out
 
 
@@ -124,9 +119,9 @@ def unwind_phi(tau, H: float, model: FrameModel):
 
 def q_of_tau(tau, state: ClassicalState, model: FrameModel):
     """Relational trajectory q(tau): free, slowed, re-crossing, free again."""
-    tau_arr = np.atleast_1d(_finite_floats(tau, "tau"))
+    tau_arr = _finite_floats(tau, "tau")
     out = _kernels.classical_position_profile(tau_arr, state.q0, state.p, model.lam)
-    return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
+    return float(out) if np.isscalar(tau) else out
 
 
 def q_rate(tau: float, state: ClassicalState, model: FrameModel) -> float:

@@ -160,11 +160,16 @@ def _override(cfg: dict, path: str, value) -> None:
     node[key] = value
 
 
-def _outdir(cfg: dict) -> Path:
+def _output(cfg: dict, default_prefix: str) -> tuple[Path, str]:
+    """``output.dir``, made if missing, and ``output.prefix``, refused first
+    if a path separator would take the files out of that directory."""
+    prefix = _text(cfg, "output.prefix", default_prefix)
+    if any(sep and sep in prefix for sep in (os.sep, os.altsep)):
+        raise ConfigError("output.prefix", f"need a file name, got a path {prefix!r}")
     default = os.environ.get("TURNING_FRAME_OUTDIR", ".")
     path = Path(_text(cfg, "output.dir", default))
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return path, prefix
 
 
 def _model_from(cfg: dict) -> FrameModel:
@@ -230,7 +235,8 @@ def cmd_classical(cfg: dict) -> int:
     taus = _taus_from(cfg)
     phi = unwind_phi(taus, state.p, model)
     q = q_of_tau(taus, state, model)
-    out = _outdir(cfg) / f"{_text(cfg, 'output.prefix', 'classical')}_trajectory.csv"
+    outdir, prefix = _output(cfg, "classical")
+    out = outdir / f"{prefix}_trajectory.csv"
     _csv.write(out, ["tau", "phi", "q_classical"], [taus, phi, q])
     print(out)
     return EXIT_OK
@@ -251,8 +257,7 @@ def cmd_evolve(cfg: dict) -> int:
         q_grid = _linspace(cfg, "q_grid.q_min", "q_grid.q_max", "q_grid.n")
         plan = position_plan(grid, q_grid, model)
 
-    outdir = _outdir(cfg)
-    prefix = _text(cfg, "output.prefix", "evolve")
+    outdir, prefix = _output(cfg, "evolve")
     summary = {"snapshots": [], "state": {"q0": spec.q0, "p0": spec.p0,
                                           "sigma": spec.sigma}}
     for k, tau in enumerate(snapshots):
@@ -287,8 +292,7 @@ def cmd_shift(cfg: dict) -> int:
     q_classical = q_of_tau(taus, classical, model)
     report = extract_shift_numeric(series, state, model)
 
-    outdir = _outdir(cfg)
-    prefix = _text(cfg, "output.prefix", "shift")
+    outdir, prefix = _output(cfg, "shift")
     series_path = outdir / f"{prefix}_series.csv"
     _csv.write(
         series_path,

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _csv, _kernels
+from . import _csv
 from .errors import DomainError, InvalidStateError, ResolutionError
 
 NORM_TOLERANCE = 1e-6
@@ -386,21 +386,17 @@ def make_gaussian(
     grid: MomentumGrid,
     model: FrameModel,
     mode: GaussianMode = GaussianMode.TRUNCATE_POSITIVE,
-    tau0: float = 0.0,
 ) -> MomentumState:
-    """Build a normalized Gaussian momentum state referenced to tau0 <= 0.
+    """Build a normalized Gaussian momentum state at tau = 0.
 
     Amplitudes follow ``exp(-sigma^2 (p - p0)^2 / hbar^2) exp(-i p q0 / hbar)``
-    and are renormalized on the grid, then carried to tau0 as ``evolve``
-    does. In TRUNCATE_POSITIVE mode the grid must be strictly positive.
+    and are renormalized on the grid; ``evolve`` carries the state to any
+    other tau. In TRUNCATE_POSITIVE mode the grid must be strictly positive.
     """
     if mode is GaussianMode.TRUNCATE_POSITIVE and not grid.p_min > 0.0:
         raise DomainError(
             f"truncate-positive mode needs p_min > 0, got {grid.p_min}"
         )
-    _require_finite(tau0, "tau0")
-    if tau0 > 0.0:
-        raise DomainError(f"reference tau0 must be <= 0, got {tau0}")
     sigma_p = model.hbar / (2.0 * spec.sigma)
     if 6.0 * sigma_p / grid.h < 16.0:
         raise ResolutionError(
@@ -417,10 +413,7 @@ def make_gaussian(
     norm = _norm(amps, grid.h)
     if norm <= 0.0:
         raise ResolutionError("state has no support on the supplied grid")
-    amps = amps / norm
-    if tau0 != 0.0:
-        amps = _kernels.advance(p, amps, 0.0, tau0, model.lam, model.hbar)
-    return MomentumState(grid=grid, amps=amps, tau=tau0)
+    return MomentumState(grid=grid, amps=amps / norm, tau=0.0)
 
 
 def moments(state: MomentumState) -> Moments:

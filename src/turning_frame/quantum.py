@@ -281,8 +281,10 @@ class PositionPlan(NamedTuple):
 
 
 def position_plan(grid: MomentumGrid, q_grid, model: FrameModel) -> PositionPlan:
-    """Check ``q_grid`` and plan the transform of states on ``grid`` onto it."""
-    q = _floats(q_grid, "q_grid")
+    """Check ``q_grid`` and plan the transform of states on ``grid`` onto a
+    read-only copy of it, which a later write to ``q_grid`` does not reach."""
+    q = _floats(q_grid, "q_grid").copy()
+    q.setflags(write=False)
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError("q_grid must be a 1-d array with at least 2 nodes")
     if not _evenly_spaced(q):
@@ -305,6 +307,7 @@ def position_profile(state: MomentumState, plan: PositionPlan) -> PositionProfil
         state.grid.nodes, np.asarray(state.amps), q, plan.hbar, plan.chirp
     )
     amps = raw * state.grid.h / np.sqrt(2.0 * np.pi * plan.hbar)
+    amps.setflags(write=False)
     norm = float(_integral(np.abs(amps) ** 2, q[1] - q[0]))
     return PositionProfile(
         q=q, amps=amps, norm=norm, coverage_ok=bool(abs(norm - 1.0) <= 1e-3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turning_frame import (
     Branch,
@@ -25,6 +25,7 @@ from turning_frame import (
     turning_point,
     unwind_phi,
 )
+from turning_frame import _kernels as K
 
 positive = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
@@ -144,6 +145,53 @@ def test_q_of_phi_identities(unit_state, lam4):
 def test_q_of_phi_rejects_forbidden_region(unit_state, lam4):
     with pytest.raises(DomainError):
         q_of_phi(0.26, Branch.BEFORE, unit_state, lam4)
+
+
+def _sheet_formulas(phi, branch, q0, p2, lam):
+    """q(phi) by each sheet's own closed form in u = p^2 - lam phi, with no
+    unwound tau: the oracle of ``q_of_phi``."""
+    u = K.branch(p2, phi, lam)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.sqrt(np.abs(u) / p2)
+        if branch is Branch.BEFORE:
+            return np.where(phi <= 0.0, q0 + phi, q0 + 2.0 * phi / (1.0 + s))
+        return np.where(phi <= 0.0, q0 - phi + 4.0 * p2 / lam,
+                        q0 + 2.0 * p2 * (1.0 + s) / lam)
+
+
+# q_of_phi is q(tau) at the unwound tau: tau = phi before the turning point
+# gives the sheet formula's bits, and tau = 2 p^2/lam - phi after it rounds
+# once more.  On the AFTER sheet q has slope -1/s in phi, s = sqrt(|u|/p^2),
+# so that rounding moves q by a few eps of the scale |q0| + 4 p^2/lam + |phi|
+# times 1 + 1/s, with s under sqrt(eps) only in the snap band: at most 3.8
+# eps of it over 20000 draws crowded at the turning point (1.9e-8 of the
+# scale there, 4.6e-15 for phi drawn evenly).  p^2 underflows to 0 at p =
+# 1e-200, where the sheets are q0 + phi and q0 - phi.
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(positive, st.just(1e-200)), lam=positive,
+       q0=st.floats(-10.0, 10.0),
+       fractions=st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=40),
+       branch=st.sampled_from(Branch))
+@example(p=9.548991577079423, lam=9.683302565248882, q0=0.0,
+         fractions=[0.999993670101655, 1.0 - 2.0**-50, 1.0 - 1e-12],
+         branch=Branch.AFTER)
+def test_q_of_phi_matches_the_sheet_formulas(p, lam, q0, fractions, branch):
+    model = FrameModel(lam=lam)
+    p2 = p * p
+    edge = p2 / lam
+    phi = np.concatenate([np.array(fractions) * edge, [0.0, edge],
+                          -np.abs(fractions)])
+    phi = phi[K.branch(p2, phi, lam) >= 0.0]  # edge itself may round past it
+    got = q_of_phi(phi, branch, ClassicalState(q0=q0, p=p), model)
+    want = _sheet_formulas(phi, branch, q0, p2, lam)
+    if branch is Branch.BEFORE:
+        assert got.tobytes() == want.tobytes()
+    else:
+        eps = np.finfo(np.float64).eps
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at p^2 = 0
+            s = np.fmax(np.sqrt(np.abs(K.branch(p2, phi, lam)) / p2), np.sqrt(eps))
+        scale = abs(q0) + 4.0 * edge + np.abs(phi)
+        assert np.all(np.abs(got - want) <= 16.0 * eps * scale * (1.0 + 1.0 / s))
 
 
 # -- unwinding and q(tau) ---------------------------------------------------
@@ -322,3 +370,13 @@ def test_overflowing_classical_result_is_a_domain_error(call, name):
 ], ids=["q-of-tau", "q-of-phi-before", "q-of-phi-after", "phi-of-q"])
 def test_underflowing_square_keeps_free_flight(lam4, p, call, want):
     assert call(ClassicalState(q0=0.5, p=p), lam4).tolist() == want
+
+
+# at lam < 1/2, lam tau underflows to 0 at the smallest subnormal tau: with
+# p^2 = 0 the branch masks then place tau at the turning point, where the
+# sheet's sqrt(|u| / p^2) reads 0/0
+def test_subnormal_tau_with_underflowing_square_keeps_free_flight():
+    state, model = ClassicalState(q0=0.0, p=1e-200), FrameModel(lam=0.3)
+    assert q_of_tau(5e-324, state, model) == 5e-324
+    assert q_of_phi(5e-324, Branch.BEFORE, state, model) == 5e-324
+    assert q_of_phi(-5e-324, Branch.AFTER, state, model) == 5e-324

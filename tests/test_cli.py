@@ -149,6 +149,21 @@ def test_evolve_rejects_non_finite_input_without_output(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["classical", "evolve", "shift"])
+@pytest.mark.parametrize("prefix", ["a/b", "../escape"])
+def test_prefix_with_a_path_separator_is_refused_before_output(tmp_path, capsys,
+                                                               command, prefix):
+    """A prefix names files inside output.dir, not a path out of it."""
+    cfg = write_config(tmp_path, snapshots=[0.5])
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--outdir", str(out),
+                 "--prefix", prefix])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: output.prefix: ")
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_evolve_rejects_empty_snapshots(tmp_path):
     cfg = write_config(tmp_path, snapshots=[])
     assert main(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
@@ -487,7 +502,7 @@ def test_missing_config_field_names_the_field(tmp_path, capsys):
      "out", "q_grid.n"),
     ("shift", {"state": {"sigma": None}}, "out", "state.sigma"),
     ("classical", {}, "plain.txt/out", "output.dir"),
-    ("classical", {"output": {"prefix": "missing/run"}}, "out", "output.dir"),
+    ("classical", {"output": {"prefix": "missing/run"}}, "out", "output.prefix"),
     ("evolve", {"snapshots": [0.5],
                 "q_grid": {"q_min": -2.0, "q_max": 12.0, "n": 1}},
      "out", "q_grid.n"),

@@ -383,7 +383,7 @@ def test_evolve_is_the_direct_phase(hbar):
     every exit agrees with exp(-i (Phi(tau) - Phi(tau0)) / hbar) to that bound."""
     model = FrameModel(lam=4.0, hbar=hbar)
     grid = MomentumGrid(0.01, 5.0, 4096)
-    state = make_gaussian(GaussianSpec(4.0, 1.25, 1.0), grid, model, tau0=-1.0)
+    state = evolve(make_gaussian(GaussianSpec(4.0, 1.25, 1.0), grid, model), -1.0, model)
     p = grid.nodes
     for tau in (-0.5, 0.0, 3.0, 8.0, 16.0):
         phase = K.phase_profile(p, tau, model.lam) - K.phase_profile(p, -1.0, model.lam)

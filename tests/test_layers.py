@@ -23,10 +23,12 @@ def test_relative_imports_are_read():
 
 
 # the series carries its anchor to the shift fit and the CLI computes the
-# classical overlay, so neither of these modules needs the other
+# classical overlay, so neither of these modules needs the other; the domain
+# types build states at tau = 0 and propagate nothing, so they need no kernel
 @pytest.mark.parametrize("module, forbidden", [
     ("quantum", "classical"),
     ("shift", "quantum"),
+    ("model", "_kernels"),
 ])
 def test_module_does_not_import(module, forbidden):
     assert forbidden not in relative_imports(module)
@@ -127,7 +129,7 @@ def test_norm_and_variance_take_no_modulus(module, function):
 # by apply_phase of the Phi it keeps in its workspace, and takes the nodes
 # past their exit from the free-flight range sums.
 def test_one_propagation_function():
-    for module in ("model", "spectral", "quantum"):
+    for module in ("spectral", "quantum"):
         assert calls_outside(module, "", {"advance"}), module  # not vacuous
     for module in ("model", "spectral"):
         assert calls_outside(module, "", {"apply_phase", "phase_profile"}) == [], module
@@ -135,6 +137,13 @@ def test_one_propagation_function():
     assert calls_outside("quantum", "expectation_series", {"apply_phase"}) == []
     for name in ("phase_step", "plane_wave", "spin"):
         assert not hasattr(turning_frame._kernels, name), name
+
+
+# one trajectory: q(tau) and both sheets of q(phi) read its closed forms from
+# _kernels.classical_position_profile, so only the rate takes a root itself
+def test_classical_roots_only_in_q_rate():
+    assert calls_outside("classical", "", {"sqrt"})  # not vacuous
+    assert calls_outside("classical", "q_rate", {"sqrt"}) == []
 
 
 # one numeric route: quantum stencils a state only inside _statistics, and

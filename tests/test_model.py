@@ -142,11 +142,6 @@ def test_make_gaussian_overflowing_square_is_a_domain_error(trunc_grid, hbar, si
         make_gaussian(spec, trunc_grid, FrameModel(lam=4.0, hbar=hbar))
 
 
-def test_make_gaussian_rejects_positive_reference_tau(ref_spec, trunc_grid, model):
-    with pytest.raises(DomainError):
-        make_gaussian(ref_spec, trunc_grid, model, tau0=0.5)
-
-
 def test_wide_grid_moments_match_analytic_gaussian(wide_state):
     got = moments(wide_state)
     # minimum-uncertainty packet: <p> = p0, var = (hbar/(2 sigma))^2

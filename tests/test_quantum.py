@@ -1,5 +1,6 @@
 """Tests for phase evolution, expectation routes, variance, and transforms."""
 
+import dataclasses
 import math
 import operator
 import sys
@@ -263,7 +264,7 @@ def test_analytic_route_requires_pre_turning_reference(trunc_state, model):
 
 
 def test_routes_consistent_from_negative_reference(ref_spec, trunc_grid, model):
-    state = make_gaussian(ref_spec, trunc_grid, model, tau0=-0.5)
+    state = evolve(make_gaussian(ref_spec, trunc_grid, model), -0.5, model)
     assert state.tau == -0.5
     got = position_expectation_analytic(state, 0.3, model)
     base = make_gaussian(ref_spec, trunc_grid, model)
@@ -439,6 +440,31 @@ def test_position_profile_rejects_non_increasing_grid(wide_state, model):
             to_position_representation(wide_state, q_grid, model)
 
 
+def test_position_plan_keeps_its_own_q_grid(wide_state, model, q_window):
+    """A plan copies the caller's q grid: writing into that array later
+    relabels no profile, and the caller's array stays writeable."""
+    q = q_window.copy()
+    plan = position_plan(wide_state.grid, q, model)
+    q += 5.0
+    profile = position_profile(wide_state, plan)
+    assert q.flags.writeable
+    assert profile.q.tobytes() == q_window.tobytes()
+    assert profile.coverage_ok
+    assert to_position_representation(wide_state, q_window, model).q is not q_window
+
+
+def test_value_types_hold_read_only_arrays(trunc_state, wide_state, model, q_window):
+    values = [trunc_state, SpectralState([1.0, 2.0], [0.6, 0.8]),
+              expectation_series(trunc_state, [0.0, 1.0], model),
+              to_position_representation(wide_state, q_window, model)]
+    for value in values:
+        arrays = [getattr(value, f.name) for f in dataclasses.fields(value)
+                  if isinstance(getattr(value, f.name), np.ndarray)]
+        assert arrays, type(value).__name__  # not vacuous
+        for arr in arrays:
+            assert not arr.flags.writeable, type(value).__name__
+
+
 def test_position_plan_refuses_a_state_on_another_grid(wide_state, trunc_state,
                                                        model, q_window):
     plan = position_plan(wide_state.grid, q_window, model)
@@ -495,7 +521,7 @@ def test_series_equals_single_tau_functions(q0, p0, sigma, lam, hbar, tau0,
     and the two expectation routes agree to 1e-4."""
     model = FrameModel(lam=lam, hbar=hbar)
     grid = MomentumGrid(0.01, 5.0, 4096)
-    state = make_gaussian(GaussianSpec(q0, p0, sigma), grid, model, tau0=tau0)
+    state = evolve(make_gaussian(GaussianSpec(q0, p0, sigma), grid, model), tau0, model)
     stop = 1.15 * 2.0 * grid.p_max**2 / lam
     taus = np.unique(-1.0 + np.array(fractions) * (stop + 1.0))
     _assert_series_equals_single_tau_functions(state, taus, model)
@@ -535,22 +561,6 @@ def _assert_series_equals_single_tau_functions(state, taus, model):
             64 * eps * second_moment)
         assert abs(position_expectation_numeric(evolved, model) - analytic) <= 1e-4
     return series
-
-
-@settings(max_examples=10, deadline=None)
-@given(q0=st.floats(0.0, 6.0), p0=st.floats(1.0, 1.5), sigma=st.floats(0.7, 1.4))
-@pytest.mark.parametrize("hbar", [0.7, 1.0])
-@pytest.mark.parametrize("tau0", [-0.5, -2.0])
-def test_gaussian_referenced_at_tau0_is_the_evolved_gaussian(tau0, hbar, q0, p0,
-                                                             sigma):
-    """make_gaussian(tau0) is the tau = 0 Gaussian evolved to tau0, bit for bit."""
-    model = FrameModel(lam=REF_LAMBDA, hbar=hbar)
-    grid = MomentumGrid(0.01, 5.0, 4096)
-    spec = GaussianSpec(q0, p0, sigma)
-    referenced = make_gaussian(spec, grid, model, tau0=tau0)
-    evolved = evolve(make_gaussian(spec, grid, model), tau0, model)
-    assert referenced.tau == evolved.tau
-    assert referenced.amps.tobytes() == evolved.amps.tobytes()
 
 
 def test_series_runs_one_stencil_per_tau(trunc_state, model, monkeypatch):
@@ -666,8 +676,6 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
                                  ClassicalState(REF_Q0, REF_P0), m), DomainError),
     (None, lambda s, m: position_expectation_analytic(
         MomentumState(grid=s.grid, amps=s.amps, tau=math.nan), 1.0, m), DomainError),
-    (None, lambda s, m: make_gaussian(GaussianSpec(REF_Q0, REF_P0, REF_SIGMA),
-                                      s.grid, m, tau0=math.nan), DomainError),
     # a NaN residual or route gap must trip the guards, not pass them
     (_NAN_RESIDUAL, lambda s, m: position_expectation_numeric(s, m), ResolutionError),
     (_NAN_RESIDUAL, lambda s, m: position_expectation_analytic(s, 0.5, m),
@@ -732,7 +740,7 @@ _GUARD_MESSAGES = {"q-of-tau-array-one-nan": r"^tau\[200\] must be finite, got n
     (None, lambda s, m: gauge_solution(1e200, FrameModel(4.0), -1e200), DomainError),
     (None, lambda s, m: gauge_solution(1e154, FrameModel(4.0), 1e154), DomainError),
 ], ids=["evolve-nan", "evolve-inf", "analytic-nan", "total-phase-nan",
-        "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan", "gaussian-tau0-nan",
+        "q-of-tau-nan", "q-of-tau-array-inf", "state-tau-nan",
         "numeric-nan-residual", "analytic-nan-residual", "series-nan-residual",
         "nan-cross-check", "series-tau-nan", "spectral-state-tau-nan",
         "spectral-state-tau-inf", "propagate-nan", "propagate-inf",

@@ -18,6 +18,7 @@ from turning_frame import (
     ShiftConvention,
     asymptotic_tau_bound,
     classical_shift,
+    evolve,
     expectation_series,
     extract_shift_numeric,
     make_gaussian,
@@ -156,7 +157,7 @@ def test_numeric_shift_equals_closed_form_on_grid_moments(n, lam, hbar, q0, p0,
     moments, for either convention and reference scale."""
     model = FrameModel(lam=lam, hbar=hbar, shift_convention=convention)
     grid = MomentumGrid(0.01, 5.0, n)
-    state = make_gaussian(GaussianSpec(q0, p0, sigma), grid, model, tau0=tau0)
+    state = evolve(make_gaussian(GaussianSpec(q0, p0, sigma), grid, model), tau0, model)
     bound = asymptotic_tau_bound(grid.p_max, model)
     taus = np.concatenate([np.linspace(-1.0, bound, 8, endpoint=False),
                            np.linspace(bound, 1.15 * bound, 4)])
