@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import reprlib
@@ -268,9 +269,12 @@ class MomentumGrid:
     def h(self) -> float:
         return (self.p_max - self.p_min) / (self.n - 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n)
+        """The n nodes, built on first use and read-only."""
+        nodes = np.linspace(self.p_min, self.p_max, self.n)
+        nodes.setflags(write=False)
+        return nodes
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from turning_frame import ClassicalState, FrameModel, _csv, _kernels, q_of_tau
+from turning_frame import (
+    ClassicalState,
+    FrameModel,
+    MomentumGrid,
+    MomentumState,
+    ObservableMatrix,
+    SpectralState,
+    _csv,
+    _kernels,
+    load_momentum_csv,
+    load_observable_csv,
+    load_spectral_csv,
+    q_of_tau,
+    save_momentum_csv,
+    save_observable_csv,
+    save_spectral_csv,
+)
 from turning_frame.cli import FLAGS, _write_json, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -347,6 +363,45 @@ def test_recorded_evolve_tables_take_the_digit_path(tmp_path, monkeypatch):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == GOLDEN[key]
+
+
+def test_the_package_files_take_the_bytes_pass(tmp_path, monkeypatch):
+    """No file the package writes is read row by row: the three saved
+    objects at sizes on both sides of the writer's cut-over, and every CSV
+    of the recorded runs."""
+    rows = []
+
+    def counted(*args, _original=_csv._parse_rows):
+        rows.append(args)
+        return _original(*args)
+    monkeypatch.setattr(_csv, "_parse_rows", counted)
+    rng = np.random.default_rng(33)
+    loaded = 0
+    for n in (2, 100, 1000, 8192):
+        grid = MomentumGrid(-1.0, 3.0, n)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        coeffs = amps / np.linalg.norm(amps)
+        m = rng.normal(size=(min(n, 40),) * 2) + 1j * rng.normal(size=(min(n, 40),) * 2)
+        for value, save, load in [
+                (MomentumState(grid, coeffs / math.sqrt(grid.h), 0.0),
+                 save_momentum_csv, load_momentum_csv),
+                (SpectralState(np.arange(1.0, n + 1.0), coeffs),
+                 save_spectral_csv, load_spectral_csv),
+                (ObservableMatrix(m + m.conj().T), save_observable_csv, load_observable_csv)]:
+            path = tmp_path / f"{save.__name__}_{n}.csv"
+            save(value, path)
+            load(path)
+            loaded += 1
+    for command, config, flags in GOLDEN:
+        out = tmp_path / "-".join([command, *flags])
+        assert main([command, "--config", str(CONFIGS / config),
+                     "--outdir", str(out), *flags]) == 0
+        for path in out.glob("*.csv"):
+            header = path.read_text().split("\n", 1)[0].split(",")
+            assert _csv.read(path, header)
+            loaded += 1
+    assert loaded == 3 * 4 + 1 + 1 + 1 + 8  # saved, classical, two shifts, evolve
+    assert rows == []
 
 
 def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):

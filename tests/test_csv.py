@@ -1,12 +1,14 @@
 """The one CSV table format: exact round trips and the 17-digit layout, by
 both of the writer's paths."""
 
+import csv
 import math
 import os
 import stat
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from turning_frame import _csv
+from turning_frame import InvalidStateError, _csv
 
 # every finite float64, with the signed zero, the smallest subnormal and the
 # largest magnitudes given as explicit examples below
@@ -223,3 +225,200 @@ def test_importing_the_cli_builds_no_power_table():
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.split() == ["0", "1"]
+
+
+_CSV_IMPORTS = """
+import sys
+import tempfile
+import turning_frame.cli
+from turning_frame import InvalidStateError, _csv
+print("csv" in sys.modules)
+with tempfile.NamedTemporaryFile(suffix=".csv") as fh:
+    fh.write(b"c0\\n1\\n")
+    fh.flush()
+    _csv.read(fh.name, ["c0"])
+    print("csv" in sys.modules)
+    fh.write(b"2,3\\n")
+    fh.flush()
+    try:
+        _csv.read(fh.name, ["c0"])
+    except InvalidStateError:
+        print("csv" in sys.modules)
+"""
+
+
+def test_only_a_file_read_row_by_row_imports_csv():
+    """Importing the CLI and reading a well-formed file leave the ``csv``
+    module unimported; a malformed file brings it in to name its bad line."""
+    src = str(Path(_csv.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", _CSV_IMPORTS], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.split() == ["False", "False", "True"]
+
+
+# -- the reader ---------------------------------------------------------------
+
+def oracle_parse(path, head, parts):
+    """The row-by-row reader the bytes pass replaced, kept as it was."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or not rows[0]:
+        raise InvalidStateError(f"{path}: file is empty or starts with a blank line")
+    width = len(rows[0])
+    body = rows[head:]
+    cells = list(map(str.split, chain.from_iterable(body), repeat(":")))
+    if set(map(len, body)) <= {width} and set(map(len, cells)) <= {parts}:
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(cells)), np.float64)
+        except ValueError:
+            pass
+        else:
+            return rows[:head], values.reshape(-1, width * parts)
+    for line, row in enumerate(rows[head:], start=head + 1):
+        cells = [cell.split(":") for cell in row]
+        if len(cells) != width or any(len(cell) != parts for cell in cells):
+            raise InvalidStateError(f"{path}, line {line}: malformed row {row}")
+        try:
+            [float(x) for cell in cells for x in cell]
+        except ValueError as exc:
+            raise InvalidStateError(f"{path}, line {line}: {exc}") from None
+
+
+def oracle_read(path, names):
+    [header], table = oracle_parse(path, 1, 1)
+    if [cell.strip() for cell in header[:len(names)]] != names:
+        raise InvalidStateError(f"{path}: header {header} does not start with {names}")
+    return list(table.T[:len(names)])
+
+
+def oracle_read_matrix(path):
+    return oracle_parse(path, 0, 2)[1].view(np.complex128)
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: the shapes and bytes of its arrays, or the
+    type and text of what it raises."""
+    try:
+        result = read(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception must match the oracle's
+        return "raises", type(exc), str(exc)
+    arrays = result if isinstance(result, list) else [result]
+    return "reads", [(a.shape, a.tobytes()) for a in arrays]
+
+
+def table_file(path, table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    _csv.write(path, header, list(table.T))
+    return _csv.read, oracle_read, header
+
+
+def matrix_file(path, pairs):
+    _csv.write_matrix(path, pairs.view(np.complex128)[..., 0])
+    return _csv.read_matrix, oracle_read_matrix
+
+
+# a file as ``write`` or ``write_matrix`` wrote it, rewritten with ``\n`` or
+# ``\r\n`` line ends and with or without its final one
+saved = st.one_of(st.tuples(st.just(table_file), tables),
+                  st.tuples(st.just(matrix_file), matrices))
+line_ends = st.tuples(st.sampled_from([b"\n", b"\r\n"]), st.booleans())
+
+
+def rewritten(path, end, final):
+    text = path.read_bytes().replace(b"\n", end)
+    if not final:
+        text = text[:-len(end)]
+    path.write_bytes(text)
+
+
+@file_settings
+@given(saved=saved, ends=line_ends)
+@example(saved=(table_file, np.zeros((0, 3))), ends=(b"\n", True))
+def test_the_reader_returns_the_bits_of_the_row_reader(tmp_path, monkeypatch, saved, ends):
+    """Every file the writers produce, with either line end and with or
+    without the last one, reads as the row-by-row reader reads it, and only
+    a table with no rows goes row by row."""
+    kind, values = saved
+    path = tmp_path / "saved.csv"
+    new, old, *args = kind(path, values)
+    rewritten(path, *ends)
+    calls = []
+
+    def counted(*call, _original=_csv._parse_rows):
+        calls.append(call)
+        return _original(*call)
+    monkeypatch.setattr(_csv, "_parse_rows", counted)
+    got = outcome(new, path, *args)
+    assert got[0] == "reads"
+    assert got == outcome(old, path, *args)
+    assert len(calls) == (values.shape[0] == 0)
+
+
+# one edit of a written file: a separator dropped or doubled, or a blank
+# line, a quote, a letter, a lone carriage return or a non-ASCII letter put in
+EDITS = ["drop ,", "drop :", "double ,", "double :", "blank line", '"', "x", "\r", "é"]
+
+
+@file_settings
+@given(saved=saved, ends=line_ends, edit=st.sampled_from(EDITS), at=st.floats(0.0, 1.0))
+@example(saved=(table_file, np.ones((2, 2))), ends=(b"\n", True), edit="blank line", at=1.0)
+@example(saved=(table_file, np.ones((2, 2))), ends=(b"\n", True), edit="\r", at=0.9)
+@example(saved=(matrix_file, np.ones((2, 2, 2))), ends=(b"\n", False), edit="drop :", at=0.0)
+def test_an_edited_file_reads_or_fails_as_with_the_row_reader(tmp_path, saved, ends, edit, at):
+    """After one edit both readers give the same bits, or raise the same
+    error with the same text: file, line and cause."""
+    kind, values = saved
+    path = tmp_path / "edited.csv"
+    new, old, *args = kind(path, values)
+    rewritten(path, *ends)
+    text = path.read_bytes()
+    if edit.startswith(("drop", "double")):
+        sites = [i for i, c in enumerate(text) if c == ord(edit[-1])]
+    elif edit == "blank line":
+        sites = [0] + [i + 1 for i, c in enumerate(text) if c == ord("\n")]
+    else:
+        sites = range(len(text) + 1)
+    if not sites:
+        return
+    i = sites[min(int(at * len(sites)), len(sites) - 1)]
+    if edit.startswith("drop"):
+        text = text[:i] + text[i + 1:]
+    elif edit.startswith("double"):
+        text = text[:i] + text[i:i + 1] + text[i:]
+    else:
+        text = text[:i] + (ends[0] if edit == "blank line" else edit.encode()) + text[i:]
+    path.write_bytes(text)
+    assert outcome(new, path, *args) == outcome(old, path, *args)
+
+
+@pytest.mark.parametrize("text, matrix", [
+    (b"", False), (b"\n", False), (b"c0\n", False), (b"c0", False), (b"c0,c1\n", False),
+    (b"\n1\n2\n", False), (b"\n1:0\n", True), (b"1:0\n\n", True), (b"1:0,2:0\r\n", True),
+    (b"c0\n1\r2\n", False), (b"c0\n1\r\n\r\n", False), (b"c0\n 1 ,\n", False),
+    (b"c0\n1_0\n", False), (b"c0\n 1\t\n", False), (b"c0\n1\x1c\n", False),
+    (b"c0\n1\x00\n", False), (b'c0\n"1"\n', False), (b"c0\ninf\n-nan\n", False),
+    (b"c0\n1:2\n", False), (b"1,2\n", True), (b"1:2:3\n", True),
+    # a bad byte past csv's first 8192-byte chunk, which it counts from
+    pytest.param(b"c" * 9000 + b"\xe9\n1\n", False, id="late-bad-byte"),
+    (b"c\xc3\xa9\n1\n", False),
+])
+def test_hand_written_files_read_as_with_the_row_reader(tmp_path, text, matrix):
+    path = tmp_path / "hand.csv"
+    path.write_bytes(text)
+    readers = [(_csv.read_matrix, oracle_read_matrix)] if matrix else [
+        (lambda p: _csv.read(p, names), lambda p: oracle_read(p, names))
+        for names in ([], ["c0"])]
+    for new, old in readers:
+        assert outcome(new, path) == outcome(old, path)
+
+
+def test_a_field_over_the_csv_field_limit_is_read(tmp_path):
+    """The one file the readers part on: ``csv.reader`` refuses a field over
+    its limit of 131072 characters, the float pass reads the number."""
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"c0\n" + b"0" * 2**17 + b"1\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        oracle_read(path, ["c0"])
+    [column] = _csv.read(path, ["c0"])
+    assert column.tolist() == [1.0]

@@ -463,6 +463,13 @@ def test_value_types_hold_read_only_arrays(trunc_state, wide_state, model, q_win
         assert arrays, type(value).__name__  # not vacuous
         for arr in arrays:
             assert not arr.flags.writeable, type(value).__name__
+    # the grid's nodes are built once, on first use, with linspace's bits
+    grid = trunc_state.grid
+    assert grid.nodes is grid.nodes and not grid.nodes.flags.writeable
+    assert grid.nodes.tobytes() == np.linspace(grid.p_min, grid.p_max, grid.n).tobytes()
+    assert dataclasses.asdict(grid) == {"p_min": grid.p_min, "p_max": grid.p_max, "n": grid.n}
+    twin = MomentumGrid(grid.p_min, grid.p_max, grid.n)
+    assert twin == grid and hash(twin) == hash(grid)
 
 
 def test_position_plan_refuses_a_state_on_another_grid(wide_state, trunc_state,
