@@ -2,7 +2,8 @@
 to 17 significant digits (enough to round-trip every float64), joined by
 ``,`` and ended by ``\\n``.  Observable matrices have no header and write
 each entry as one ``re:im`` cell.  Readers also accept ``\\r\\n`` line ends
-and raise InvalidStateError, naming the file and line, on a malformed file.
+and raise InvalidStateError, naming the file and line, on a malformed file
+or one that is not UTF-8.
 
 A file is read in two passes over its bytes, with ``\\r\\n`` turned into
 ``\\n`` and a final line end supplied if it has none:
@@ -16,17 +17,18 @@ A file is read in two passes over its bytes, with ``\\r\\n`` turned into
 * the float pass splits the body at every separator and parses the fields
   with one ``np.fromiter(map(float, ...))``.
 
-Every file the package writes takes these passes.  Any other file goes row
-by row through ``csv.reader`` (``_parse_rows``, the only code that names a
-bad line, and the only importer of ``csv``): one that is empty, has a blank
-first line or no row after its header, holds a non-ASCII byte, a ``"`` or a
-lone ``\\r``, fails the skeleton, or has a field ``float`` refuses.  So a
-file loads as the same bits, or raises the same error, by either path; the
-one exception is a field longer than ``csv.field_size_limit()`` (131072
-characters), on which ``csv.reader`` raised ``_csv.Error`` and the float
-pass reads the number it spells.  On a 2-core x86-64 VM an 8192 x 4 table
-reads in 13-15 ms (28-35 ms row by row), 10 of them in ``float``, and a
-128 x 4 table in 0.18 ms (0.37 ms).
+Every file the package writes takes these passes, a header-only table
+too.  Any other file (empty or with a blank first line, a non-ASCII byte, a
+``"``, a lone ``\\r``, a failed skeleton or a field ``float`` refuses) goes
+to ``_parse_rows``, the only importer of ``csv``: one ``csv.reader`` walk
+over the bytes already read, decoded as UTF-8, that reads what ``csv``
+reads (a quoted cell loads) and names the first bad line, or the line of a
+byte that is not UTF-8.  So a file loads as the same bits, or raises the
+same error, by either path; the one exception is a field longer than
+``csv.field_size_limit()`` (131072 characters), on which ``csv.reader``
+raises ``_csv.Error`` and the float pass reads the number it spells.  On a
+2-core x86-64 VM an 8192 x 4 table reads in 13-15 ms (24-25 ms by the walk),
+10 of them in ``float``, and a 128 x 3 table in 0.15 ms (0.29 ms).
 
 Every number is written as ``'%.17g' % x`` writes it, by one of two paths
 chosen by the size of the table:
@@ -66,9 +68,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import os
 import stat
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -261,9 +263,8 @@ def _parse(path, head: int, parts: int) -> tuple[list, np.ndarray]:
     """The first ``head`` rows, then a float table of the rest: every row has
     as many cells as the first, each ``parts`` numbers joined by ``:``."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
+        raw = fh.read()
+    data = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
     if not data.endswith(b"\n"):
         data += b"\n"
     *header, body = data.split(b"\n", head)
@@ -271,7 +272,7 @@ def _parse(path, head: int, parts: int) -> tuple[list, np.ndarray]:
     row = (",".join([":" * (parts - 1)] * width) + "\n").encode()
     skeleton = body.translate(None, _NOT_SEPARATORS)
     rows = len(skeleton) // len(row)
-    if (rows and skeleton == row * rows and not data.startswith(b"\n")
+    if (skeleton == row * rows and not data.startswith(b"\n")
             and data.isascii() and b'"' not in data and b"\r" not in data):
         # the body ends in a line end, so its last field is empty
         fields = body.translate(_COMMAS).split(b",")
@@ -280,44 +281,37 @@ def _parse(path, head: int, parts: int) -> tuple[list, np.ndarray]:
         except ValueError:
             pass
         else:
-            return [line.decode().split(",") for line in header], values.reshape(rows, -1)
-    return _parse_rows(path, head, parts)
+            return ([line.decode().split(",") for line in header],
+                    values.reshape(rows, width * parts))
+    return _parse_rows(path, raw, head, parts)
 
 
-def _parse_rows(path, head: int, parts: int) -> tuple[list, np.ndarray]:
-    """``_parse`` row by row with ``csv.reader``: the path of every file the
-    bytes pass does not take, and the one that names a bad line."""
+def _parse_rows(path, raw: bytes, head: int, parts: int) -> tuple[list, np.ndarray]:
+    """``_parse`` of the file's bytes ``raw`` in one ``csv.reader`` walk, for
+    every file the bytes pass refuses: the one path that names a bad line."""
     import csv
 
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InvalidStateError(f"{path}, line {line}: {exc}") from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows or not rows[0]:
         raise InvalidStateError(f"{path}: file is empty or starts with a blank line")
     width = len(rows[0])
-    body = rows[head:]
-    cells = list(map(str.split, chain.from_iterable(body), repeat(":")))
-    if set(map(len, body)) <= {width} and set(map(len, cells)) <= {parts}:
-        try:
-            values = np.fromiter(map(float, chain.from_iterable(cells)), np.float64)
-        except ValueError:
-            pass
-        else:
-            return rows[:head], values.reshape(-1, width * parts)
-    raise _first_bad_row(path, rows, head, width, parts)
-
-
-def _first_bad_row(path, rows: list, head: int, width: int, parts: int) -> InvalidStateError:
-    """The error naming the first body row that ``_parse`` refuses: one of
-    another width, with a cell of other than ``parts`` numbers, or with a
-    cell that is not a number."""
+    values = []
     for line, row in enumerate(rows[head:], start=head + 1):
-        cells = [cell.split(":") for cell in row]
-        if len(cells) != width or any(len(cell) != parts for cell in cells):
-            return InvalidStateError(f"{path}, line {line}: malformed row {row}")
+        fields = ":".join(row).split(":")
+        # with one part a cell the field count is proof enough; else check each cell
+        if len(row) != width or len(fields) != width * parts or (
+                parts > 1 and any(cell.count(":") != parts - 1 for cell in row)):
+            raise InvalidStateError(f"{path}, line {line}: malformed row {row}")
         try:
-            [float(x) for cell in cells for x in cell]
+            values += map(float, fields)
         except ValueError as exc:
-            return InvalidStateError(f"{path}, line {line}: {exc}")
+            raise InvalidStateError(f"{path}, line {line}: {exc}") from None
+    return rows[:head], np.array(values, np.float64).reshape(-1, width * parts)
 
 
 def write(path, header: list[str], columns) -> None:

@@ -239,13 +239,15 @@ def classical_position_profile(taus, q0, p, lam):
     p2 = p * p
     if p2 == 0.0:  # free flight; a subnormal lam tau would round to u = 0 and 0/0
         return q0 + taus
-    u = branch(p2, taus, lam)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # lam tau overflows only at a |tau| so large that the lane is at
+        # tau < 0 or past the exit, where q is free flight
+        u = branch(p2, taus, lam)
         s = np.sqrt(np.abs(u) / p2)  # inf or NaN at p^2 -> 0, only in dropped lanes
         rising = q0 + 2.0 * taus / (1.0 + s)          # 0 <= tau <= p^2/lam
         returning = q0 + 2.0 * p2 * (1.0 + s) / lam   # p^2/lam <= tau <= 2 p^2/lam
-    out = np.where(u >= 0.0, rising, np.where(before_exit(p2, taus, lam), returning,
-                                              q0 + taus + 2.0 * p2 / lam))
+        before = before_exit(p2, taus, lam)
+    out = np.where(u >= 0.0, rising, np.where(before, returning, q0 + taus + 2.0 * p2 / lam))
     return np.where(taus <= 0.0, q0 + taus, out)
 
 

@@ -101,7 +101,9 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
     """
     phi_arr = _finite_floats(phi, "phi")
     lam, p2 = model.lam, state.p * state.p
-    if np.any(_kernels.branch(p2, phi_arr, lam) < 0.0):
+    with np.errstate(over="ignore"):  # lam phi = +-inf still gives the sign of u
+        beyond = np.any(_kernels.branch(p2, phi_arr, lam) < 0.0)
+    if beyond:
         raise DomainError("phi lies beyond the turning point p^2/lam")
     tau = phi_arr if branch is Branch.BEFORE else 2.0 * p2 / lam - phi_arr
     out = _kernels.classical_position_profile(tau, state.q0, state.p, lam)

@@ -145,6 +145,8 @@ def _load_config(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config", f"need a JSON object, got {type(doc).__name__}")
     return doc
@@ -406,8 +408,6 @@ def main(argv=None) -> int:
         return cmd_shift(cfg)
     except (TurningFrameError, ArithmeticError) as exc:  # 1e200 ** 2 overflows
         message, code = str(exc), _EXIT_CODES.get(type(exc), EXIT_CONFIG)
-    except UnicodeDecodeError as exc:
-        message, code = f"config: {args.config}: {exc}", EXIT_CONFIG
     except MemoryError as exc:  # a count such as --n 1e15, refused at allocation
         message, code = f"out of memory: {str(exc) or 'allocation failed'}", EXIT_CONFIG
     except BrokenPipeError:

@@ -358,6 +358,22 @@ def test_overflowing_classical_result_is_a_domain_error(call, name):
         call()
 
 
+# lam tau overflows at |tau| = 1e308, so far past the exit or before the
+# start that q is free flight, and far past the turning point in phi; under
+# the suite's filterwarnings = error an overflow warning would fail the call
+@pytest.mark.parametrize("tau", [1e308, -1e308])
+def test_a_huge_tau_is_free_flight(unit_state, lam4, tau):
+    q0, p = unit_state.q0, unit_state.p
+    want = q0 + tau + (2.0 * p * p / lam4.lam if tau > 0.0 else 0.0)
+    assert q_of_tau(tau, unit_state, lam4) == want
+    assert q_of_tau(np.array([tau, 0.25]), unit_state, lam4).tolist() == [want, 0.5]
+
+
+def test_a_huge_phi_is_beyond_the_turning_point(unit_state, lam4):
+    with pytest.raises(DomainError, match="beyond the turning point"):
+        q_of_phi(1e308, Branch.BEFORE, unit_state, lam4)
+
+
 # p^2 underflows to 0 at p = 1e-200 and to a subnormal at p = 1e-160: every
 # turning scale is 0 or below eps, so the values are those of free flight,
 # and the lanes np.where drops divide by p^2 without a warning

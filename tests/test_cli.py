@@ -106,6 +106,19 @@ def test_classical_rejects_empty_tau_range(tmp_path):
     assert main(["classical", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
 
 
+def test_classical_at_a_huge_tau_stop_prints_no_warning(tmp_path, capsys):
+    """lam tau overflows at tau = 1e308, where q is free flight: the run
+    writes q0 + tau + 2 p^2/lam there and leaves stderr empty."""
+    argv = ["classical", "--config", str(CONFIGS / "classical_trajectory.json"),
+            "--tau-stop", "1e308", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    _, data = read_csv(out.strip())
+    exit_shift = 2 * 1.25**2 / 4.0  # 2 p^2/lam of the checked-in config
+    assert data[-1].tolist() == [1e308, exit_shift - 1e308, 4.0 + 1e308 + exit_shift]
+
+
 # -- evolve -------------------------------------------------------------------
 
 def test_evolve_writes_snapshots_with_unit_norms(tmp_path, capsys):

@@ -337,8 +337,8 @@ def rewritten(path, end, final):
 @example(saved=(table_file, np.zeros((0, 3))), ends=(b"\n", True))
 def test_the_reader_returns_the_bits_of_the_row_reader(tmp_path, monkeypatch, saved, ends):
     """Every file the writers produce, with either line end and with or
-    without the last one, reads as the row-by-row reader reads it, and only
-    a table with no rows goes row by row."""
+    without the last one, reads as the row-by-row reader reads it, and none,
+    a table with no rows included, goes row by row."""
     kind, values = saved
     path = tmp_path / "saved.csv"
     new, old, *args = kind(path, values)
@@ -352,7 +352,7 @@ def test_the_reader_returns_the_bits_of_the_row_reader(tmp_path, monkeypatch, sa
     got = outcome(new, path, *args)
     assert got[0] == "reads"
     assert got == outcome(old, path, *args)
-    assert len(calls) == (values.shape[0] == 0)
+    assert calls == []
 
 
 # one edit of a written file: a separator dropped or doubled, or a blank
@@ -399,8 +399,6 @@ def test_an_edited_file_reads_or_fails_as_with_the_row_reader(tmp_path, saved, e
     (b"c0\n1_0\n", False), (b"c0\n 1\t\n", False), (b"c0\n1\x1c\n", False),
     (b"c0\n1\x00\n", False), (b'c0\n"1"\n', False), (b"c0\ninf\n-nan\n", False),
     (b"c0\n1:2\n", False), (b"1,2\n", True), (b"1:2:3\n", True),
-    # a bad byte past csv's first 8192-byte chunk, which it counts from
-    pytest.param(b"c" * 9000 + b"\xe9\n1\n", False, id="late-bad-byte"),
     (b"c\xc3\xa9\n1\n", False),
 ])
 def test_hand_written_files_read_as_with_the_row_reader(tmp_path, text, matrix):
@@ -413,9 +411,28 @@ def test_hand_written_files_read_as_with_the_row_reader(tmp_path, text, matrix):
         assert outcome(new, path) == outcome(old, path)
 
 
+@pytest.mark.parametrize("text, line, matrix", [
+    (b"c" * 9000 + b"\xe9\n1\n", 1, False),
+    (b"c0\n" + b"1\n" * 5000 + b"2\xff\n3\n", 5002, False),
+    (b"c0\r\n1\r\n\x80\r\n", 3, False),
+    (b"1:0,2:0\n3:0,4:\xc3\n", 2, True),
+], ids=["header", "past-8192-bytes", "crlf", "matrix"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, text, line, matrix):
+    """One of the two kinds of file the readers part on: where the oracle,
+    decoding by the locale, raises UnicodeDecodeError, the reader raises
+    InvalidStateError naming the file and the line that holds the byte."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(UnicodeDecodeError) as cause:
+        text.decode("utf-8")
+    with pytest.raises(InvalidStateError) as raised:
+        _csv.read_matrix(path) if matrix else _csv.read(path, ["c0"])
+    assert str(raised.value) == f"{path}, line {line}: {cause.value}"
+
+
 def test_a_field_over_the_csv_field_limit_is_read(tmp_path):
-    """The one file the readers part on: ``csv.reader`` refuses a field over
-    its limit of 131072 characters, the float pass reads the number."""
+    """The other kind of file the readers part on: ``csv.reader`` refuses a
+    field over its limit of 131072 characters, the float pass reads it."""
     path = tmp_path / "long.csv"
     path.write_bytes(b"c0\n" + b"0" * 2**17 + b"1\n")
     with pytest.raises(csv.Error, match="field larger than field limit"):
