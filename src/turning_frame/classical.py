@@ -44,6 +44,7 @@ class GaugeSample:
 
     def constraint_residual(self, H: float, model: FrameModel) -> float:
         """Value of -p_phi^2 - lam*phi*theta(phi) + H^2 (zero on shell)."""
+        _require_finite(H, "H")
         potential = model.lam * self.phi if self.phi > 0.0 else 0.0
         residual = -_square(self.p_phi, "p_phi") - potential + _square(H, "H")
         _require_finite(residual, "constraint residual")
@@ -107,6 +108,7 @@ def q_of_phi(phi, branch: Branch, state: ClassicalState, model: FrameModel):
         raise DomainError("phi lies beyond the turning point p^2/lam")
     tau = phi_arr if branch is Branch.BEFORE else 2.0 * p2 / lam - phi_arr
     out = _kernels.classical_position_profile(tau, state.q0, state.p, lam)
+    out = _finite_floats(out, "q")  # 2 p^2 overflows for p^2 near the float64 maximum
     return float(out) if np.isscalar(phi) else out
 
 
@@ -123,6 +125,7 @@ def q_of_tau(tau, state: ClassicalState, model: FrameModel):
     """Relational trajectory q(tau): free, slowed, re-crossing, free again."""
     tau_arr = _finite_floats(tau, "tau")
     out = _kernels.classical_position_profile(tau_arr, state.q0, state.p, model.lam)
+    out = _finite_floats(out, "q")  # 2 p^2 overflows for p^2 near the float64 maximum
     return float(out) if np.isscalar(tau) else out
 
 

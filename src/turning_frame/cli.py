@@ -8,13 +8,13 @@ Commands::
     turning-frame estimate  --mass-amu 100 --temp-k 1e-6
 
 One JSON document configures a whole pipeline (sections: model, state,
-grid, tau, snapshots, q_grid, output); the flags in ``FLAGS`` override
-single fields and are typed by the same readers as config values
-(``--n 1e3`` reads like ``"n": 1e3``).  A command accepts only the flags
-of the fields it reads.  The default output directory
-comes from ``$TURNING_FRAME_OUTDIR`` when set.  Outputs are
-deterministic: identical configs produce byte-identical files on machines
-where NumPy picks the same SIMD loops.
+grid, tau, snapshots, q_grid, output; a key no command reads is refused);
+the flags in ``FLAGS`` override single fields and are typed by the same
+readers as config values (``--n 1e3`` reads like ``"n": 1e3``).  A
+command accepts only the flags of the fields it reads.  The default
+output directory comes from ``$TURNING_FRAME_OUTDIR`` when set.  Outputs
+are deterministic: identical configs produce byte-identical files on
+machines where NumPy picks the same SIMD loops.
 
 Exit codes: 0 success, 1 output pipe closed, 2 configuration or validation
 problem, 3 grid resolution failure (a ResolutionError or a ConsistencyError),
@@ -88,6 +88,10 @@ FLAGS = {
     "output.prefix": "--prefix",
 }
 
+# every config path a command reads: those of the flags, the snapshot list
+# and the position grid
+_PATHS = (*FLAGS, "snapshots", "q_grid.q_min", "q_grid.q_max", "q_grid.n")
+
 
 def _get(cfg: dict, path: str, default=_MISSING):
     node = cfg
@@ -150,6 +154,20 @@ def _load_config(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config", f"need a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def _refuse_unknown(cfg: dict) -> None:
+    """Refuse a section or field that no command reads, such as a misspelt
+    key, naming its path and the known paths beside it."""
+    sections = dict.fromkeys(path.split(".")[0] for path in _PATHS)
+    for key, node in cfg.items():
+        if key not in sections:
+            raise ConfigError(key, f"unknown section; known: {', '.join(sections)}")
+        known = [path for path in _PATHS if path.startswith(f"{key}.")]
+        for leaf in node if known and isinstance(node, dict) else ():
+            if f"{key}.{leaf}" not in known:
+                message = f"unknown field; known: {', '.join(known)}"
+                raise ConfigError(f"{key}.{leaf}", message)
 
 
 def _override(cfg: dict, path: str, value) -> None:
@@ -349,6 +367,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _collect_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config)
+    _refuse_unknown(cfg)
     for path in FLAGS:
         _override(cfg, path, getattr(args, path, None))
     if getattr(args, "snapshots", None) is not None:

@@ -41,6 +41,7 @@ class PhysicalScenario:
     def from_amu(
         cls, mass_amu: float, temperature_k: float, gravity: float = STANDARD_GRAVITY
     ) -> "PhysicalScenario":
+        _require_positive(mass_amu, "mass_amu")
         return cls(mass_kg=mass_amu * AMU_KG, temperature_k=temperature_k,
                    gravity=gravity)
 

@@ -51,7 +51,7 @@ from .model import (
     _check_norm,
     _evenly_spaced,
     _finite_floats,
-    _floats,
+    _frozen,
     _integral,
     _require_finite,
     _require_increasing,
@@ -283,8 +283,7 @@ class PositionPlan(NamedTuple):
 def position_plan(grid: MomentumGrid, q_grid, model: FrameModel) -> PositionPlan:
     """Check ``q_grid`` and plan the transform of states on ``grid`` onto a
     read-only copy of it, which a later write to ``q_grid`` does not reach."""
-    q = _floats(q_grid, "q_grid").copy()
-    q.setflags(write=False)
+    q = _frozen(q_grid, "q_grid")
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError("q_grid must be a 1-d array with at least 2 nodes")
     if not _evenly_spaced(q):

@@ -10,8 +10,6 @@ observable divided by hbar.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, NotAsymptoticError
@@ -21,8 +19,10 @@ from .model import (
     MomentumState,
     ShiftConvention,
     ShiftReport,
+    _is_finite,
     _require_finite,
     _require_positive,
+    _shown,
     _square,
     moments,
 )
@@ -47,9 +47,9 @@ def total_shift(mean_p: float, var_p: float, model: FrameModel) -> float:
     MEAN_SQUARE_MOMENTUM: -4<p^2>/lam (classical p^2 read as <p^2>).
     """
     _require_finite(mean_p, "mean momentum")
-    if not 0.0 <= var_p < math.inf:
+    if not (_is_finite(var_p) and var_p >= 0.0):
         raise DomainError(
-            f"momentum variance must be non-negative and finite, got {var_p}")
+            f"momentum variance must be non-negative and finite, got {_shown(var_p)}")
     mean_p2 = _square(mean_p, "mean momentum")
     if model.shift_convention is ShiftConvention.MEAN_SQUARE_MOMENTUM:
         shift = -4.0 * (mean_p2 + var_p) / model.lam

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _csv, _kernels
 from .errors import DomainError, InvalidStateError
-from .model import (FrameModel, _abs2, _finite_floats, _floats, _require_finite,
-                    _require_increasing)
+from .model import (FrameModel, _abs2, _finite_floats, _floats, _frozen,
+                    _require_finite, _require_increasing)
 
 # Sum |c|^2 over a discrete spectrum is exact up to rounding, so it is held
 # to 1e-9; model.NORM_TOLERANCE (1e-6) bounds a grid quadrature of |f|^2
@@ -54,8 +54,8 @@ class SpectralState:
 
     def __post_init__(self):
         _require_finite(self.tau, "tau")
-        energies = _finite_floats(self.energies, "energies").copy()
-        coeffs = _floats(self.coeffs, "coeffs", np.complex128).copy()
+        energies = _finite_floats(_frozen(self.energies, "energies"), "energies")
+        coeffs = _frozen(self.coeffs, "coeffs", np.complex128)
         if energies.ndim != 1 or energies.shape != coeffs.shape:
             raise InvalidStateError("energies and coeffs must be matching 1-d arrays")
         _require_increasing(energies, "energies")
@@ -66,8 +66,6 @@ class SpectralState:
         # phases times checked ones and cannot overflow
         with np.errstate(over="ignore"):
             _require_normalized(coeffs)
-        energies.setflags(write=False)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "coeffs", coeffs)
 

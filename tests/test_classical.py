@@ -352,7 +352,14 @@ def test_overflowing_square_is_a_domain_error(lam4, call):
     (lambda: classical_shift(1e150, FrameModel(1e-10)), "classical shift"),
     (lambda: GaugeSample(1.0, 1e308, 0.0).constraint_residual(1.0, FrameModel(4.0)),
      "constraint residual"),
-], ids=["turning-point", "classical-shift", "constraint-residual"])
+    # 2 p^2 overflows on the returning sheet, where q itself is about 1.17e308
+    (lambda: q_of_tau(0.5e308, ClassicalState(0.0, 1.2e154), FrameModel(4.0)), "q"),
+    (lambda: q_of_phi(3e307, Branch.AFTER, ClassicalState(0.0, 1.2e154),
+                      FrameModel(4.0)), "q"),
+    (lambda: q_of_tau(np.array([1.0, 0.5e308]), ClassicalState(0.0, 1.2e154),
+                      FrameModel(4.0)), r"q\[1\]"),
+], ids=["turning-point", "classical-shift", "constraint-residual", "q-of-tau",
+        "q-of-phi", "q-of-tau-array"])
 def test_overflowing_classical_result_is_a_domain_error(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be finite, got -?inf$"):
         call()

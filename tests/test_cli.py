@@ -589,6 +589,13 @@ def test_missing_config_field_names_the_field(tmp_path, capsys):
     ("evolve", {"snapshots": [0.5],
                 "q_grid": {"q_min": 0.0, "q_max": 1e-323, "n": 5}},
      "out", "q_grid"),
+    # a key no command reads, such as a misspelt one, is refused by its path
+    ("shift", {"model": {"hbr": 0.5}}, "out", "model.hbr: unknown field; known: "
+                                              "model.lambda, model.hbar"),
+    ("classical", {"modle": {"lambda": 4.0}}, "out", "modle: unknown section"),
+    ("evolve", {"snapshots": [0.5],
+                "q_grid": {"qmin": -2.0, "q_max": 12.0, "n": 101}},
+     "out", "q_grid.qmin: unknown field; known: q_grid.q_min"),
 ])
 def test_malformed_counts_and_outputs_exit_2(tmp_path, capsys, command,
                                               overrides, outdir, field):

@@ -2,35 +2,46 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turning_frame import (
     ClassicalState,
     DomainError,
     ExpectationSeries,
     FrameModel,
+    GaugeSample,
     GaussianMode,
     GaussianSpec,
     InvalidStateError,
     MomentumGrid,
     MomentumState,
+    PhysicalScenario,
     ResolutionError,
     ShiftReport,
     SpectralState,
+    TurningFrameError,
     evolve,
     expectation_series,
+    gauge_solution,
     load_momentum_csv,
     make_gaussian,
     moments,
+    phase_branch,
     position_variance,
     propagate,
     q_of_tau,
+    q_rate,
     save_momentum_csv,
     total_phase,
+    total_shift,
     unwind_phi,
 )
+from turning_frame.model import _square
+from turning_frame.quantum import position_plan
 
 from conftest import REF_P0, REF_SIGMA, riemann
 
@@ -73,6 +84,8 @@ def test_value_types_reject_non_finite_parameters(bad):
         lambda: ClassicalState(q0=bad, p=1.25),
         lambda: MomentumGrid(bad, 5.0, 64),
         lambda: ShiftReport(0.0, 0.0, 0.0, bad, 0.0, 0.0, 1.0),
+        lambda: total_shift(1.25, bad, FrameModel(4.0)),
+        lambda: PhysicalScenario.from_amu(bad, 1e-6),
     ):
         with pytest.raises(DomainError, match="finite"):
             make()
@@ -102,14 +115,115 @@ def test_value_types_reject_non_finite_parameters(bad):
      "amps must be numbers"),
     (lambda s, m: SpectralState(["1.0"], [1.0]), "energies must be numbers"),
     (lambda s, m: SpectralState([1.0], ["1.0"]), "coeffs must be numbers"),
+    # NumPy raised a bare ValueError for a ragged nest, and a TypeError when
+    # it converted an object array holding None
+    (lambda s, m: q_of_tau([[1.0], [2.0, 3.0]], ClassicalState(4.0, 1.25), m),
+     "tau must be numbers"),
+    (lambda s, m: expectation_series(s, np.array([0.5, None]), m),
+     "tau samples must be numbers"),
+    (lambda s, m: SpectralState([1.0, 2.0], np.array([1.0, None])),
+     "coeffs must be numbers"),
 ], ids=["lambda-str", "hbar-bytes", "grid-str", "gaussian-str", "classical-str",
         "evolve-str", "total-phase-str", "propagate-str", "series-str-list",
         "series-bytes-list", "series-object-array", "q-of-tau-str-list",
         "unwind-phi-str-list", "momentum-state-str-array", "spectral-energies-str",
-        "spectral-coeffs-str"])
+        "spectral-coeffs-str", "q-of-tau-ragged", "series-object-none",
+        "spectral-coeffs-object-none"])
 def test_text_is_refused_as_a_domain_error(trunc_state, model, make, message):
     with pytest.raises(DomainError, match=message):
         make(trunc_state, model)
+
+
+# Each public scalar parameter, filled by one draw.  Only a finite
+# numbers.Real passes, or a 0-d array holding one.
+_SCALAR_PARAMETERS = {
+    "lambda": lambda s, m, x: FrameModel(lam=x),
+    "hbar": lambda s, m, x: FrameModel(4.0, hbar=x),
+    "classical-q0": lambda s, m, x: ClassicalState(x, 1.25),
+    "classical-p": lambda s, m, x: ClassicalState(4.0, x),
+    "gaussian-q0": lambda s, m, x: GaussianSpec(x, 1.25, 1.0),
+    "gaussian-p0": lambda s, m, x: GaussianSpec(4.0, x, 1.0),
+    "gaussian-sigma": lambda s, m, x: GaussianSpec(4.0, 1.25, x),
+    "grid-p-min": lambda s, m, x: MomentumGrid(x, 5.0, 64),
+    "grid-p-max": lambda s, m, x: MomentumGrid(0.01, x, 64),
+    "grid-n": lambda s, m, x: MomentumGrid(0.01, 5.0, x),
+    "evolve-tau": lambda s, m, x: evolve(s, x, m),
+    "propagate-tau": lambda s, m, x: propagate(SpectralState([1.0], [1.0]), x, m),
+    "total-phase-tau": lambda s, m, x: total_phase(x, 1.25, m),
+    "total-phase-p": lambda s, m, x: total_phase(1.0, x, m),
+    "phase-branch-tau": lambda s, m, x: phase_branch(x, 1.25, m),
+    "phase-branch-p": lambda s, m, x: phase_branch(1.0, x, m),
+    "q-rate-tau": lambda s, m, x: q_rate(x, ClassicalState(4.0, 1.25), m),
+    "gauge-solution-h": lambda s, m, x: gauge_solution(x, m, 0.5),
+    "gauge-solution-epsilon": lambda s, m, x: gauge_solution(1.25, m, x),
+    "constraint-residual-h": lambda s, m, x:
+        GaugeSample(0.0, 0.0, 1.25).constraint_residual(x, m),
+    "total-shift-mean": lambda s, m, x: total_shift(x, 0.1, m),
+    "total-shift-var": lambda s, m, x: total_shift(1.25, x, m),
+    "from-amu-mass": lambda s, m, x: PhysicalScenario.from_amu(x, 1e-6),
+    "from-amu-temperature": lambda s, m, x: PhysicalScenario.from_amu(100.0, x),
+    "from-amu-gravity": lambda s, m, x: PhysicalScenario.from_amu(100.0, 1e-6, x),
+}
+_NOT_A_REAL = st.one_of(
+    st.none(), st.text(max_size=4), st.binary(max_size=4), st.builds(object),
+    st.lists(st.floats(), max_size=2), st.just(np.True_), st.decimals(),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    st.floats().map(lambda x: np.array([x])),
+    st.integers(-10, 10).map(lambda x: np.array([x])),
+)
+
+
+@pytest.mark.parametrize("call", _SCALAR_PARAMETERS.values(), ids=_SCALAR_PARAMETERS)
+@settings(max_examples=40, deadline=None)
+@given(bad=_NOT_A_REAL)
+def test_a_scalar_parameter_that_is_not_a_real_number_is_refused(trunc_state, model,
+                                                                 call, bad):
+    """None, text, a list, np.True_, a Decimal, a complex value or a
+    1-element array raises a TurningFrameError, never a bare TypeError,
+    ValueError or OverflowError."""
+    with pytest.raises(TurningFrameError):
+        call(trunc_state, model, bad)
+
+
+def test_frozen_fields_are_read_only_copies(trunc_state, wide_state, model):
+    """Each array a record takes from its caller is copied, even when its
+    dtype already matches, and frozen; the caller's array stays writeable."""
+    amps = trunc_state.amps.copy()
+    energies, coeffs = np.array([1.0, 2.0]), np.array([0.6, 0.8j])
+    columns = [np.array([0.0, 1.0]), np.zeros(2), np.ones(2), np.zeros(2)]
+    q = np.linspace(-2.0, 12.0, 101)
+    held = [
+        (amps, MomentumState(trunc_state.grid, amps, 0.0).amps),
+        (energies, SpectralState(energies, coeffs).energies),
+        (coeffs, SpectralState(energies, coeffs).coeffs),
+        (q, position_plan(wide_state.grid, q, model).q),
+    ]
+    series = ExpectationSeries(*columns, anchor=0.0)
+    held += [(caller, getattr(series, name))
+             for caller, name in zip(columns, ("taus", "q_mean", "norm", "q_var"))]
+    for caller, field in held:
+        assert field.dtype == caller.dtype and np.array_equal(field, caller)
+        assert not np.shares_memory(field, caller)
+        assert not field.flags.writeable and caller.flags.writeable
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False)
+       | st.integers(-2**70, 2**70)
+       | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+def test_square_has_the_bits_of_a_numpy_square(x):
+    """``_square`` squares ``float(x)`` by a power, NumPy's scalar bits, and
+    refuses an overflow, a NumPy scalar's included, with no warning."""
+    with np.errstate(over="ignore"):
+        want = np.float64(x) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isinf(want):
+            with pytest.raises(DomainError, match="its square overflows"):
+                _square(x, "x")
+        else:
+            got = _square(x, "x")
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
 
 
 def test_make_gaussian_is_normalized_to_1e12(trunc_state, wide_state):
