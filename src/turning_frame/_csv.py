@@ -2,8 +2,7 @@
 to 17 significant digits (enough to round-trip every float64), joined by
 ``,`` and ended by ``\\n``.  Observable matrices have no header and write
 each entry as one ``re:im`` cell.  Readers also accept ``\\r\\n`` line ends
-and raise InvalidStateError, naming the file and line, on a malformed file
-or one that is not UTF-8.
+and raise InvalidStateError, naming the file and line, on any other file.
 
 A file is read in two passes over its bytes, with ``\\r\\n`` turned into
 ``\\n`` and a final line end supplied if it has none:
@@ -18,17 +17,15 @@ A file is read in two passes over its bytes, with ``\\r\\n`` turned into
   with one ``np.fromiter(map(float, ...))``.
 
 Every file the package writes takes these passes, a header-only table
-too.  Any other file (empty or with a blank first line, a non-ASCII byte, a
-``"``, a lone ``\\r``, a failed skeleton or a field ``float`` refuses) goes
-to ``_parse_rows``, the only importer of ``csv``: one ``csv.reader`` walk
-over the bytes already read, decoded as UTF-8, that reads what ``csv``
-reads (a quoted cell loads) and names the first bad line, or the line of a
-byte that is not UTF-8.  So a file loads as the same bits, or raises the
-same error, by either path; the one exception is a field longer than
-``csv.field_size_limit()`` (131072 characters), on which ``csv.reader``
-raises ``_csv.Error`` and the float pass reads the number it spells.  On a
-2-core x86-64 VM an 8192 x 4 table reads in 13-15 ms (24-25 ms by the walk),
-10 of them in ``float``, and a 128 x 3 table in 0.15 ms (0.29 ms).
+too, and they are the only way a table loads.  Any other file is refused:
+one that is empty or starts with a blank line, holds a ``"``, a lone
+``\\r`` or a non-ASCII byte, fails the skeleton or has a field ``float``
+refuses.  Only then does ``_refusal`` read it line by line, each field as
+bytes as the float pass does, for the InvalidStateError naming the first
+line outside the format and why: the character, ``malformed row [...]``,
+``could not convert string to float: '...'`` or a UnicodeDecodeError.
+On a 2-core x86-64 VM an 8192 x 4 table reads in 13-15 ms, 10 of them in
+``float``, and a 128 x 3 table in 0.15 ms.
 
 Every number is written as ``'%.17g' % x`` writes it, by one of two paths
 chosen by the size of the table:
@@ -68,7 +65,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import os
 import stat
 
@@ -283,35 +279,33 @@ def _parse(path, head: int, parts: int) -> tuple[list, np.ndarray]:
         else:
             return ([line.decode().split(",") for line in header],
                     values.reshape(rows, width * parts))
-    return _parse_rows(path, raw, head, parts)
+    raise _refusal(path, raw, data, head, width, parts)
 
 
-def _parse_rows(path, raw: bytes, head: int, parts: int) -> tuple[list, np.ndarray]:
-    """``_parse`` of the file's bytes ``raw`` in one ``csv.reader`` walk, for
-    every file the bytes pass refuses: the one path that names a bad line."""
-    import csv
-
+def _refusal(path, raw: bytes, data: bytes, head: int, width: int, parts: int):
+    """The InvalidStateError naming the first line outside the format of a
+    file ``_parse`` refuses: ``raw`` as read, ``data`` with ``\\n`` ends."""
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise InvalidStateError(f"{path}, line {line}: {exc}") from None
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows or not rows[0]:
-        raise InvalidStateError(f"{path}: file is empty or starts with a blank line")
-    width = len(rows[0])
-    values = []
-    for line, row in enumerate(rows[head:], start=head + 1):
-        fields = ":".join(row).split(":")
-        # with one part a cell the field count is proof enough; else check each cell
-        if len(row) != width or len(fields) != width * parts or (
-                parts > 1 and any(cell.count(":") != parts - 1 for cell in row)):
-            raise InvalidStateError(f"{path}, line {line}: malformed row {row}")
-        try:
-            values += map(float, fields)
-        except ValueError as exc:
-            raise InvalidStateError(f"{path}, line {line}: {exc}") from None
-    return rows[:head], np.array(values, np.float64).reshape(-1, width * parts)
+        return InvalidStateError(f"{path}, line {line}: {exc}")
+    if data.startswith(b"\n"):
+        return InvalidStateError(f"{path}: file is empty or starts with a blank line")
+    for line, text in enumerate(data.split(b"\n")[:-1], start=1):
+        if char := next((c for c in text.decode() if c in '"\r' or not c.isascii()), None):
+            return InvalidStateError(f"{path}, line {line}: {char!r} is outside the format")
+        if line <= head:
+            continue
+        row = text.decode().split(",") if text else []
+        if len(row) != width or any(cell.count(":") != parts - 1 for cell in row):
+            return InvalidStateError(f"{path}, line {line}: malformed row {row}")
+        for field in text.replace(b":", b",").split(b","):
+            try:
+                float(field)  # bytes, as the float pass reads them
+            except ValueError:
+                return InvalidStateError(f"{path}, line {line}: could not convert "
+                                         f"string to float: {field.decode()!r}")
 
 
 def write(path, header: list[str], columns) -> None:

@@ -245,6 +245,10 @@ class MomentumGrid:
             raise DomainError(f"grid size n must be an integer, got {self.n}") from None
         if self.n < 2:
             raise DomainError(f"need at least 2 grid nodes, got {self.n}")
+        if not _is_finite(self.n):
+            raise DomainError(f"grid size n must be within float range, got {_shown(self.n)}")
+        if not 0.0 < self.h < math.inf:
+            raise DomainError(f"grid step of {self} must be positive and finite, got {self.h}")
 
     @property
     def h(self) -> float:

@@ -379,15 +379,15 @@ def test_recorded_evolve_tables_take_the_digit_path(tmp_path, monkeypatch):
 
 
 def test_the_package_files_take_the_bytes_pass(tmp_path, monkeypatch):
-    """No file the package writes is read row by row: the three saved
-    objects at sizes on both sides of the writer's cut-over, and every CSV
-    of the recorded runs."""
-    rows = []
+    """No file the package writes is refused: the three saved objects at
+    sizes on both sides of the writer's cut-over, and every CSV of the
+    recorded runs."""
+    refused = []
 
-    def counted(*args, _original=_csv._parse_rows):
-        rows.append(args)
+    def counted(*args, _original=_csv._refusal):
+        refused.append(args)
         return _original(*args)
-    monkeypatch.setattr(_csv, "_parse_rows", counted)
+    monkeypatch.setattr(_csv, "_refusal", counted)
     rng = np.random.default_rng(33)
     loaded = 0
     for n in (2, 100, 1000, 8192):
@@ -414,7 +414,7 @@ def test_the_package_files_take_the_bytes_pass(tmp_path, monkeypatch):
             assert _csv.read(path, header)
             loaded += 1
     assert loaded == 3 * 4 + 1 + 1 + 1 + 8  # saved, classical, two shifts, evolve
-    assert rows == []
+    assert refused == []
 
 
 def test_route_gap_names_the_grid_and_exits_3(tmp_path, capsys):

@@ -232,12 +232,10 @@ import sys
 import tempfile
 import turning_frame.cli
 from turning_frame import InvalidStateError, _csv
-print("csv" in sys.modules)
 with tempfile.NamedTemporaryFile(suffix=".csv") as fh:
     fh.write(b"c0\\n1\\n")
     fh.flush()
     _csv.read(fh.name, ["c0"])
-    print("csv" in sys.modules)
     fh.write(b"2,3\\n")
     fh.flush()
     try:
@@ -247,20 +245,23 @@ with tempfile.NamedTemporaryFile(suffix=".csv") as fh:
 """
 
 
-def test_only_a_file_read_row_by_row_imports_csv():
-    """Importing the CLI and reading a well-formed file leave the ``csv``
-    module unimported; a malformed file brings it in to name its bad line."""
+def test_reading_any_file_leaves_csv_unimported():
+    """Importing the CLI, reading a well-formed file and refusing a
+    malformed one leave the ``csv`` module unimported: the bytes pass is the
+    only reader."""
     src = str(Path(_csv.__file__).parent.parent)
     run = subprocess.run([sys.executable, "-c", _CSV_IMPORTS], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.split() == ["False", "False", "True"]
+    assert run.stdout.split() == ["False"]
 
 
 # -- the reader ---------------------------------------------------------------
 
 def oracle_parse(path, head, parts):
-    """The row-by-row reader the bytes pass replaced, kept as it was."""
+    """The row-by-row ``csv.reader`` walk the bytes pass replaced, kept as
+    the reference: the package's reader gives its bits, or its error, on
+    every file without a ``"``, a lone ``\\r`` or a non-ASCII character."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or not rows[0]:
@@ -294,6 +295,11 @@ def oracle_read(path, names):
 
 def oracle_read_matrix(path):
     return oracle_parse(path, 0, 2)[1].view(np.complex128)
+
+
+def refused_at(path, line, why):
+    """What a reader gives for a file refused at ``line`` for ``why``."""
+    return "raises", InvalidStateError, f"{path}, line {line}: {why}"
 
 
 def outcome(read, *args):
@@ -338,17 +344,17 @@ def rewritten(path, end, final):
 def test_the_reader_returns_the_bits_of_the_row_reader(tmp_path, monkeypatch, saved, ends):
     """Every file the writers produce, with either line end and with or
     without the last one, reads as the row-by-row reader reads it, and none,
-    a table with no rows included, goes row by row."""
+    a table with no rows included, is refused."""
     kind, values = saved
     path = tmp_path / "saved.csv"
     new, old, *args = kind(path, values)
     rewritten(path, *ends)
     calls = []
 
-    def counted(*call, _original=_csv._parse_rows):
+    def counted(*call, _original=_csv._refusal):
         calls.append(call)
         return _original(*call)
-    monkeypatch.setattr(_csv, "_parse_rows", counted)
+    monkeypatch.setattr(_csv, "_refusal", counted)
     got = outcome(new, path, *args)
     assert got[0] == "reads"
     assert got == outcome(old, path, *args)
@@ -365,9 +371,12 @@ EDITS = ["drop ,", "drop :", "double ,", "double :", "blank line", '"', "x", "\r
 @example(saved=(table_file, np.ones((2, 2))), ends=(b"\n", True), edit="blank line", at=1.0)
 @example(saved=(table_file, np.ones((2, 2))), ends=(b"\n", True), edit="\r", at=0.9)
 @example(saved=(matrix_file, np.ones((2, 2, 2))), ends=(b"\n", False), edit="drop :", at=0.0)
+@example(saved=(table_file, np.ones((2, 2))), ends=(b"\r\n", True), edit='"', at=0.34)
 def test_an_edited_file_reads_or_fails_as_with_the_row_reader(tmp_path, saved, ends, edit, at):
     """After one edit both readers give the same bits, or raise the same
-    error with the same text: file, line and cause."""
+    error with the same text: file, line and cause.  A ``"``, a lone ``\\r``
+    or a non-ASCII character, which the row reader may read, is refused at
+    its line instead."""
     kind, values = saved
     path = tmp_path / "edited.csv"
     new, old, *args = kind(path, values)
@@ -389,7 +398,14 @@ def test_an_edited_file_reads_or_fails_as_with_the_row_reader(tmp_path, saved, e
     else:
         text = text[:i] + (ends[0] if edit == "blank line" else edit.encode()) + text[i:]
     path.write_bytes(text)
-    assert outcome(new, path, *args) == outcome(old, path, *args)
+    if edit in ('"', "é") or b"\r" in text.replace(b"\r\n", b"\n"):
+        # an edit inside a \r\n leaves its \r first on the line
+        char = "\r" if text[i - 1:i] == b"\r" else edit
+        expected = refused_at(path, text.count(b"\n", 0, i) + 1,
+                              f"{char!r} is outside the format")
+    else:
+        expected = outcome(old, path, *args)
+    assert outcome(new, path, *args) == expected
 
 
 @pytest.mark.parametrize("text, matrix", [
@@ -402,13 +418,42 @@ def test_an_edited_file_reads_or_fails_as_with_the_row_reader(tmp_path, saved, e
     (b"c\xc3\xa9\n1\n", False),
 ])
 def test_hand_written_files_read_as_with_the_row_reader(tmp_path, text, matrix):
+    """Each file reads as the row reader reads it, or fails as it fails;
+    the three it read that hold a ``"``, a lone ``\\r`` or a non-ASCII
+    character are refused at that line."""
     path = tmp_path / "hand.csv"
     path.write_bytes(text)
     readers = [(_csv.read_matrix, oracle_read_matrix)] if matrix else [
         (lambda p: _csv.read(p, names), lambda p: oracle_read(p, names))
         for names in ([], ["c0"])]
+    refused = {b'c0\n"1"\n': (2, """'"' is outside the format"""),
+               b"c0\n1\r2\n": (2, r"'\r' is outside the format"),
+               b"c\xc3\xa9\n1\n": (1, "'é' is outside the format")}
     for new, old in readers:
-        assert outcome(new, path) == outcome(old, path)
+        expected = refused_at(path, *refused[text]) if text in refused else outcome(old, path)
+        assert outcome(new, path) == expected
+
+
+FOREIGN = [b'"', b"\r", "é".encode(), b"\xff"]
+PIECES = [b"1", b"-2.5e3", b"inf", b" ", b"\t", b"\x00", b"\x1c", b"\x1f", b"x", b",", b":",
+          b"\n", b"\r\n", *FOREIGN]
+
+
+@file_settings
+@given(text=st.lists(st.sampled_from(PIECES), max_size=12).map(b"".join), matrix=st.booleans())
+def test_any_file_reads_as_the_row_reader_or_is_refused(tmp_path, text, matrix):
+    """On any file a reader returns the row reader's bits or raises
+    InvalidStateError naming the file, and parts from the row reader only on
+    a file holding a ``"``, a lone ``\\r`` or a non-ASCII byte."""
+    path = tmp_path / "any.csv"
+    path.write_bytes(text)
+    new, old = ((_csv.read_matrix, oracle_read_matrix) if matrix else
+                (lambda p: _csv.read(p, []), lambda p: oracle_read(p, [])))
+    got = outcome(new, path)
+    if got[0] == "reads" or not any(char in text.replace(b"\r\n", b"\n") for char in FOREIGN):
+        assert got == outcome(old, path)
+    else:
+        assert got[1] is InvalidStateError and got[2].startswith(f"{path}")
 
 
 @pytest.mark.parametrize("text, line, matrix", [

@@ -66,6 +66,26 @@ def test_grid_validation():
     assert MomentumGrid(0.0, 1.0, np.int64(11)).nodes.shape == (11,)
 
 
+def test_grid_size_beyond_float_range_is_refused():
+    """``h`` once raised a bare OverflowError for such an ``n``."""
+    with pytest.raises(DomainError, match="grid size n must be within float range"):
+        MomentumGrid(0.01, 5.0, 2**1024)
+
+
+def test_grid_step_that_underflows_or_overflows_is_refused():
+    """A zero step once built, and ``make_gaussian`` then divided by it; an
+    infinite one built too, and ``nodes`` then read NaN."""
+    with pytest.raises(DomainError, match=r"grid step of MomentumGrid\(p_min=0.0, "
+                                          r"p_max=5e-324, n=3\) must be positive and "
+                                          r"finite, got 0.0"):
+        MomentumGrid(0.0, 5e-324, 3)
+    with pytest.raises(DomainError, match=r"p_max=1e\+308, n=3\) must be positive and "
+                                          r"finite, got inf"):
+        MomentumGrid(-1e308, 1e308, 3)
+    assert MomentumGrid(0.0, 5e-324, 2).h == 5e-324
+    assert MomentumGrid(-8e307, 8e307, 3).h == 8e307
+
+
 def test_gaussian_spec_requires_positive_sigma():
     with pytest.raises(DomainError):
         GaussianSpec(q0=0.0, p0=1.0, sigma=0.0)

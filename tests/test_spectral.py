@@ -318,12 +318,14 @@ def test_malformed_csv_raises_invalid_state(tmp_path, load, text, message):
         load(path)
 
 
-def test_quoted_cells_load(tmp_path):
+def test_quoted_cells_are_refused(tmp_path):
+    """A quoted cell is outside the format the package writes: the loader
+    names the file and the line that holds it."""
     path = tmp_path / "quoted.csv"
     path.write_text('E,re,im\n"1",0.6,0.8\n')
-    state = load_spectral_csv(path)
-    assert state.energies.tolist() == [1.0]
-    assert state.coeffs.tolist() == [0.6 + 0.8j]
+    with pytest.raises(InvalidStateError) as raised:
+        load_spectral_csv(path)
+    assert str(raised.value) == f"""{path}, line 2: '"' is outside the format"""
 
 
 def test_non_positive_energy_in_csv_names_the_file(tmp_path):
